@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .errors import ConfigError, ShapeError, ValidationError
@@ -63,7 +61,7 @@ def visual_attend(v, h_prev, params):
     k = v.data.shape[0]
     proj_v = ad.matmul(v, ad.transpose(params.w_v))            # (k, d_a)
     proj_h = ad.matmul(params.w_s, h_prev)                     # (d_a,)
-    scores = ad.matmul(ad.tanh(ad.add_row(proj_v, proj_h)), ad.transpose(params.w_a))  # (k, 1)
+    scores = ad.matmul(ad.tanh(ad.add(proj_v, proj_h)), ad.transpose(params.w_a))  # (k, 1)
     alpha = ad.softmax(ad.reshape(scores, (k,)))
     v_att = ad.matmul(alpha, v)                                # (d_v,)
     return v_att, alpha
@@ -80,12 +78,10 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     p = c.data.shape[0]
     if concept_probs.data.shape != (p,):
         raise ShapeError(f"concept_probs shape {concept_probs.data.shape} does not match {p} concepts")
-    ones_row = Tensor(np.ones((1, c.data.shape[1])))
-    prob_tile = ad.matmul(ad.reshape(concept_probs, (p, 1)), ones_row)  # (p, d_c)
-    scaled = ad.mul(prob_tile, c)
+    scaled = ad.mul(ad.reshape(concept_probs, (p, 1)), c)      # (p, d_c)
     proj_c = ad.matmul(scaled, params.w_c)                     # (p, d_ac)
     proj_h = ad.matmul(params.w_w, h_w_prev)                   # (d_ac,)
-    scores = ad.matmul(ad.tanh(ad.add_row(proj_c, proj_h)), ad.transpose(params.w_ac))
+    scores = ad.matmul(ad.tanh(ad.add(proj_c, proj_h)), ad.transpose(params.w_ac))
     alpha = ad.softmax(ad.reshape(scores, (p,)))
     c_att = ad.matmul(alpha, c)                                # (d_c,)
     return c_att, alpha
@@ -101,14 +97,14 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
     if scheme == "concat":
         return ad.concat([front.global_feature, lat.global_feature])
     if scheme == "early":
-        bank = ad.vstack([front.local_features, lat.local_features])
+        bank = ad.concat([front.local_features, lat.local_features])
         v_att, _ = visual_attend(bank, h_prev, params)
         return v_att
     if scheme == "late":
         va_f, _ = visual_attend(front.local_features, h_prev, params)
         va_l, _ = visual_attend(lat.local_features, h_prev, params)
         if late_combine == "mean":
-            return ad.scale(ad.add(va_f, va_l), 0.5)
+            return ad.mul(ad.add(va_f, va_l), Tensor(0.5))
         if late_combine == "project":
             return ad.matmul(params.w_late, ad.concat([va_f, va_l]))
         raise ValidationError(f"unknown late_combine '{late_combine}' (expected one of {LATE_COMBINES})")

@@ -264,15 +264,13 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
     return np.round(canvas * 255.0) / 255.0
 
 
-def generate_dataset(seed, n_samples, image_size=32, pathology_spec=OBSERVATIONS):
+def generate_dataset(seed, n_samples, image_size=32):
     """Deterministically generate n_samples multi-view samples with reports."""
     if n_samples < 10:
         raise ValidationError(f"need at least 10 samples, got {n_samples}")
     if image_size < 16 or image_size % 8:
         raise ConfigError(
             f"image_size {image_size} too small for the pattern grid (needs >= 16, divisible by 8)")
-    if pathology_spec is not OBSERVATIONS:
-        raise ConfigError("custom pathology specs are not supported; pass the default table")
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n_samples):
@@ -351,11 +349,6 @@ def has_min_sentences(sentences, minimum=3):
     return len(sentences) >= minimum
 
 
-def reject_short_reports(reports, minimum=3):
-    """Keep only reports with at least `minimum` sentences."""
-    return [r for r in reports if has_min_sentences(r, minimum)]
-
-
 class Vocabulary:
     """Bidirectional token<->id map with reserved sentinel ids 0..3."""
 
@@ -404,7 +397,6 @@ class ConceptSet:
         self.tokens = list(tokens)
         self.counts = list(counts)
         self.threshold = threshold
-        self.embeddings = None  # (p, d_c) Tensor attached by the harness
 
     @property
     def p(self):
@@ -474,6 +466,18 @@ def save_dataset(directory, samples, vocab, concepts):
             fh.write(f"{tok} {count}\n")
 
 
+def _read_counts(path):
+    """(token, count) pairs from a file of `token count` lines."""
+    rows = []
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            token, count = line.split()
+            rows.append((token, int(count)))
+        except ValueError:
+            raise DataError(f"{path}:{n}: expected 'token count', got {line!r}") from None
+    return rows
+
+
 def load_dataset(directory):
     """Load a persisted dataset; returns (samples, vocab, concepts)."""
     directory = Path(directory)
@@ -481,11 +485,9 @@ def load_dataset(directory):
     if not labels_path.exists():
         raise DataError(f"no dataset at {directory} (missing labels.csv)")
 
-    vocab_rows = [(line.split()[0], int(line.split()[1]))
-                  for line in (directory / "vocab.txt").read_text(encoding="utf-8").splitlines()]
+    vocab_rows = _read_counts(directory / "vocab.txt")
     vocab = Vocabulary([(t, c) for t, c in vocab_rows if t not in RESERVED], min_count=3)
-    concept_rows = [(line.split()[0], int(line.split()[1]))
-                    for line in (directory / "concepts.txt").read_text(encoding="utf-8").splitlines()]
+    concept_rows = _read_counts(directory / "concepts.txt")
     concepts = ConceptSet([t for t, _ in concept_rows], [c for _, c in concept_rows], threshold=1)
 
     samples = []

@@ -24,7 +24,6 @@ from .pgm import write_pgm
 class EncoderConfig:
     image_size: int = 32
     channels: tuple = (8, 16, 32)
-    n_obs: int = N_OBS
     n_concepts: int = 1
     lambda_cvc: float = 1.0
 
@@ -36,8 +35,6 @@ class EncoderConfig:
                 f"image_size {self.image_size} not divisible by total pooling stride {stride}")
         if self.map_side < 1:
             raise ValidationError(f"config yields an empty feature map (k = {self.k})")
-        if self.n_obs != N_OBS:
-            raise ValidationError(f"n_obs must be {N_OBS}, got {self.n_obs}")
 
     @property
     def map_side(self):
@@ -71,8 +68,8 @@ def init_encoder_params(config, seed):
         params[f"enc.conv{i}.b"] = seeded_uniform(f"enc.conv{i}.b", (cout,), fan_in, seed)
         cin = cout
     d_v = config.d_v
-    params["enc.obs.w"] = seeded_uniform("enc.obs.w", (config.n_obs, d_v), d_v, seed)
-    params["enc.obs.b"] = seeded_uniform("enc.obs.b", (config.n_obs,), d_v, seed)
+    params["enc.obs.w"] = seeded_uniform("enc.obs.w", (N_OBS, d_v), d_v, seed)
+    params["enc.obs.b"] = seeded_uniform("enc.obs.b", (N_OBS,), d_v, seed)
     params["enc.concept.w"] = seeded_uniform("enc.concept.w", (config.n_concepts, d_v), d_v, seed)
     params["enc.concept.b"] = seeded_uniform("enc.concept.b", (config.n_concepts,), d_v, seed)
     return params
@@ -109,7 +106,7 @@ def encoder_loss_parts(front, lat, labels):
 def encoder_loss(front, lat, labels, lambda_cvc):
     """Summed BCE of both views plus lambda * squared view disagreement."""
     bce_f, bce_l, cvc = encoder_loss_parts(front, lat, labels)
-    return ad.add(ad.add(bce_f, bce_l), ad.scale(cvc, lambda_cvc))
+    return ad.add(ad.add(bce_f, bce_l), ad.mul(cvc, Tensor(lambda_cvc)))
 
 
 def fuse_view_predictions(front, lat):
@@ -127,8 +124,8 @@ def grad_cam(image, params, config, class_index):
     Channel weights are the spatial means of d(logit)/d(map); the heatmap is
     relu of the weighted map sum, min-max normalized (all-zero stays zero).
     """
-    if not 0 <= class_index < config.n_obs:
-        raise ValidationError(f"class index {class_index} out of range 0..{config.n_obs - 1}")
+    if not 0 <= class_index < N_OBS:
+        raise ValidationError(f"class index {class_index} out of range 0..{N_OBS - 1}")
     maps_data = _conv_stack(image, params, config).data  # inference pass
     leaf = Tensor(maps_data.copy(), requires_grad=True)
     with Tape() as tape:

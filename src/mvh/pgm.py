@@ -30,8 +30,13 @@ def read_pgm(path):
             tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path} is not an ASCII P2 graymap")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pixels = np.array([int(v) for v in tokens[4:]], dtype=np.float64)
+    if len(tokens) < 4:
+        raise DataError(f"{path}: truncated P2 header")
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        pixels = np.array([int(v) for v in tokens[4:]], dtype=np.float64)
+    except ValueError:
+        raise DataError(f"{path}: non-integer header or pixel value") from None
     if pixels.size != w * h:
         raise DataError(f"{path}: expected {w * h} pixels, found {pixels.size}")
     return (pixels / maxval).reshape(h, w)

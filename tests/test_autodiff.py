@@ -77,6 +77,40 @@ def test_elementwise_trivials():
     np.testing.assert_array_equal(ad.relu(t([-1.0, 2.0])).data, [0.0, 2.0])
 
 
+def test_add_and_mul_broadcast_like_numpy():
+    m, row, col = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0, 3.0]), np.array([[2.0], [3.0]])
+    np.testing.assert_array_equal(ad.add(t(m), t(row)).data, m + row)
+    np.testing.assert_array_equal(ad.mul(t(col), t(m)).data, col * m)
+    np.testing.assert_array_equal(ad.mul(t(m), t(0.5)).data, m * 0.5)
+
+
+def test_broadcast_backward_sums_to_input_shapes():
+    m = t(np.ones((2, 3)), grad=True)
+    row = t([1.0, 2.0, 3.0], grad=True)
+    col = t([[2.0], [3.0]], grad=True)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.mul(ad.add(m, row), col))
+    tape.backward(loss)
+    np.testing.assert_array_equal(m.grad, [[2.0] * 3, [3.0] * 3])
+    np.testing.assert_array_equal(row.grad, [5.0, 5.0, 5.0])
+    np.testing.assert_array_equal(col.grad, [[9.0], [9.0]])
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_non_broadcastable_shapes_raise_shape_error(op):
+    with pytest.raises(ShapeError, match=r"\(4, 3\).*\(4,\)"):
+        op(t(np.zeros((4, 3))), t(np.zeros(4)))
+
+
+def test_concat_rejects_mismatched_trailing_shapes():
+    with pytest.raises(ShapeError):
+        ad.concat([t(np.zeros((2, 3))), t(np.zeros((1, 4)))])
+    with pytest.raises(ShapeError):
+        ad.concat([t(np.zeros(3)), t(np.zeros((1, 3)))])
+    with pytest.raises(ShapeError):
+        ad.concat([t(1.0)])
+
+
 def test_nonfinite_forward_raises():
     big = t([1e308, 1e308])
     with pytest.raises(NumericsError):
@@ -202,8 +236,8 @@ def test_matmul_gradcheck_tight():
 
 
 @pytest.mark.parametrize("name", [
-    "matmul_vec", "add", "add_row", "mul", "scale", "tanh", "sigmoid", "relu",
-    "softmax", "concat", "vstack", "reshape", "transpose", "mean_pool",
+    "matmul_vec", "add", "add_broadcast", "mul", "mul_broadcast", "mul_scalar", "tanh",
+    "sigmoid", "relu", "softmax", "concat", "concat_2d", "reshape", "transpose", "mean_pool",
     "max_pool2d", "conv2d", "embedding", "bce", "mse", "cross_entropy",
 ])
 def test_each_op_matches_finite_differences(name):
@@ -217,18 +251,23 @@ def test_each_op_matches_finite_differences(name):
         a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
         build = lambda: _weighted(ad.add(a, b), np.random.default_rng(1))
         params = {"a": a, "b": b}
-    elif name == "add_row":
+    elif name == "add_broadcast":
         m = t(rng.normal(size=(4, 3)), grad=True)
         v = t(rng.normal(size=3), grad=True)
-        build = lambda: _weighted(ad.add_row(m, v), np.random.default_rng(1))
+        build = lambda: _weighted(ad.add(m, v), np.random.default_rng(1))
         params = {"m": m, "v": v}
     elif name == "mul":
         a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
         build = lambda: _weighted(ad.mul(a, b), np.random.default_rng(1))
         params = {"a": a, "b": b}
-    elif name == "scale":
+    elif name == "mul_broadcast":
+        col = t(rng.normal(size=(4, 1)), grad=True)
+        m = t(rng.normal(size=(4, 3)), grad=True)
+        build = lambda: _weighted(ad.mul(col, m), np.random.default_rng(1))
+        params = {"col": col, "m": m}
+    elif name == "mul_scalar":
         a = t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(ad.scale(a, -2.5), np.random.default_rng(1))
+        build = lambda: _weighted(ad.mul(a, t(-2.5)), np.random.default_rng(1))
         params = {"a": a}
     elif name in ("tanh", "sigmoid"):
         a = t(rng.normal(size=6), grad=True)
@@ -249,10 +288,10 @@ def test_each_op_matches_finite_differences(name):
         a, b = t(rng.normal(size=3), grad=True), t(rng.normal(size=2), grad=True)
         build = lambda: _weighted(ad.concat([a, b]), np.random.default_rng(1))
         params = {"a": a, "b": b}
-    elif name == "vstack":
+    elif name == "concat_2d":
         a = t(rng.normal(size=(2, 3)), grad=True)
         b = t(rng.normal(size=(1, 3)), grad=True)
-        build = lambda: _weighted(ad.vstack([a, b]), np.random.default_rng(1))
+        build = lambda: _weighted(ad.concat([a, b]), np.random.default_rng(1))
         params = {"a": a, "b": b}
     elif name == "reshape":
         a = t(rng.normal(size=(2, 3)), grad=True)
@@ -322,20 +361,6 @@ def test_forward_determinism():
 # ---------------------------------------------------------------------------
 # optimizers
 
-def test_sgd_hand_case():
-    w = t([1.0], grad=True)
-    w.grad = np.array([0.5])
-    ad.sgd_step({"w": w}, lr=0.1)
-    np.testing.assert_allclose(w.data, [0.95])
-
-
-def test_sgd_zero_gradient_is_noop():
-    w = t([1.0, -2.0], grad=True)
-    w.grad = np.zeros(2)
-    ad.sgd_step({"w": w}, lr=0.1)
-    np.testing.assert_array_equal(w.data, [1.0, -2.0])
-
-
 def test_adam_first_step_moves_by_about_lr():
     # hand trace: m1=0.1, v1=1e-3, bias-corrected mhat=1, vhat=1 -> step = lr/(1+eps)
     w = t([2.0], grad=True)
@@ -348,8 +373,6 @@ def test_adam_first_step_moves_by_about_lr():
 def test_nan_gradient_names_parameter():
     w = t([1.0], grad=True)
     w.grad = np.array([np.nan])
-    with pytest.raises(TrainingError, match="enc.w0"):
-        ad.sgd_step({"enc.w0": w}, lr=0.1)
     with pytest.raises(TrainingError, match="enc.w0"):
         Adam().step({"enc.w0": w})
 

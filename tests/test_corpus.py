@@ -23,13 +23,13 @@ from mvh.corpus import (
     load_dataset,
     mine_concepts,
     pattern_mask,
-    reject_short_reports,
     render_report,
     save_dataset,
     split_dataset,
     tokenize,
 )
 from mvh.errors import ConfigError, DataError, ValidationError
+from mvh.pgm import read_pgm, write_pgm
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,7 +99,7 @@ def test_vocabulary_encode_uses_unk():
 def test_preprocessing_golden_files():
     raw = (DATA / "fixture_reports.txt").read_text(encoding="utf-8").splitlines()
     tokenized = [tokenize(line) for line in raw]
-    kept = reject_short_reports(tokenized, minimum=3)
+    kept = [r for r in tokenized if has_min_sentences(r, 3)]
     assert len(kept) == 3 and len(tokenized) == 4  # the 2-sentence report is rejected
 
     rendered = "\n".join(" | ".join(" ".join(s) for s in report) for report in kept) + "\n"
@@ -265,3 +265,29 @@ def test_dataset_round_trip(tmp_path, small_dataset):
 def test_load_missing_dataset_raises(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "concepts.txt"])
+@pytest.mark.parametrize("bad_line", ["", "onlytoken", "token notanumber"])
+def test_load_malformed_count_line_is_data_error(tmp_path, small_dataset, name, bad_line):
+    corpus = [sent for s in small_dataset for sent in s.report]
+    save_dataset(tmp_path, small_dataset[:10], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
+    path = tmp_path / name
+    path.write_text(path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=name):
+        load_dataset(tmp_path)
+
+
+def test_read_pgm_truncated_header_is_data_error(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_text("P2\n4 4\n", encoding="utf-8")
+    with pytest.raises(DataError, match="truncated"):
+        read_pgm(path)
+
+
+def test_read_pgm_non_integer_header_is_data_error(tmp_path):
+    path = tmp_path / "bad.pgm"
+    write_pgm(path, np.zeros((2, 2)))
+    path.write_text(path.read_text(encoding="utf-8").replace("2 2", "2 two", 1), encoding="utf-8")
+    with pytest.raises(DataError, match="non-integer"):
+        read_pgm(path)

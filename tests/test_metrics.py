@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvh.errors import ValidationError
@@ -202,14 +202,17 @@ def test_avg_auc_skips_undefined_labels():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=4, max_size=24))
+# 1.0 and the float below it: a squashing map like tanh(3 * s) rounds them to one score
+@example([(1.0, 1), (0.9999999999999999, 0), (0.0, 0), (0.5, 1)])
 def test_auc_invariant_under_monotone_transform(pairs):
     scores = [s for s, _ in pairs]
     labels = [l for _, l in pairs]
     if len(set(labels)) < 2:
         return
     base = roc_auc(scores, labels)
-    squashed = roc_auc([math.tanh(3 * s) for s in scores], labels)
-    assert squashed == pytest.approx(base, abs=1e-12)
+    # strictly increasing on [0, 1] and exact in floating point, so no two distinct scores merge
+    warped = roc_auc([s if s < 0.5 else 4.0 * s for s in scores], labels)
+    assert warped == pytest.approx(base, abs=1e-12)
 
 
 # invariances across metrics ----------------------------------------------------
