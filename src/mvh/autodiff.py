@@ -3,14 +3,16 @@
 Ops are plain functions on `Tensor`s. While a `Tape` is active (used as a
 context manager) every op whose inputs participate in grad registers a
 backward closure on it; with no active tape the same ops run as pure
-inference-mode numpy. One tape per training step, consumed by a single
-backward pass.
+inference-mode numpy. Every op returns through `_result`, the one place
+where an output joins the tape. One tape per training step, consumed by a
+single backward pass.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +31,8 @@ PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 class Tensor:
     """An n-d float64 value with optional gradient participation.
 
-    `data` is row-major float64; `grad` is a same-shape buffer allocated
+    `data` is float64 and may be a view of another tensor's data (`reshape`
+    and `transpose` do not copy); `grad` is a same-shape buffer allocated
     lazily during backward and only for tensors with requires_grad.
     """
 
@@ -50,14 +53,12 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)}, requires_grad={self.requires_grad})"
 
 
-_ACTIVE_TAPES: list["Tape"] = []
+# A context variable, not a global: each thread sees only the tape it opened.
+_ACTIVE_TAPE: ContextVar["Tape | None"] = ContextVar("mvh_active_tape", default=None)
 
 
 class Tape:
@@ -73,19 +74,14 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        if _ACTIVE_TAPES:
+        if _ACTIVE_TAPE.get() is not None:
             raise TapeError("a tape is already active; tapes do not nest")
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _ACTIVE_TAPES.pop()
+        _ACTIVE_TAPE.set(None)
         return False
-
-    def _record(self, out, backward_fn):
-        out.requires_grad = True
-        out._tape = self
-        self._nodes.append((out, backward_fn))
 
     def __len__(self):
         return len(self._nodes)
@@ -106,10 +102,20 @@ class Tape:
                 fn(out.grad)
 
 
-def _tape_for(*tensors):
-    if _ACTIVE_TAPES and any(t.requires_grad for t in tensors):
-        return _ACTIVE_TAPES[-1]
-    return None
+def _result(data, parents, backward):
+    """Wrap an op's output `data` in a Tensor.
+
+    When a tape is active and any parent has requires_grad, the output joins
+    that tape: `backward(g)` is recorded to push the output's gradient `g`
+    into the parents.
+    """
+    out = Tensor(data)
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._tape = tape
+        tape._nodes.append((out, backward))
+    return out
 
 
 def _accum(t, g):
@@ -138,38 +144,28 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
     out_data = ad @ bd
     _finite(out_data, "matmul")
-    out = Tensor(out_data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        def bw(g):
-            A = ad if ad.ndim == 2 else ad[None, :]
-            B = bd if bd.ndim == 2 else bd[:, None]
-            G = g.reshape(A.shape[0], B.shape[1])
-            _accum(a, (G @ B.T).reshape(ad.shape))
-            _accum(b, (A.T @ G).reshape(bd.shape))
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        A = ad if ad.ndim == 2 else ad[None, :]
+        B = bd if bd.ndim == 2 else bd[:, None]
+        G = g.reshape(A.shape[0], B.shape[1])
+        _accum(a, (G @ B.T).reshape(ad.shape))
+        _accum(b, (A.T @ G).reshape(bd.shape))
+    return _result(out_data, (a, b), bw)
 
 
 def transpose(x):
+    """Transpose of a 2-d tensor, as a view of x's data."""
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d tensor, got shape {x.data.shape}")
-    out = Tensor(x.data.T.copy())
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, g.T))
-    return out
+    return _result(x.data.T, (x,), lambda g: _accum(x, g.T))
 
 
 def reshape(x, shape):
+    """x's data in a new shape; a view whenever numpy can make one."""
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} into {shape}")
-    out = Tensor(x.data.reshape(shape).copy())
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, g.reshape(x.data.shape)))
-    return out
+    return _result(x.data.reshape(shape), (x,), lambda g: _accum(x, g.reshape(x.data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +193,10 @@ def add(a, b):
     except ValueError:
         raise ShapeError(f"add cannot broadcast {a.data.shape} with {b.data.shape}") from None
     _finite(out_data, "add")
-    out = Tensor(out_data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        def bw(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
+    return _result(out_data, (a, b), bw)
 
 
 def mul(a, b):
@@ -214,25 +206,17 @@ def mul(a, b):
     except ValueError:
         raise ShapeError(f"mul cannot broadcast {a.data.shape} with {b.data.shape}") from None
     _finite(out_data, "mul")
-    out = Tensor(out_data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    return _result(out_data, (a, b), bw)
 
 
 def tanh(x):
     out_data = np.tanh(x.data)
-    out = Tensor(out_data)
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, g * (1.0 - out_data * out_data)))
-    return out
+    return _result(out_data, (x,), lambda g: _accum(x, g * (1.0 - out_data * out_data)))
 
 
 def _sigmoid_np(x):
@@ -246,19 +230,11 @@ def _sigmoid_np(x):
 
 def sigmoid(x):
     out_data = _sigmoid_np(x.data)
-    out = Tensor(out_data)
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, g * out_data * (1.0 - out_data)))
-    return out
+    return _result(out_data, (x,), lambda g: _accum(x, g * out_data * (1.0 - out_data)))
 
 
 def relu(x):
-    out = Tensor(np.maximum(x.data, 0.0))
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, g * (x.data > 0.0)))
-    return out
+    return _result(np.maximum(x.data, 0.0), (x,), lambda g: _accum(x, g * (x.data > 0.0)))
 
 
 def softmax(x):
@@ -269,13 +245,9 @@ def softmax(x):
     e = np.exp(z)
     out_data = e / e.sum()
     _finite(out_data, "softmax")
-    out = Tensor(out_data)
-    tape = _tape_for(x)
-    if tape is not None:
-        def bw(g):
-            _accum(x, out_data * (g - np.dot(g, out_data)))
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        _accum(x, out_data * (g - np.dot(g, out_data)))
+    return _result(out_data, (x,), bw)
 
 
 def concat(parts):
@@ -287,17 +259,13 @@ def concat(parts):
     for p in parts:
         if p.data.ndim < 1 or p.data.shape[1:] != tail:
             raise ShapeError(f"concat needs parts of shape (n, *{tail}), got {p.data.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    tape = _tape_for(*parts)
-    if tape is not None:
-        sizes = [p.data.shape[0] for p in parts]
-        def bw(g):
-            i = 0
-            for p, n in zip(parts, sizes):
-                _accum(p, g[i:i + n])
-                i += n
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        i = 0
+        for p in parts:
+            n = p.data.shape[0]
+            _accum(p, g[i:i + n])
+            i += n
+    return _result(np.concatenate([p.data for p in parts]), parts, bw)
 
 
 # bench/layertrace.py wraps these three names; they go once its OPS list drops them.
@@ -314,11 +282,7 @@ def mean_pool(x):
     if x.data.ndim != 2:
         raise ShapeError(f"mean_pool needs a 2-d tensor, got shape {x.data.shape}")
     k = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0))
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, np.broadcast_to(g / k, x.data.shape)))
-    return out
+    return _result(x.data.mean(axis=0), (x,), lambda g: _accum(x, np.broadcast_to(g / k, x.data.shape)))
 
 
 def max_pool2d(x):
@@ -329,16 +293,12 @@ def max_pool2d(x):
     c, h, w = xd.shape
     win = xd.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
     idx = win.argmax(axis=3)
-    out = Tensor(np.take_along_axis(win, idx[..., None], axis=3)[..., 0])
-    tape = _tape_for(x)
-    if tape is not None:
-        def bw(g):
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=3)
-            dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-            _accum(x, dx)
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=3)
+        dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        _accum(x, dx)
+    return _result(np.take_along_axis(win, idx[..., None], axis=3)[..., 0], (x,), bw)
 
 
 def conv2d(x, w, b):
@@ -359,22 +319,18 @@ def conv2d(x, w, b):
     wmat = wd.reshape(cout, cin * kh * kw)
     out_mat = cols @ wmat.T + bd
     _finite(out_mat, "conv2d")
-    out = Tensor(out_mat.T.reshape(cout, h, width))
-    tape = _tape_for(x, w, b)
-    if tape is not None:
-        def bw(g):
-            gm = g.reshape(cout, h * width).T  # (h*w, cout)
-            _accum(b, gm.sum(axis=0))
-            _accum(w, (gm.T @ cols).reshape(wd.shape))
-            if x.requires_grad:
-                dcols = (gm @ wmat).reshape(h, width, cin, kh, kw)
-                dxp = np.zeros_like(xp)
-                for di in range(kh):
-                    for dj in range(kw):
-                        dxp[:, di:di + h, dj:dj + width] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
-                _accum(x, dxp[:, ph:ph + h, pw:pw + width])
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        gm = g.reshape(cout, h * width).T  # (h*w, cout)
+        _accum(b, gm.sum(axis=0))
+        _accum(w, (gm.T @ cols).reshape(wd.shape))
+        if x.requires_grad:
+            dcols = (gm @ wmat).reshape(h, width, cin, kh, kw)
+            dxp = np.zeros_like(xp)
+            for di in range(kh):
+                for dj in range(kw):
+                    dxp[:, di:di + h, dj:dj + width] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
+            _accum(x, dxp[:, ph:ph + h, pw:pw + width])
+    return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
 
 
 def embedding_lookup(table, index):
@@ -385,25 +341,18 @@ def embedding_lookup(table, index):
     v = table.data.shape[0]
     if not 0 <= index < v:
         raise ValidationError(f"embedding index {index} out of range for table of {v} rows")
-    out = Tensor(table.data[index].copy())
-    tape = _tape_for(table)
-    if tape is not None:
-        def bw(g):
-            d = np.zeros_like(table.data)
-            d[index] = g
-            _accum(table, d)
-        tape._record(out, bw)
-    return out
+    def bw(g):
+        d = np.zeros_like(table.data)
+        d[index] = g
+        _accum(table, d)
+    return _result(table.data[index].copy(), (table,), bw)
 
 
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
-    out = Tensor(x.data.sum())
-    _finite(out.data, "sum")
-    tape = _tape_for(x)
-    if tape is not None:
-        tape._record(out, lambda g: _accum(x, np.broadcast_to(g, x.data.shape).copy()))
-    return out
+    out_data = x.data.sum()
+    _finite(out_data, "sum")
+    return _result(out_data, (x,), lambda g: _accum(x, np.broadcast_to(g, x.data.shape).copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +366,23 @@ def bce_loss(pred, target):
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValidationError("bce_loss targets must be exactly 0 or 1")
     p = np.clip(pred.data, PROB_EPS, 1.0 - PROB_EPS)
-    out = Tensor(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum())
-    _finite(out.data, "bce_loss")
-    tape = _tape_for(pred)
-    if tape is not None:
-        def bw(g):
-            _accum(pred, g * (-(t / p) + (1.0 - t) / (1.0 - p)))
-        tape._record(out, bw)
-    return out
+    out_data = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()
+    _finite(out_data, "bce_loss")
+    def bw(g):
+        _accum(pred, g * (-(t / p) + (1.0 - t) / (1.0 - p)))
+    return _result(out_data, (pred,), bw)
 
 
 def mse_loss(a, b):
     """Summed squared difference (no mean)."""
     _same_shape(a, b, "mse_loss")
     d = a.data - b.data
-    out = Tensor((d * d).sum())
-    _finite(out.data, "mse_loss")
-    tape = _tape_for(a, b)
-    if tape is not None:
-        def bw(g):
-            _accum(a, 2.0 * d * g)
-            _accum(b, -2.0 * d * g)
-        tape._record(out, bw)
-    return out
+    out_data = (d * d).sum()
+    _finite(out_data, "mse_loss")
+    def bw(g):
+        _accum(a, 2.0 * d * g)
+        _accum(b, -2.0 * d * g)
+    return _result(out_data, (a, b), bw)
 
 
 def cross_entropy(logits, target_index):
@@ -452,17 +395,14 @@ def cross_entropy(logits, target_index):
         raise ValidationError(f"cross_entropy target {target_index} out of range for {v} classes")
     z = logits.data - logits.data.max()
     lse = np.log(np.exp(z).sum())
-    out = Tensor(lse - z[target_index])
-    _finite(out.data, "cross_entropy")
-    tape = _tape_for(logits)
-    if tape is not None:
-        def bw(g):
-            soft = np.exp(z)
-            soft /= soft.sum()
-            soft[target_index] -= 1.0
-            _accum(logits, g * soft)
-        tape._record(out, bw)
-    return out
+    out_data = lse - z[target_index]
+    _finite(out_data, "cross_entropy")
+    def bw(g):
+        soft = np.exp(z)
+        soft /= soft.sum()
+        soft[target_index] -= 1.0
+        _accum(logits, g * soft)
+    return _result(out_data, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +482,3 @@ def seeded_uniform(name, shape, fan_in, seed, requires_grad=True):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)

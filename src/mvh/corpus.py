@@ -28,6 +28,7 @@ SEVERITIES = ("mild", "moderate", "severe")
 SEV_BINS = (0.68, 0.82)  # base-intensity cut points over [0.55, 0.95]
 
 GRID = 4  # patterns live on a GRID x GRID cell layout
+JITTER = 1  # a planted pattern shifts by up to this many pixels along each axis
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,11 @@ def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
     return mask
 
 
-def pattern_mask(obs_index, image_size, jitter_radius=1):
+def pattern_mask(obs_index, image_size):
     """Union of the pattern over all jitters, i.e. where it can appear."""
     mask = np.zeros((image_size, image_size), dtype=bool)
-    for dr in range(-jitter_radius, jitter_radius + 1):
-        for dc in range(-jitter_radius, jitter_radius + 1):
+    for dr in range(-JITTER, JITTER + 1):
+        for dc in range(-JITTER, JITTER + 1):
             mask |= pattern_pixels(obs_index, image_size, (dr, dc))
     return mask
 
@@ -257,7 +258,7 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
 def _render_view(rng, image_size, active, intensities, factor, noise_level):
     canvas = rng.uniform(0.0, noise_level, size=(image_size, image_size))
     for j in active:
-        jr, jc = rng.integers(-1, 2), rng.integers(-1, 2)
+        jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
         mask = pattern_pixels(j, image_size, (jr, jc))
         canvas = np.maximum(canvas, mask * level)
@@ -352,8 +353,7 @@ def has_min_sentences(sentences, minimum=3):
 class Vocabulary:
     """Bidirectional token<->id map with reserved sentinel ids 0..3."""
 
-    def __init__(self, tokens_with_counts, min_count):
-        self.min_count = min_count
+    def __init__(self, tokens_with_counts):
         self.id_to_token = list(RESERVED) + [t for t, _ in tokens_with_counts]
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.counts = dict(tokens_with_counts)
@@ -370,7 +370,7 @@ class Vocabulary:
                 counts[tok] = counts.get(tok, 0) + 1
         kept = sorted(((t, c) for t, c in counts.items() if c >= min_count),
                       key=lambda tc: (-tc[1], tc[0]))
-        return cls(kept, min_count)
+        return cls(kept)
 
     def id(self, token):
         return self.token_to_id.get(token, UNK_ID)
@@ -391,12 +391,11 @@ class Vocabulary:
 class ConceptSet:
     """Mined concept tokens ordered by descending corpus frequency."""
 
-    def __init__(self, tokens, counts, threshold):
+    def __init__(self, tokens, counts):
         if not tokens:
             raise ConfigError("concept mining produced an empty concept set")
         self.tokens = list(tokens)
         self.counts = list(counts)
-        self.threshold = threshold
 
     @property
     def p(self):
@@ -419,7 +418,7 @@ def mine_concepts(corpus_sentences, threshold, concept_lexicon=CONCEPT_LEXICON):
                 counts[tok] += 1
     kept = sorted(((t, c) for t, c in counts.items() if c >= threshold),
                   key=lambda tc: (-tc[1], tc[0]))
-    return ConceptSet([t for t, _ in kept], [c for _, c in kept], threshold)
+    return ConceptSet([t for t, _ in kept], [c for _, c in kept])
 
 
 def split_dataset(samples, test_fraction=0.2, seed=0):
@@ -468,8 +467,12 @@ def save_dataset(directory, samples, vocab, concepts):
 
 def _read_counts(path):
     """(token, count) pairs from a file of `token count` lines."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     rows = []
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for n, line in enumerate(lines, 1):
         try:
             token, count = line.split()
             rows.append((token, int(count)))
@@ -486,25 +489,32 @@ def load_dataset(directory):
         raise DataError(f"no dataset at {directory} (missing labels.csv)")
 
     vocab_rows = _read_counts(directory / "vocab.txt")
-    vocab = Vocabulary([(t, c) for t, c in vocab_rows if t not in RESERVED], min_count=3)
+    vocab = Vocabulary([(t, c) for t, c in vocab_rows if t not in RESERVED])
     concept_rows = _read_counts(directory / "concepts.txt")
-    concepts = ConceptSet([t for t, _ in concept_rows], [c for _, c in concept_rows], threshold=1)
+    concepts = ConceptSet([t for t, _ in concept_rows], [c for _, c in concept_rows])
 
     samples = []
     with open(labels_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n_concepts = len(header) - 1 - N_OBS
+        header = next(reader, None)
+        if header is None or len(header) < 1 + N_OBS:
+            raise DataError(f"{labels_path}: header needs sample_id and {N_OBS} label columns")
         for row in reader:
+            where = f"{labels_path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
             sid = row[0]
-            obs = np.array([float(v) for v in row[1:1 + N_OBS]])
-            cvec = np.array([float(v) for v in row[1 + N_OBS:1 + N_OBS + n_concepts]])
-            text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
+            try:
+                obs = np.array([float(v) for v in row[1:1 + N_OBS]])
+                cvec = np.array([float(v) for v in row[1 + N_OBS:]])
+                text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
+                frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
+                lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
+            except (ValueError, OSError) as exc:
+                raise DataError(f"{where}: sample {sid!r}: {exc}") from None
             sentences = tokenize(text)
             if not has_min_sentences(sentences):
                 raise DataError(f"report {sid} has fewer than 3 sentences")
-            frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
-            lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
             samples.append(MultiViewSample(
                 sample_id=sid,
                 frontal_image=frontal[None, :, :],

@@ -9,7 +9,7 @@ BCE plus a cross-view consistency penalty on the prediction gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class EncoderConfig:
     image_size: int = 32
     channels: tuple = (8, 16, 32)
     n_concepts: int = 1
-    lambda_cvc: float = 1.0
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
@@ -55,7 +54,6 @@ class EncoderOutput:
     global_feature: Tensor   # (d_v,) mean of the local rows
     obs_probs: Tensor        # (14,) in (0, 1)
     concept_probs: Tensor    # (p,) in (0, 1)
-    feature_maps: Tensor = field(default=None, repr=False)  # (d_v, s, s), for Grad-CAM
 
 
 def init_encoder_params(config, seed):
@@ -93,7 +91,7 @@ def encode(image, params, config):
     obs_probs = ad.sigmoid(ad.add(ad.matmul(params["enc.obs.w"], global_feature), params["enc.obs.b"]))
     concept_probs = ad.sigmoid(
         ad.add(ad.matmul(params["enc.concept.w"], global_feature), params["enc.concept.b"]))
-    return EncoderOutput(local, global_feature, obs_probs, concept_probs, feature_maps=maps)
+    return EncoderOutput(local, global_feature, obs_probs, concept_probs)
 
 
 def encoder_loss_parts(front, lat, labels):

@@ -1,4 +1,6 @@
+import inspect
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,8 +115,17 @@ def test_concat_rejects_mismatched_trailing_shapes():
 
 def test_nonfinite_forward_raises():
     big = t([1e308, 1e308])
-    with pytest.raises(NumericsError):
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
         ad.add(big, big)
+
+
+@pytest.mark.parametrize("view", [
+    pytest.param(lambda x: ad.reshape(x, (3, 2)), id="reshape"),
+    pytest.param(ad.transpose, id="transpose"),
+])
+def test_reshape_and_transpose_return_views(view):
+    x = t(np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(view(x).data, x.data)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,22 @@ def test_tapes_do_not_nest():
                 pass
 
 
+def test_active_tape_is_per_thread():
+    w = t(np.eye(2), grad=True)
+    x = t([1.0, 2.0])
+
+    def other_thread():
+        ad.matmul(w, x)  # no tape open in this thread: inference only
+        with Tape() as own:
+            ad.matmul(w, x)
+        return len(own)
+
+    with Tape() as tape, ThreadPoolExecutor(max_workers=1) as pool:
+        own_nodes = pool.submit(other_thread).result(timeout=10)
+    assert len(tape) == 0
+    assert own_nodes == 1
+
+
 def _weighted(out, rng):
     w = Tensor(rng.normal(size=out.data.shape))
     return ad.tensor_sum(ad.mul(out, w)) if out.data.shape != () else out
@@ -235,104 +262,124 @@ def test_matmul_gradcheck_tight():
     check_grads(lambda: ad.tensor_sum(ad.mul(ad.matmul(a, b), w)), {"a": a, "b": b}, rel_tol=1e-6)
 
 
-@pytest.mark.parametrize("name", [
-    "matmul_vec", "add", "add_broadcast", "mul", "mul_broadcast", "mul_scalar", "tanh",
-    "sigmoid", "relu", "softmax", "concat", "concat_2d", "reshape", "transpose", "mean_pool",
-    "max_pool2d", "conv2d", "embedding", "bce", "mse", "cross_entropy",
-])
+# gradcheck case -> the op whose backward rule it checks
+GRADCHECK_OPS = {
+    "matmul_vec": ad.matmul, "add": ad.add, "add_broadcast": ad.add, "mul": ad.mul,
+    "mul_broadcast": ad.mul, "mul_scalar": ad.mul, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
+    "relu": ad.relu, "softmax": ad.softmax, "concat": ad.concat, "concat_2d": ad.concat,
+    "reshape": ad.reshape, "transpose": ad.transpose, "mean_pool": ad.mean_pool,
+    "max_pool2d": ad.max_pool2d, "conv2d": ad.conv2d, "embedding": ad.embedding_lookup,
+    "bce": ad.bce_loss, "mse": ad.mse_loss, "cross_entropy": ad.cross_entropy,
+    "tensor_sum": ad.tensor_sum,
+}
+
+
+@pytest.mark.parametrize("name", list(GRADCHECK_OPS))
 def test_each_op_matches_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**32))
+    op = GRADCHECK_OPS[name]
     if name == "matmul_vec":
         a = t(rng.normal(size=(3, 4)), grad=True)
         x = t(rng.normal(size=4), grad=True)
-        build = lambda: _weighted(ad.matmul(a, x), np.random.default_rng(1))
+        build = lambda: _weighted(op(a, x), np.random.default_rng(1))
         params = {"a": a, "x": x}
     elif name == "add":
         a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(ad.add(a, b), np.random.default_rng(1))
+        build = lambda: _weighted(op(a, b), np.random.default_rng(1))
         params = {"a": a, "b": b}
     elif name == "add_broadcast":
         m = t(rng.normal(size=(4, 3)), grad=True)
         v = t(rng.normal(size=3), grad=True)
-        build = lambda: _weighted(ad.add(m, v), np.random.default_rng(1))
+        build = lambda: _weighted(op(m, v), np.random.default_rng(1))
         params = {"m": m, "v": v}
     elif name == "mul":
         a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(ad.mul(a, b), np.random.default_rng(1))
+        build = lambda: _weighted(op(a, b), np.random.default_rng(1))
         params = {"a": a, "b": b}
     elif name == "mul_broadcast":
         col = t(rng.normal(size=(4, 1)), grad=True)
         m = t(rng.normal(size=(4, 3)), grad=True)
-        build = lambda: _weighted(ad.mul(col, m), np.random.default_rng(1))
+        build = lambda: _weighted(op(col, m), np.random.default_rng(1))
         params = {"col": col, "m": m}
     elif name == "mul_scalar":
         a = t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(ad.mul(a, t(-2.5)), np.random.default_rng(1))
+        build = lambda: _weighted(op(a, t(-2.5)), np.random.default_rng(1))
         params = {"a": a}
     elif name in ("tanh", "sigmoid"):
         a = t(rng.normal(size=6), grad=True)
-        op = getattr(ad, name)
         build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "relu":
         vals = rng.normal(size=8)
         vals[np.abs(vals) < 0.05] = 0.5  # keep clear of the kink
         a = t(vals, grad=True)
-        build = lambda: _weighted(ad.relu(a), np.random.default_rng(1))
+        build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "softmax":
         a = t(rng.normal(size=6), grad=True)
-        build = lambda: _weighted(ad.softmax(a), np.random.default_rng(1))
+        build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "concat":
         a, b = t(rng.normal(size=3), grad=True), t(rng.normal(size=2), grad=True)
-        build = lambda: _weighted(ad.concat([a, b]), np.random.default_rng(1))
+        build = lambda: _weighted(op([a, b]), np.random.default_rng(1))
         params = {"a": a, "b": b}
     elif name == "concat_2d":
         a = t(rng.normal(size=(2, 3)), grad=True)
         b = t(rng.normal(size=(1, 3)), grad=True)
-        build = lambda: _weighted(ad.concat([a, b]), np.random.default_rng(1))
+        build = lambda: _weighted(op([a, b]), np.random.default_rng(1))
         params = {"a": a, "b": b}
     elif name == "reshape":
         a = t(rng.normal(size=(2, 3)), grad=True)
-        build = lambda: _weighted(ad.reshape(a, (6,)), np.random.default_rng(1))
+        build = lambda: _weighted(op(a, (6,)), np.random.default_rng(1))
         params = {"a": a}
     elif name == "transpose":
         a = t(rng.normal(size=(2, 3)), grad=True)
-        build = lambda: _weighted(ad.transpose(a), np.random.default_rng(1))
+        build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "mean_pool":
         a = t(rng.normal(size=(4, 3)), grad=True)
-        build = lambda: _weighted(ad.mean_pool(a), np.random.default_rng(1))
+        build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "max_pool2d":
         a = t(rng.normal(size=(2, 4, 4)), grad=True)
-        build = lambda: _weighted(ad.max_pool2d(a), np.random.default_rng(1))
+        build = lambda: _weighted(op(a), np.random.default_rng(1))
         params = {"a": a}
     elif name == "conv2d":
         x = t(rng.normal(size=(2, 6, 6)), grad=True)
         w = t(rng.normal(size=(3, 2, 3, 3)) * 0.5, grad=True)
         b = t(rng.normal(size=3), grad=True)
-        build = lambda: _weighted(ad.conv2d(x, w, b), np.random.default_rng(1))
+        build = lambda: _weighted(op(x, w, b), np.random.default_rng(1))
         params = {"x": x, "w": w, "b": b}
     elif name == "embedding":
         table = t(rng.normal(size=(5, 3)), grad=True)
-        build = lambda: _weighted(ad.embedding_lookup(table, 2), np.random.default_rng(1))
+        build = lambda: _weighted(op(table, 2), np.random.default_rng(1))
         params = {"table": table}
     elif name == "bce":
         p = t(rng.uniform(0.1, 0.9, size=5), grad=True)
         y = t(rng.integers(0, 2, size=5).astype(float))
-        build = lambda: ad.bce_loss(p, y)
+        build = lambda: op(p, y)
         params = {"p": p}
     elif name == "mse":
         a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: ad.mse_loss(a, b)
+        build = lambda: op(a, b)
         params = {"a": a, "b": b}
-    else:  # cross_entropy
+    elif name == "cross_entropy":
         a = t(rng.normal(size=6), grad=True)
-        build = lambda: ad.cross_entropy(a, 3)
+        build = lambda: op(a, 3)
+        params = {"a": a}
+    else:  # tensor_sum
+        a = t(rng.normal(size=(2, 3)), grad=True)
+        build = lambda: op(a)
         params = {"a": a}
     check_grads(build, params, rel_tol=1e-4)
+
+
+def test_every_backward_rule_has_a_gradcheck_case():
+    recording = {f.__name__ for f in vars(ad).values()
+                 if inspect.isfunction(f) and f.__module__ == ad.__name__
+                 and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
+    assert {"matmul", "conv2d", "cross_entropy"} <= recording
+    assert recording - {op.__name__ for op in GRADCHECK_OPS.values()} == set()
 
 
 def test_composite_graph_gradcheck():

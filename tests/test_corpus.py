@@ -136,7 +136,7 @@ def test_mine_concepts_empty_is_config_error():
 
 
 def test_concept_indicator_matches_literal_presence():
-    cs = ConceptSet(["edema", "fracture"], [10, 10], threshold=1)
+    cs = ConceptSet(["edema", "fracture"], [10, 10])
     report = tokenize("there is edema. no change.")
     np.testing.assert_array_equal(cs.indicator(report), [1.0, 0.0])
 
@@ -275,6 +275,35 @@ def test_load_malformed_count_line_is_data_error(tmp_path, small_dataset, name, 
     path = tmp_path / name
     path.write_text(path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=name):
+        load_dataset(tmp_path)
+
+
+def _append_line(path, line):
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+
+
+def _replace_first_label(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split(",")
+    fields[1] = "yes"
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda d: _append_line(d / "labels.csv", ""), id="blank_row"),
+    pytest.param(lambda d: _replace_first_label(d / "labels.csv"), id="non_numeric_label"),
+    pytest.param(lambda d: (d / "labels.csv").write_text("", encoding="utf-8"), id="empty_labels"),
+    pytest.param(lambda d: _append_line(d / "labels.csv", "s00001,1"), id="short_row"),
+    pytest.param(lambda d: (d / "reports" / "s00000.txt").unlink(), id="missing_report"),
+    pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
+    pytest.param(lambda d: (d / "vocab.txt").unlink(), id="missing_vocab"),
+])
+def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
+    corpus = [sent for s in small_dataset for sent in s.report]
+    save_dataset(tmp_path, small_dataset[:3], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
+    damage(tmp_path)
+    with pytest.raises(DataError):
         load_dataset(tmp_path)
 
 
