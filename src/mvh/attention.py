@@ -56,13 +56,7 @@ def visual_attend(v, h_prev, params):
     v: (k, d_v) Tensor, h_prev: (d_h_sent,) Tensor.
     Returns (v_att (d_v,), alpha (k,)).
     """
-    if v.data.ndim != 2 or v.data.shape[0] < 1:
-        raise ShapeError(f"visual_attend needs a non-empty (k, d_v) bank, got shape {v.data.shape}")
-    k = v.data.shape[0]
-    proj_v = ad.matmul(v, ad.transpose(params.w_v))            # (k, d_a)
-    proj_h = ad.matmul(params.w_s, h_prev)                     # (d_a,)
-    scores = ad.matmul(ad.tanh(ad.add(proj_v, proj_h)), ad.transpose(params.w_a))  # (k, 1)
-    alpha = ad.softmax(ad.reshape(scores, (k,)))
+    alpha = ad.additive_attention(v, h_prev, params.w_v, params.w_s, params.w_a)
     v_att = ad.matmul(alpha, v)                                # (d_v,)
     return v_att, alpha
 
@@ -79,10 +73,7 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     if concept_probs.data.shape != (p,):
         raise ShapeError(f"concept_probs shape {concept_probs.data.shape} does not match {p} concepts")
     scaled = ad.mul(ad.reshape(concept_probs, (p, 1)), c)      # (p, d_c)
-    proj_c = ad.matmul(scaled, params.w_c)                     # (p, d_ac)
-    proj_h = ad.matmul(params.w_w, h_w_prev)                   # (d_ac,)
-    scores = ad.matmul(ad.tanh(ad.add(proj_c, proj_h)), ad.transpose(params.w_ac))
-    alpha = ad.softmax(ad.reshape(scores, (p,)))
+    alpha = ad.additive_attention(scaled, h_w_prev, ad.transpose(params.w_c), params.w_w, params.w_ac)
     c_att = ad.matmul(alpha, c)                                # (d_c,)
     return c_att, alpha
 

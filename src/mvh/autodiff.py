@@ -237,17 +237,53 @@ def relu(x):
     return _result(np.maximum(x.data, 0.0), (x,), lambda g: _accum(x, g * (x.data > 0.0)))
 
 
+def _softmax_np(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def softmax(x):
     """Probability simplex over a 1-d tensor, computed with max-subtraction."""
     if x.data.ndim != 1 or x.data.shape[0] < 1:
         raise ShapeError(f"softmax needs a non-empty 1-d tensor, got shape {x.data.shape}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    out_data = e / e.sum()
+    out_data = _softmax_np(x.data)
     _finite(out_data, "softmax")
     def bw(g):
         _accum(x, out_data * (g - np.dot(g, out_data)))
     return _result(out_data, (x,), bw)
+
+
+def additive_attention(keys, query, w_key, w_query, w_score):
+    """Weights softmax_i(w_score . tanh(w_key k_i + w_query q)) over the n rows k_i of keys.
+
+    keys (n, d_k), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q),
+    w_score (1, d_a); returns alpha (n,). One tape node for the whole score
+    and softmax chain.
+    """
+    kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
+    if kd.ndim != 2 or kd.shape[0] < 1 or qd.ndim != 1 or wk.ndim != 2 or wq.ndim != 2:
+        raise ShapeError(f"additive_attention needs non-empty (n, d_k) keys and a (d_q,) query, "
+                         f"got {kd.shape} and {qd.shape}")
+    n = kd.shape[0]
+    d_a = wk.shape[0]
+    if wk.shape[1] != kd.shape[1] or wq.shape != (d_a, qd.shape[0]) or ws.shape != (1, d_a):
+        raise ShapeError(f"additive_attention weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
+                         f"keys {kd.shape} and query {qd.shape}")
+    hidden = np.tanh(kd @ wk.T + wq @ qd)            # (n, d_a)
+    alpha = _softmax_np((hidden @ ws.T).reshape(n))
+    _finite(alpha, "additive_attention")
+    def bw(g):
+        g_scores = (alpha * (g - np.dot(g, alpha))).reshape(n, 1)
+        _accum(w_score, (hidden.T @ g_scores).T)
+        g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
+        if keys.requires_grad:
+            _accum(keys, g_pre @ wk)
+        _accum(w_key, (kd.T @ g_pre).T)
+        g_proj = g_pre.sum(axis=0).reshape(d_a, 1)
+        _accum(w_query, g_proj @ qd[None, :])
+        if query.requires_grad:
+            _accum(query, (wq.T @ g_proj).reshape(qd.shape))
+    return _result(alpha, (keys, query, w_key, w_query, w_score), bw)
 
 
 def concat(parts):

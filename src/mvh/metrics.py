@@ -153,19 +153,28 @@ def meteor_lite(hypotheses, references):
 
 
 def roc_auc(scores, labels):
-    """P(random positive outscores random negative), ties counted 0.5."""
+    """P(random positive outscores random negative), ties counted 0.5.
+
+    This is the Mann-Whitney U statistic over P*N. Each positive is located
+    among the sorted negatives by binary search, so it takes O(n log n) time
+    and O(n) memory, and U is an exact half-integer sum.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValidationError(f"roc_auc needs matching 1-d arrays, got {scores.shape} and {labels.shape}")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValidationError("roc_auc labels must be binary")
+    if np.isnan(scores).any():
+        raise ValidationError("roc_auc scores must not be NaN")
     pos = scores[labels == 1]
-    neg = scores[labels == 0]
+    neg = np.sort(scores[labels == 0])
     if len(pos) == 0 or len(neg) == 0:
         raise ValidationError("roc_auc needs at least one positive and one negative")
-    greater = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
+    below = np.searchsorted(neg, pos, side="left")  # negatives each positive outscores
+    upto = np.searchsorted(neg, pos, side="right")
+    greater = below.sum()
+    ties = (upto - below).sum()
     return (greater + 0.5 * ties) / (len(pos) * len(neg))
 
 

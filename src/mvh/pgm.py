@@ -37,6 +37,12 @@ def read_pgm(path):
         pixels = np.array([int(v) for v in tokens[4:]], dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}: non-integer header or pixel value") from None
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: image size {w}x{h} is not positive")
+    if not 1 <= maxval <= 65535:
+        raise DataError(f"{path}: maxval {maxval} is outside 1..65535")
     if pixels.size != w * h:
         raise DataError(f"{path}: expected {w * h} pixels, found {pixels.size}")
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise DataError(f"{path}: pixel values must lie in 0..{maxval}")
     return (pixels / maxval).reshape(h, w)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mvh.autodiff as ad
 from gradcheck import check_grads
 from mvh.attention import AttentionParams, concept_attend, context_dim, fuse, visual_attend
-from mvh.autodiff import Tensor
+from mvh.autodiff import Tape, Tensor
 from mvh.encoder import EncoderOutput
 from mvh.errors import ConfigError, ShapeError, ValidationError
 
@@ -205,6 +205,17 @@ def test_fuse_unknown_scheme_rejected():
 
 
 # gradients through attention -----------------------------------------------------
+
+def test_attention_tape_nodes_per_call():
+    p = make_params()
+    rng = np.random.default_rng(11)
+    with Tape() as visual:
+        visual_attend(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4)), p)
+    with Tape() as concept:
+        concept_attend(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                       Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True), Tensor(rng.normal(size=4)), p)
+    assert (len(visual), len(concept)) == (2, 5)
+
 
 def test_attention_gradients_match_finite_differences():
     p = make_params()

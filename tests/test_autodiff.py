@@ -1,5 +1,6 @@
 import inspect
 import math
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -270,13 +271,13 @@ GRADCHECK_OPS = {
     "reshape": ad.reshape, "transpose": ad.transpose, "mean_pool": ad.mean_pool,
     "max_pool2d": ad.max_pool2d, "conv2d": ad.conv2d, "embedding": ad.embedding_lookup,
     "bce": ad.bce_loss, "mse": ad.mse_loss, "cross_entropy": ad.cross_entropy,
-    "tensor_sum": ad.tensor_sum,
+    "tensor_sum": ad.tensor_sum, "additive_attention": ad.additive_attention,
 }
 
 
 @pytest.mark.parametrize("name", list(GRADCHECK_OPS))
 def test_each_op_matches_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # the same inputs in every process
     op = GRADCHECK_OPS[name]
     if name == "matmul_vec":
         a = t(rng.normal(size=(3, 4)), grad=True)
@@ -367,6 +368,11 @@ def test_each_op_matches_finite_differences(name):
         a = t(rng.normal(size=6), grad=True)
         build = lambda: op(a, 3)
         params = {"a": a}
+    elif name == "additive_attention":
+        params = {"keys": t(rng.normal(size=(4, 3)), grad=True), "query": t(rng.normal(size=2), grad=True),
+                  "w_key": t(rng.normal(size=(5, 3)), grad=True), "w_query": t(rng.normal(size=(5, 2)), grad=True),
+                  "w_score": t(rng.normal(size=(1, 5)), grad=True)}
+        build = lambda: _weighted(op(*params.values()), np.random.default_rng(1))
     else:  # tensor_sum
         a = t(rng.normal(size=(2, 3)), grad=True)
         build = lambda: op(a)
@@ -380,6 +386,17 @@ def test_every_backward_rule_has_a_gradcheck_case():
                  and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
     assert {"matmul", "conv2d", "cross_entropy"} <= recording
     assert recording - {op.__name__ for op in GRADCHECK_OPS.values()} == set()
+
+
+@pytest.mark.parametrize("keys, query, w_score", [
+    pytest.param((4, 3), (3,), (1, 5), id="query_length"),
+    pytest.param((4, 3), (2,), (5, 1), id="w_score_shape"),
+    pytest.param((0, 3), (2,), (1, 5), id="empty_keys"),
+])
+def test_additive_attention_shape_errors(keys, query, w_score):
+    with pytest.raises(ShapeError):
+        ad.additive_attention(t(np.zeros(keys)), t(np.zeros(query)), t(np.zeros((5, 3))),
+                              t(np.zeros((5, 2))), t(np.zeros(w_score)))
 
 
 def test_composite_graph_gradcheck():

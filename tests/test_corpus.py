@@ -320,3 +320,18 @@ def test_read_pgm_non_integer_header_is_data_error(tmp_path):
     path.write_text(path.read_text(encoding="utf-8").replace("2 2", "2 two", 1), encoding="utf-8")
     with pytest.raises(DataError, match="non-integer"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("P2\n-2 -2\n255\n0 0 0 0\n", id="negative_size"),
+    pytest.param("P2\n0 2\n255\n", id="zero_width"),
+    pytest.param("P2\n2 2\n0\n0 0 0 0\n", id="maxval_zero"),
+    pytest.param("P2\n2 2\n65536\n0 0 0 0\n", id="maxval_too_large"),
+    pytest.param("P2\n2 2\n255\n0 300 0 0\n", id="pixel_above_maxval"),
+    pytest.param("P2\n2 2\n255\n0 -1 0 0\n", id="negative_pixel"),
+])
+def test_read_pgm_invalid_header_or_pixel_is_data_error(tmp_path, text):
+    path = tmp_path / "bad.pgm"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError):
+        read_pgm(path)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvh.errors import ValidationError
@@ -166,6 +166,34 @@ def test_meteor_fragmentation_penalty_hand_case():
 
 
 # ROC-AUC -------------------------------------------------------------------------
+
+def oracle_auc(scores, labels):
+    """The O(P*N) definition: compare every positive with every negative."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    greater = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return (greater + 0.5 * ties) / (len(pos) * len(neg))
+
+
+# few distinct scores, so most draws have ties within and across the classes
+_tied_scores = st.one_of(st.integers(0, 6).map(lambda i: i / 6), st.floats(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_tied_scores, st.integers(0, 1)), min_size=2, max_size=60))
+def test_auc_equals_pairwise_definition_exactly(pairs):
+    scores = [s for s, _ in pairs]
+    labels = [l for _, l in pairs]
+    assume(len(set(labels)) == 2)
+    assert roc_auc(scores, labels) == oracle_auc(scores, labels)
+
+
+def test_auc_nan_score_rejected():
+    with pytest.raises(ValidationError):
+        roc_auc([0.1, float("nan"), 0.3], [0, 1, 1])
+
 
 def test_auc_perfect_separation():
     assert roc_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
