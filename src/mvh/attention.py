@@ -25,7 +25,7 @@ class AttentionParams:
     w_v: Tensor     # (d_a, d_v) visual projection
     w_s: Tensor     # (d_a, d_h_sent) sentence-state projection
     w_a: Tensor     # (1, d_a) visual score read-out
-    w_c: Tensor     # (d_c, d_ac) concept projection
+    w_c: Tensor     # (d_ac, d_c) concept projection
     w_w: Tensor     # (d_ac, d_h_word) word-state projection
     w_ac: Tensor    # (1, d_ac) concept score read-out
     w_late: Tensor  # (d_v, 2*d_v) late-fusion combine projection
@@ -36,7 +36,7 @@ class AttentionParams:
             w_v=seeded_uniform("att.visual.w_v", (d_a, d_v), d_v, seed),
             w_s=seeded_uniform("att.visual.w_s", (d_a, d_h_sent), d_h_sent, seed),
             w_a=seeded_uniform("att.visual.w_a", (1, d_a), d_a, seed),
-            w_c=seeded_uniform("att.concept.w_c", (d_c, d_ac), d_c, seed),
+            w_c=seeded_uniform("att.concept.w_c", (d_ac, d_c), d_c, seed),
             w_w=seeded_uniform("att.concept.w_w", (d_ac, d_h_word), d_h_word, seed),
             w_ac=seeded_uniform("att.concept.w_ac", (1, d_ac), d_ac, seed),
             w_late=seeded_uniform("att.late.w_late", (d_v, 2 * d_v), 2 * d_v, seed),
@@ -73,7 +73,7 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     if concept_probs.data.shape != (p,):
         raise ShapeError(f"concept_probs shape {concept_probs.data.shape} does not match {p} concepts")
     scaled = ad.mul(ad.reshape(concept_probs, (p, 1)), c)      # (p, d_c)
-    alpha = ad.additive_attention(scaled, h_w_prev, ad.transpose(params.w_c), params.w_w, params.w_ac)
+    alpha = ad.additive_attention(scaled, h_w_prev, params.w_c, params.w_w, params.w_ac)
     c_att = ad.matmul(alpha, c)                                # (d_c,)
     return c_att, alpha
 

@@ -4,8 +4,8 @@ Ops are plain functions on `Tensor`s. While a `Tape` is active (used as a
 context manager) every op whose inputs participate in grad registers a
 backward closure on it; with no active tape the same ops run as pure
 inference-mode numpy. Every op returns through `_result`, the one place
-where an output joins the tape. One tape per training step, consumed by a
-single backward pass.
+where an output joins the tape and is checked to be finite. One tape per
+training step, consumed by a single backward pass.
 """
 
 from __future__ import annotations
@@ -107,11 +107,17 @@ def _result(data, parents, backward):
 
     When a tape is active and any parent has requires_grad, the output joins
     that tape: `backward(g)` is recorded to push the output's gradient `g`
-    into the parents.
+    into the parents. A non-finite `data` raises NumericsError naming the op
+    (from `backward.__qualname__`) and the tape node it would have become.
     """
     out = Tensor(data)
     tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(p.requires_grad for p in parents):
+    if tape is not None and not any(p.requires_grad for p in parents):
+        tape = None
+    if not np.isfinite(out.data).all():
+        at = "" if tape is None else f" at tape node {len(tape._nodes)}"
+        raise NumericsError(f"{backward.__qualname__.split('.')[0]} produced non-finite values{at}")
+    if tape is not None:
         out.requires_grad = True
         out._tape = tape
         tape._nodes.append((out, backward))
@@ -126,11 +132,6 @@ def _accum(t, g):
     t.grad += g
 
 
-def _finite(arr, op):
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"{op} produced non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -143,7 +144,6 @@ def matmul(a, b):
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
     out_data = ad @ bd
-    _finite(out_data, "matmul")
     def bw(g):
         A = ad if ad.ndim == 2 else ad[None, :]
         B = bd if bd.ndim == 2 else bd[:, None]
@@ -192,7 +192,6 @@ def add(a, b):
         out_data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add cannot broadcast {a.data.shape} with {b.data.shape}") from None
-    _finite(out_data, "add")
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
@@ -205,7 +204,6 @@ def mul(a, b):
         out_data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul cannot broadcast {a.data.shape} with {b.data.shape}") from None
-    _finite(out_data, "mul")
     def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g * b.data, a.data.shape))
@@ -247,7 +245,6 @@ def softmax(x):
     if x.data.ndim != 1 or x.data.shape[0] < 1:
         raise ShapeError(f"softmax needs a non-empty 1-d tensor, got shape {x.data.shape}")
     out_data = _softmax_np(x.data)
-    _finite(out_data, "softmax")
     def bw(g):
         _accum(x, out_data * (g - np.dot(g, out_data)))
     return _result(out_data, (x,), bw)
@@ -271,7 +268,6 @@ def additive_attention(keys, query, w_key, w_query, w_score):
                          f"keys {kd.shape} and query {qd.shape}")
     hidden = np.tanh(kd @ wk.T + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
-    _finite(alpha, "additive_attention")
     def bw(g):
         g_scores = (alpha * (g - np.dot(g, alpha))).reshape(n, 1)
         _accum(w_score, (hidden.T @ g_scores).T)
@@ -354,7 +350,6 @@ def conv2d(x, w, b):
     cols = win.transpose(1, 2, 0, 3, 4).reshape(h * width, cin * kh * kw)
     wmat = wd.reshape(cout, cin * kh * kw)
     out_mat = cols @ wmat.T + bd
-    _finite(out_mat, "conv2d")
     def bw(g):
         gm = g.reshape(cout, h * width).T  # (h*w, cout)
         _accum(b, gm.sum(axis=0))
@@ -387,7 +382,6 @@ def embedding_lookup(table, index):
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
     out_data = x.data.sum()
-    _finite(out_data, "sum")
     return _result(out_data, (x,), lambda g: _accum(x, np.broadcast_to(g, x.data.shape).copy()))
 
 
@@ -403,7 +397,6 @@ def bce_loss(pred, target):
         raise ValidationError("bce_loss targets must be exactly 0 or 1")
     p = np.clip(pred.data, PROB_EPS, 1.0 - PROB_EPS)
     out_data = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum()
-    _finite(out_data, "bce_loss")
     def bw(g):
         _accum(pred, g * (-(t / p) + (1.0 - t) / (1.0 - p)))
     return _result(out_data, (pred,), bw)
@@ -414,7 +407,6 @@ def mse_loss(a, b):
     _same_shape(a, b, "mse_loss")
     d = a.data - b.data
     out_data = (d * d).sum()
-    _finite(out_data, "mse_loss")
     def bw(g):
         _accum(a, 2.0 * d * g)
         _accum(b, -2.0 * d * g)
@@ -432,7 +424,6 @@ def cross_entropy(logits, target_index):
     z = logits.data - logits.data.max()
     lse = np.log(np.exp(z).sum())
     out_data = lse - z[target_index]
-    _finite(out_data, "cross_entropy")
     def bw(g):
         soft = np.exp(z)
         soft /= soft.sum()

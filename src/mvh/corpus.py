@@ -497,8 +497,9 @@ def load_dataset(directory):
     with open(labels_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) < 1 + N_OBS:
-            raise DataError(f"{labels_path}: header needs sample_id and {N_OBS} label columns")
+        if header != ["sample_id", *LABEL_NAMES, *concepts.tokens]:
+            raise DataError(f"{labels_path}: header must be sample_id, the {N_OBS} label names and the "
+                            f"{concepts.p} concepts of concepts.txt in order, got {header}")
         for row in reader:
             where = f"{labels_path}:{reader.line_num}"
             if len(row) != len(header):

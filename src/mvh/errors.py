@@ -34,4 +34,4 @@ class TapeError(MvhError):
 
 
 class NumericsError(MvhError):
-    """A forward op produced non-finite values from finite inputs."""
+    """An op's output holds a non-finite value."""

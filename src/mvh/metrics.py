@@ -179,22 +179,27 @@ def roc_auc(scores, labels):
 
 
 def avg_auc(score_matrix, label_matrix, label_names):
-    """Mean per-label AUC, skipping labels undefined on this data.
+    """Mean per-label AUC of two (n >= 1, len(label_names)) matrices, skipping single-class labels.
 
-    Returns (average, {name: auc or nan}, skipped names).
+    Returns (average, {name: auc or nan}, skipped names). Any other invalid
+    column, such as a NaN score or a non-binary label, raises ValidationError.
     """
     score_matrix = np.asarray(score_matrix, dtype=np.float64)
     label_matrix = np.asarray(label_matrix)
+    if (score_matrix.ndim != 2 or score_matrix.shape[0] < 1 or score_matrix.shape[1] != len(label_names)
+            or label_matrix.shape != score_matrix.shape):
+        raise ValidationError(f"avg_auc needs score and label matrices of shape (n >= 1, {len(label_names)}), "
+                              f"got {score_matrix.shape} and {label_matrix.shape}")
     per_label = {}
     skipped = []
     vals = []
     for j, name in enumerate(label_names):
-        try:
-            auc = roc_auc(score_matrix[:, j], label_matrix[:, j])
-        except ValidationError:
+        labels = label_matrix[:, j]
+        if labels.min() == labels.max():
             per_label[name] = float("nan")
             skipped.append(name)
             continue
+        auc = roc_auc(score_matrix[:, j], labels)
         per_label[name] = float(auc)
         vals.append(auc)
     if not vals:

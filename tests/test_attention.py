@@ -34,7 +34,7 @@ def scalar_oracle_concept(c, probs, h, p):
     n, d_c = c.shape
     scores = []
     for i in range(n):
-        inner = p.w_c.data.T @ (probs[i] * c[i]) + p.w_w.data @ h
+        inner = p.w_c.data @ (probs[i] * c[i]) + p.w_w.data @ h
         scores.append(float(p.w_ac.data[0] @ np.tanh(inner)))
     exps = [math.exp(s - max(scores)) for s in scores]
     alpha = [e / sum(exps) for e in exps]
@@ -214,7 +214,7 @@ def test_attention_tape_nodes_per_call():
     with Tape() as concept:
         concept_attend(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
                        Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True), Tensor(rng.normal(size=4)), p)
-    assert (len(visual), len(concept)) == (2, 5)
+    assert (len(visual), len(concept)) == (2, 4)
 
 
 def test_attention_gradients_match_finite_differences():

@@ -380,12 +380,69 @@ def test_each_op_matches_finite_differences(name):
     check_grads(build, params, rel_tol=1e-4)
 
 
+def _recording_ops():
+    """Names of the public ops of mvh.autodiff that return through _result."""
+    return {f.__name__ for f in vars(ad).values()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
+
+
 def test_every_backward_rule_has_a_gradcheck_case():
-    recording = {f.__name__ for f in vars(ad).values()
-                 if inspect.isfunction(f) and f.__module__ == ad.__name__
-                 and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
+    recording = _recording_ops()
     assert {"matmul", "conv2d", "cross_entropy"} <= recording
     assert recording - {op.__name__ for op in GRADCHECK_OPS.values()} == set()
+
+
+def _nan(*shape):
+    x = np.ones(shape)
+    x.flat[0] = np.nan
+    return Tensor(x)
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+# op -> a call of it with a NaN in one input
+NAN_CALLS = {
+    "matmul": lambda: ad.matmul(_nan(2, 3), _ones(3)),
+    "transpose": lambda: ad.transpose(_nan(2, 3)),
+    "reshape": lambda: ad.reshape(_nan(2, 3), (6,)),
+    "add": lambda: ad.add(_ones(3), _nan(3)),
+    "mul": lambda: ad.mul(_nan(2, 3), _ones(3)),
+    "tanh": lambda: ad.tanh(_nan(3)),
+    "sigmoid": lambda: ad.sigmoid(_nan(3)),
+    "relu": lambda: ad.relu(_nan(3)),
+    "softmax": lambda: ad.softmax(_nan(3)),
+    "additive_attention": lambda: ad.additive_attention(_nan(4, 3), _ones(2), _ones(5, 3), _ones(5, 2), _ones(1, 5)),
+    "concat": lambda: ad.concat([_ones(2), _nan(3)]),
+    "mean_pool": lambda: ad.mean_pool(_nan(4, 3)),
+    "max_pool2d": lambda: ad.max_pool2d(_nan(2, 4, 4)),
+    "conv2d": lambda: ad.conv2d(_nan(2, 6, 6), _ones(3, 2, 3, 3), _ones(3)),
+    "embedding_lookup": lambda: ad.embedding_lookup(_nan(5, 3), 0),
+    "tensor_sum": lambda: ad.tensor_sum(_nan(2, 3)),
+    "bce_loss": lambda: ad.bce_loss(_nan(3), Tensor(np.zeros(3))),
+    "mse_loss": lambda: ad.mse_loss(_ones(3), _nan(3)),
+    "cross_entropy": lambda: ad.cross_entropy(_nan(3), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_recording_ops()))
+def test_nan_input_raises_numerics_error_naming_the_op(name):
+    assert name in NAN_CALLS, f"no NaN case for op {name}"
+    with pytest.raises(NumericsError, match=rf"^{name} produced non-finite values$"):
+        NAN_CALLS[name]()
+
+
+def test_numerics_error_gives_the_tape_node_index():
+    a = t([1.0], grad=True)
+    with Tape() as tape:
+        b = ad.add(ad.mul(a, a), a)
+        with pytest.raises(NumericsError, match=r"^add produced non-finite values at tape node 2$"):
+            ad.add(b, t([np.nan]))
+        with pytest.raises(NumericsError, match=r"^add produced non-finite values$"):
+            ad.add(t([1.0]), t([np.nan]))  # no parent requires grad: it would not join the tape
+    assert len(tape) == 2
 
 
 @pytest.mark.parametrize("keys, query, w_score", [

@@ -282,6 +282,19 @@ def _append_line(path, line):
     path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
 
 
+def _swap_header_fields(path, i, j):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[0].split(",")
+    fields[i], fields[j] = fields[j], fields[i]
+    lines[0] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_last_line(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+
+
 def _replace_first_label(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     fields = lines[1].split(",")
@@ -298,6 +311,8 @@ def _replace_first_label(path):
     pytest.param(lambda d: (d / "reports" / "s00000.txt").unlink(), id="missing_report"),
     pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
     pytest.param(lambda d: (d / "vocab.txt").unlink(), id="missing_vocab"),
+    pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
+    pytest.param(lambda d: _drop_last_line(d / "concepts.txt"), id="concepts_line_short"),
 ])
 def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
     corpus = [sent for s in small_dataset for sent in s.report]

@@ -228,6 +228,23 @@ def test_avg_auc_skips_undefined_labels():
     assert math.isnan(per_label["second"])
 
 
+def _with_nan_score(scores, labels):
+    scores[7, 1] = np.nan
+    return scores, labels
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_with_nan_score, "NaN", id="nan_score"),
+    pytest.param(lambda s, l: (s[:, :2], l), "shape", id="too_few_score_columns"),
+    pytest.param(lambda s, l: (s[:40], l), "shape", id="row_count_mismatch"),
+])
+def test_avg_auc_malformed_input_is_validation_error(damage, message):
+    rng = np.random.default_rng(12)
+    scores, labels = damage(rng.uniform(size=(50, 3)), rng.integers(0, 2, size=(50, 3)))
+    with pytest.raises(ValidationError, match=message):
+        avg_auc(scores, labels, ["a", "b", "c"])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=4, max_size=24))
 # 1.0 and the float below it: a squashing map like tanh(3 * s) rounds them to one score
