@@ -15,7 +15,7 @@ import math
 from contextvars import ContextVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     NumericsError,
@@ -318,19 +318,22 @@ def mean_pool(x):
 
 
 def max_pool2d(x):
-    """2x2 non-overlapping spatial max pooling on a (c,h,w) tensor."""
+    """2x2 non-overlapping max pooling of a (c,h,w) tensor; a window's gradient goes to its first max."""
     xd = x.data
     if xd.ndim != 3 or xd.shape[1] % 2 or xd.shape[2] % 2:
         raise ShapeError(f"max_pool2d needs (c, even h, even w), got shape {xd.shape}")
-    c, h, w = xd.shape
-    win = xd.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=3)
+    # C order whatever x's layout: reductions downstream (mean_pool) sum in memory order
+    out = np.maximum(xd[:, 0::2, 0::2], xd[:, 0::2, 1::2], order="C")
+    np.maximum(out, xd[:, 1::2, 0::2], out=out)
+    np.maximum(out, xd[:, 1::2, 1::2], out=out)
     def bw(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=3)
-        dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        dx, free = np.zeros_like(xd), np.ones(out.shape, dtype=bool)  # free: gradient not placed yet
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major window order
+            hit = (xd[:, i::2, j::2] == out) & free
+            free ^= hit
+            np.copyto(dx[:, i::2, j::2], g, where=hit)
         _accum(x, dx)
-    return _result(np.take_along_axis(win, idx[..., None], axis=3)[..., 0], (x,), bw)
+    return _result(out, (x,), bw)
 
 
 def conv2d(x, w, b):
@@ -345,9 +348,10 @@ def conv2d(x, w, b):
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d supports odd kernels only, got {kh}x{kw}")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (cin, h, w, kh, kw)
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * width, cin * kh * kw)
+    xp = np.zeros((h + 2 * ph, width + 2 * pw, cin))  # zero-bordered x in (h, w, cin) order
+    xp[ph:ph + h, pw:pw + width] = xd.transpose(1, 2, 0)
+    win = as_strided(xp, (h, width, cin, kh, kw), xp.strides + xp.strides[:2], writeable=False)
+    cols = win.reshape(h * width, cin * kh * kw)  # im2col: one (cin, kh, kw) patch per pixel
     wmat = wd.reshape(cout, cin * kh * kw)
     out_mat = cols @ wmat.T + bd
     def bw(g):
@@ -359,19 +363,25 @@ def conv2d(x, w, b):
             dxp = np.zeros_like(xp)
             for di in range(kh):
                 for dj in range(kw):
-                    dxp[:, di:di + h, dj:dj + width] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
-            _accum(x, dxp[:, ph:ph + h, pw:pw + width])
+                    dxp[di:di + h, dj:dj + width] += dcols[:, :, :, di, dj]
+            _accum(x, dxp[ph:ph + h, pw:pw + width].transpose(2, 0, 1))
     return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
+
+
+def _index(i, n, what):
+    """i as an int in [0, n); bools, floats and other non-integers are rejected."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise ValidationError(f"{what} {i} out of range 0..{n - 1}")
+    return int(i)
 
 
 def embedding_lookup(table, index):
     """Select row `index` of a (v,d) embedding table."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup needs a 2-d table, got shape {table.data.shape}")
-    index = int(index)
-    v = table.data.shape[0]
-    if not 0 <= index < v:
-        raise ValidationError(f"embedding index {index} out of range for table of {v} rows")
+    index = _index(index, table.data.shape[0], "embedding_lookup index")
     def bw(g):
         d = np.zeros_like(table.data)
         d[index] = g
@@ -417,10 +427,7 @@ def cross_entropy(logits, target_index):
     """-log softmax(logits)[target_index], computed with log-sum-exp."""
     if logits.data.ndim != 1 or logits.data.shape[0] < 1:
         raise ShapeError(f"cross_entropy needs a non-empty 1-d tensor, got shape {logits.data.shape}")
-    target_index = int(target_index)
-    v = logits.data.shape[0]
-    if not 0 <= target_index < v:
-        raise ValidationError(f"cross_entropy target {target_index} out of range for {v} classes")
+    target_index = _index(target_index, logits.data.shape[0], "cross_entropy target")
     z = logits.data - logits.data.max()
     lse = np.log(np.exp(z).sum())
     out_data = lse - z[target_index]

@@ -177,8 +177,27 @@ def test_cross_entropy_cases():
 
 
 def test_cross_entropy_index_out_of_range():
-    with pytest.raises(ValidationError):
-        ad.cross_entropy(t([1.0, 2.0]), 2)
+    for bad in (2, -1, np.int64(5)):
+        with pytest.raises(ValidationError, match="out of range"):
+            ad.cross_entropy(t([1.0, 2.0]), bad)
+        with pytest.raises(ValidationError, match="out of range"):
+            ad.embedding_lookup(t(np.zeros((2, 3))), bad)
+
+
+@pytest.mark.parametrize("index", [True, np.bool_(False), 1.0, 2.7, np.float64(1.0), "1", None],
+                         ids=["bool", "numpy_bool", "float_integral", "float", "numpy_float", "str", "none"])
+def test_non_integral_index_is_validation_error(index):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ad.cross_entropy(t([1.0, 2.0, 3.0]), index)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ad.embedding_lookup(t(np.zeros((3, 2))), index)
+
+
+def test_numpy_integer_index_equals_python_int():
+    table, logits = t(np.arange(6.0).reshape(3, 2)), t([1.0, 2.0, 3.0])
+    for i in (np.int64(2), np.int32(2), np.uint8(2)):
+        np.testing.assert_array_equal(ad.embedding_lookup(table, i).data, [4.0, 5.0])
+        assert ad.cross_entropy(logits, i).item() == ad.cross_entropy(logits, 2).item()
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +397,101 @@ def test_each_op_matches_finite_differences(name):
         build = lambda: op(a)
         params = {"a": a}
     check_grads(build, params, rel_tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# conv2d and max_pool2d against nested-loop oracles
+
+def _conv_oracle(x, w, b, g):
+    """Same-padding conv output and the x/w/b gradients of sum(out * g), by explicit loops."""
+    cin, h, width = x.shape
+    cout, _, kh, kw = w.shape
+    out, dx, dw, db = np.zeros((cout, h, width)), np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for o in range(cout):
+        for i in range(h):
+            for j in range(width):
+                acc = b[o]
+                db[o] += g[o, i, j]
+                for c in range(cin):
+                    for di in range(kh):
+                        for dj in range(kw):
+                            y, z = i + di - kh // 2, j + dj - kw // 2
+                            if 0 <= y < h and 0 <= z < width:
+                                acc += w[o, c, di, dj] * x[c, y, z]
+                                dx[c, y, z] += g[o, i, j] * w[o, c, di, dj]
+                                dw[o, c, di, dj] += g[o, i, j] * x[c, y, z]
+                out[o, i, j] = acc
+    return out, dx, dw, db
+
+
+@pytest.mark.parametrize("cin, h, width, cout, kh, kw, as_view, x_grad", [
+    pytest.param(3, 5, 7, 2, 3, 3, False, True, id="nonsquare_3x3"),
+    pytest.param(1, 4, 6, 3, 1, 1, False, True, id="1x1_cin1"),
+    pytest.param(3, 3, 5, 2, 1, 3, False, True, id="1x3_cin3"),
+    pytest.param(1, 6, 4, 2, 5, 3, False, True, id="5x3_cin1"),
+    pytest.param(3, 6, 5, 2, 5, 3, True, True, id="5x3_cin3_view_input"),
+    pytest.param(3, 4, 5, 2, 3, 3, False, False, id="x_without_grad"),
+])
+def test_conv2d_matches_loop_oracle(cin, h, width, cout, kh, kw, as_view, x_grad):
+    rng = np.random.default_rng(cin * 1000 + h * 100 + width * 10 + kh)
+    xd = rng.normal(size=(h, width, cin)).transpose(2, 0, 1) if as_view else rng.normal(size=(cin, h, width))
+    assert xd.flags.c_contiguous != as_view
+    x = Tensor(xd, requires_grad=x_grad)
+    w = t(rng.normal(size=(cout, cin, kh, kw)), grad=True)
+    b = t(rng.normal(size=cout), grad=True)
+    g = rng.normal(size=(cout, h, width))
+    with Tape() as tape:
+        out = ad.conv2d(x, w, b)
+        loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    ref_out, ref_dx, ref_dw, ref_db = _conv_oracle(xd, w.data, b.data, g)
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, ref_db, rtol=0, atol=1e-12)
+    if x_grad:
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=0, atol=1e-12)
+    else:
+        assert x.grad is None
+
+
+def _pool_oracle(x):
+    """2x2 window maxima and, per window, the cell of its first maximum in row-major order."""
+    c, h, width = x.shape
+    out, first = np.zeros((c, h // 2, width // 2)), {}
+    for k in range(c):
+        for i in range(h // 2):
+            for j in range(width // 2):
+                cells = [(k, 2 * i + a, 2 * j + d) for a in (0, 1) for d in (0, 1)]
+                best = cells[0]
+                for cell in cells[1:]:
+                    if x[cell] > x[best]:
+                        best = cell
+                out[k, i, j], first[k, i, j] = x[best], best
+    return out, first
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["contiguous", "transposed_view"])
+def test_max_pool2d_ties_match_loop_oracle(as_view):
+    rng = np.random.default_rng(17)
+    hwc = np.maximum(rng.normal(size=(6, 4, 3)), 0.0)    # (h, w, c), relu'd as in the encoder
+    hwc[0:2, 0:2, 0] = 2.5                                # all-equal window
+    hwc[2:4, 0:2, 1] = 0.0                                # all-zero window
+    hwc[0:2, 2:4, 2] = [[1.0, 3.0], [3.0, 0.5]]           # two positive corners tie
+    hwc[4:6, 2:4, 0] = [[0.0, 0.5], [4.0, 4.0]]           # tie on the bottom row
+    xd = hwc.transpose(2, 0, 1) if as_view else np.ascontiguousarray(hwc.transpose(2, 0, 1))
+    assert xd.flags.c_contiguous != as_view
+    x = Tensor(xd, requires_grad=True)
+    g = np.arange(1.0, 1.0 + 3 * 3 * 2).reshape(3, 3, 2)  # a distinct non-zero gradient per window
+    with Tape() as tape:
+        out = ad.max_pool2d(x)
+        loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    ref_out, first = _pool_oracle(xd)
+    np.testing.assert_array_equal(out.data, ref_out)
+    expected = np.zeros_like(xd)
+    for window, cell in first.items():
+        expected[cell] = g[window]
+    np.testing.assert_array_equal(x.grad, expected)
 
 
 def _recording_ops():

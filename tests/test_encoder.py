@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
-from mvh.autodiff import Tensor
-from mvh.corpus import N_OBS
+from mvh.autodiff import Adam, Tape, Tensor
+from mvh.corpus import N_OBS, generate_dataset
 from mvh.encoder import (
     EncoderConfig,
     encode,
@@ -200,3 +200,36 @@ def test_full_encoder_gradcheck_tiny_config():
         return encoder_loss(encode(front, params, TINY), encode(lat, params, TINY), labels, 1.0)
 
     check_grads(build, params, rel_tol=1e-4, sample=40)
+
+
+# bit-reproducible training ---------------------------------------------------------------
+
+def _train_encoder(seed, steps=6):
+    """A few clipped Adam steps of the default encoder from its seeded init."""
+    samples = generate_dataset(seed, 10)  # the smallest corpus the generator makes
+    config = EncoderConfig()
+    params = init_encoder_params(config, seed)
+    opt = Adam(lr=5e-3)
+    losses = []
+    for s in samples[:steps]:
+        with Tape() as tape:
+            loss = encoder_loss(encode(Tensor(s.frontal_image), params, config),
+                                encode(Tensor(s.lateral_image), params, config), Tensor(s.obs_labels), 1.0)
+        tape.backward(loss)
+        ad.clip_global_norm(params, 5.0)
+        opt.step(params)
+        ad.zero_grads(params)
+        losses.append(loss.data.tobytes())
+    return params, opt, losses
+
+
+def test_training_is_bit_reproducible_from_a_seed():
+    (p1, opt1, losses1), (p2, opt2, losses2) = _train_encoder(3), _train_encoder(3)
+    assert losses1 == losses2
+    assert p1["enc.conv0.w"].data.tobytes() != init_encoder_params(EncoderConfig(), 3)["enc.conv0.w"].data.tobytes()
+    assert sorted(p1) == sorted(p2) and sorted(opt1.m) == sorted(opt2.m) and opt1.t == opt2.t == 6
+    for name in p1:
+        assert p1[name].data.tobytes() == p2[name].data.tobytes(), name
+    for name in opt1.m:
+        assert opt1.m[name].tobytes() == opt2.m[name].tobytes(), name
+        assert opt1.v[name].tobytes() == opt2.v[name].tobytes(), name
