@@ -26,6 +26,7 @@ from .errors import (
 )
 
 PROB_EPS = 1e-12  # clamp applied to probabilities before logs
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -127,9 +128,11 @@ def _result(data, parents, backward):
 def _accum(t, g):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # a fresh buffer laid out like t.data: g may be a view or a read-only broadcast
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -443,46 +446,39 @@ def cross_entropy(logits, target_index):
 # optimizers and parameter utilities
 
 
-def _check_grad_finite(name, grad):
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError(f"non-finite gradient for parameter '{name}'")
-
-
 class Adam:
     """Adam optimizer with per-parameter moment state, serializable into checkpoints."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         if lr <= 0:
             raise ValidationError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name in sorted(params):
             p = params[name]
             if p.grad is None:
                 continue
-            _check_grad_finite(name, p.grad)
             g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter '{name}'")
             m = self.m.get(name)
             if m is None:
                 m = np.zeros_like(p.data)
                 self.m[name] = m
                 self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def zero_grads(params):
@@ -505,7 +501,7 @@ def clip_global_norm(params, max_norm):
     return norm
 
 
-def seeded_uniform(name, shape, fan_in, seed, requires_grad=True):
+def seeded_uniform(name, shape, fan_in, seed):
     """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, seeded per tensor name.
 
     Keyed by (seed, sha256(name)) so initialization does not depend on
@@ -515,4 +511,4 @@ def seeded_uniform(name, shape, fan_in, seed, requires_grad=True):
     key = int.from_bytes(digest[:8], "little")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=requires_grad)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)

@@ -126,11 +126,8 @@ IMPRESSIONS = (
 )
 ARTIFACT_SENTENCE = "comparison is made to the prior xxxx."
 
-CONCEPT_LEXICON = (
-    "mediastinum", "cardiomegaly", "opacity", "lesion", "edema",
-    "consolidation", "pneumonia", "atelectasis", "pneumothorax", "effusion",
-    "thickening", "fracture", "devices", "chest", "lungs",
-)
+CONCEPT_LEXICON = tuple(o.concept for o in OBSERVATIONS[:NO_FINDING]) + ("chest", "lungs")
+MIN_SENTENCES = 3  # a loaded report needs at least this many sentences
 
 PATHOLOGY_RATE = 0.13
 MAX_ACTIVE = 4
@@ -346,10 +343,6 @@ def detokenize(sentences, id_to_token=None):
     return "\n".join(lines)
 
 
-def has_min_sentences(sentences, minimum=3):
-    return len(sentences) >= minimum
-
-
 class Vocabulary:
     """Bidirectional token<->id map with reserved sentinel ids 0..3."""
 
@@ -407,11 +400,11 @@ class ConceptSet:
         return np.array([1.0 if t in present else 0.0 for t in self.tokens])
 
 
-def mine_concepts(corpus_sentences, threshold, concept_lexicon=CONCEPT_LEXICON):
+def mine_concepts(corpus_sentences, threshold):
     """Lexicon tokens with corpus frequency >= threshold, most frequent first."""
     if threshold < 1:
         raise ValidationError(f"concept threshold must be >= 1, got {threshold}")
-    counts = {t: 0 for t in concept_lexicon}
+    counts = {t: 0 for t in CONCEPT_LEXICON}
     for sent in corpus_sentences:
         for tok in sent:
             if tok in counts:
@@ -437,6 +430,8 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 # ---------------------------------------------------------------------------
 # dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv,
 # vocab.txt, concepts.txt
+
+_SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
 
 
 def save_dataset(directory, samples, vocab, concepts):
@@ -471,13 +466,16 @@ def _read_counts(path):
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    rows = []
+    rows, seen = [], set()
     for n, line in enumerate(lines, 1):
         try:
             token, count = line.split()
             rows.append((token, int(count)))
         except ValueError:
             raise DataError(f"{path}:{n}: expected 'token count', got {line!r}") from None
+        if token in seen:
+            raise DataError(f"{path}:{n}: token {token!r} repeats an earlier line")
+        seen.add(token)
     return rows
 
 
@@ -491,9 +489,11 @@ def load_dataset(directory):
     vocab_rows = _read_counts(directory / "vocab.txt")
     vocab = Vocabulary([(t, c) for t, c in vocab_rows if t not in RESERVED])
     concept_rows = _read_counts(directory / "concepts.txt")
+    if not concept_rows:
+        raise DataError(f"{directory / 'concepts.txt'} lists no concepts")
     concepts = ConceptSet([t for t, _ in concept_rows], [c for _, c in concept_rows])
 
-    samples = []
+    samples, seen, size = [], set(), None
     with open(labels_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -505,24 +505,34 @@ def load_dataset(directory):
             if len(row) != len(header):
                 raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
             sid = row[0]
+            if not _SAMPLE_ID.fullmatch(sid):
+                raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
+            if sid in seen:
+                raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
+            seen.add(sid)
             try:
-                obs = np.array([float(v) for v in row[1:1 + N_OBS]])
-                cvec = np.array([float(v) for v in row[1 + N_OBS:]])
+                values = [float(v) for v in row[1:]]
                 text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
                 frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
                 lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
             except (ValueError, OSError) as exc:
                 raise DataError(f"{where}: sample {sid!r}: {exc}") from None
+            if any(v not in (0.0, 1.0) for v in values):
+                raise DataError(f"{where}: label and concept values must be 0 or 1, got {row[1:]}")
+            size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
+            if frontal.shape != size or lateral.shape != size:
+                raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
+                                f"{lateral.shape}, expected {size}")
             sentences = tokenize(text)
-            if not has_min_sentences(sentences):
-                raise DataError(f"report {sid} has fewer than 3 sentences")
+            if len(sentences) < MIN_SENTENCES:
+                raise DataError(f"report {sid} has fewer than {MIN_SENTENCES} sentences")
             samples.append(MultiViewSample(
                 sample_id=sid,
                 frontal_image=frontal[None, :, :],
                 lateral_image=lateral[None, :, :],
-                obs_labels=obs,
+                obs_labels=np.array(values[:N_OBS]),
                 report=sentences,
                 report_text=text,
-                concept_labels=cvec,
+                concept_labels=np.array(values[N_OBS:]),
             ))
     return samples, vocab, concepts

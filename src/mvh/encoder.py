@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, seeded_uniform
-from .corpus import LABEL_NAMES, N_OBS
+from .autodiff import Tensor, seeded_uniform
+from .corpus import N_OBS
 from .errors import ShapeError, ValidationError
 from .pgm import write_pgm
 
@@ -73,20 +73,15 @@ def init_encoder_params(config, seed):
     return params
 
 
-def _conv_stack(image, params, config):
-    x = image
-    for i in range(len(config.channels)):
-        x = ad.max_pool2d(ad.relu(ad.conv2d(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])))
-    return x  # (d_v, s, s)
-
-
 def encode(image, params, config):
     """Forward pass for one view; image is a (1, size, size) Tensor in [0,1]."""
     expected = (1, config.image_size, config.image_size)
     if image.data.shape != expected:
         raise ShapeError(f"expected image of shape {expected}, got {image.data.shape}")
-    maps = _conv_stack(image, params, config)
-    local = ad.transpose(ad.reshape(maps, (config.d_v, config.k)))  # (k, d_v)
+    x = image
+    for i in range(len(config.channels)):
+        x = ad.max_pool2d(ad.relu(ad.conv2d(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])))
+    local = ad.transpose(ad.reshape(x, (config.d_v, config.k)))  # (k, d_v)
     global_feature = ad.mean_pool(local)
     obs_probs = ad.sigmoid(ad.add(ad.matmul(params["enc.obs.w"], global_feature), params["enc.obs.b"]))
     concept_probs = ad.sigmoid(
@@ -109,49 +104,28 @@ def encoder_loss(front, lat, labels, lambda_cvc):
 
 def fuse_view_predictions(front, lat):
     """Elementwise max of the two views' predicted probabilities (evaluation-time)."""
-    f = front.data if isinstance(front, Tensor) else np.asarray(front)
-    l = lat.data if isinstance(lat, Tensor) else np.asarray(lat)
-    if f.shape != l.shape:
-        raise ShapeError(f"view predictions disagree in shape: {f.shape} vs {l.shape}")
-    return Tensor(np.maximum(f, l))
+    if front.data.shape != lat.data.shape:
+        raise ShapeError(f"view predictions disagree in shape: {front.data.shape} vs {lat.data.shape}")
+    return Tensor(np.maximum(front.data, lat.data))
 
 
-def grad_cam(image, params, config, class_index):
-    """Gradient-weighted activation heatmap (map_side x map_side) for one class.
+def grad_cam(output, params, config, class_index):
+    """Grad-CAM heatmap (map_side x map_side) of one class, from an `encode` output.
 
-    Channel weights are the spatial means of d(logit)/d(map); the heatmap is
-    relu of the weighted map sum, min-max normalized (all-zero stays zero).
+    The observation logit is linear in the mean of the k local rows, so its
+    gradient at every map cell is obs.w[class] / k and Grad-CAM is CAM: relu
+    of the local rows weighted by that, min-max normalized (all-zero stays zero).
     """
-    if not 0 <= class_index < N_OBS:
-        raise ValidationError(f"class index {class_index} out of range 0..{N_OBS - 1}")
-    maps_data = _conv_stack(image, params, config).data  # inference pass
-    leaf = Tensor(maps_data.copy(), requires_grad=True)
-    with Tape() as tape:
-        local = ad.transpose(ad.reshape(leaf, (config.d_v, config.k)))
-        global_feature = ad.mean_pool(local)
-        row = Tensor(params["enc.obs.w"].data[class_index:class_index + 1, :])
-        logit = ad.reshape(ad.matmul(row, global_feature), ())
-    tape.backward(logit)
-    weights = leaf.grad.mean(axis=(1, 2))                        # (d_v,)
-    cam = np.maximum((weights[:, None, None] * maps_data).sum(axis=0), 0.0)
+    class_index = ad._index(class_index, N_OBS, "grad_cam class index")
+    if output.local_features.data.shape != (config.k, config.d_v):
+        raise ShapeError(f"grad_cam needs ({config.k}, {config.d_v}) local features for this config, "
+                         f"got {output.local_features.data.shape}")
+    weights = params["enc.obs.w"].data[class_index] / config.k   # (d_v,)
+    cam = np.maximum(output.local_features.data @ weights, 0.0).reshape(config.map_side, config.map_side)
     span = cam.max() - cam.min()
     if span > 0:
         cam = (cam - cam.min()) / span
     return cam
-
-
-def uncertainty_report(obs_probs, low=0.4, high=0.6):
-    """Band every observation as negative / uncertain / positive."""
-    if not 0 < low < high < 1:
-        raise ValidationError(f"need 0 < low < high < 1, got low={low} high={high}")
-    probs = obs_probs.data if isinstance(obs_probs, Tensor) else np.asarray(obs_probs)
-    if probs.shape != (N_OBS,):
-        raise ShapeError(f"expected {N_OBS} observation probabilities, got shape {probs.shape}")
-    rows = []
-    for name, p in zip(LABEL_NAMES, probs):
-        band = "negative" if p < low else ("positive" if p > high else "uncertain")
-        rows.append((name, float(p), band))
-    return rows
 
 
 def export_heatmap(path_base, cam):

@@ -219,6 +219,25 @@ def test_backward_square():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
+def test_first_gradient_is_an_owned_buffer():
+    # mean_pool hands x a read-only broadcast first; adding mul's gradient must not write into it
+    x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], grad=True)
+    with Tape() as tape:
+        sq = ad.tensor_sum(ad.mul(x, x))
+        loss = ad.add(sq, ad.tensor_sum(ad.mean_pool(x)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data + 0.5)
+    # reshape hands x a view of y's gradient first; adding to x's must leave y's alone
+    x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], grad=True)
+    with Tape() as tape:
+        sq = ad.tensor_sum(ad.mul(x, x))
+        y = ad.reshape(x, (3, 2))
+        loss = ad.add(sq, ad.tensor_sum(ad.mul(y, y)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+    np.testing.assert_array_equal(x.grad, 4.0 * x.data)
+
+
 def test_tape_consumed_twice_errors():
     x = t([1.0], grad=True)
     with Tape() as tape:

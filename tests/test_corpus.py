@@ -9,6 +9,7 @@ from mvh.corpus import (
     CONCEPT_LEXICON,
     IMPRESSIONS,
     LABEL_NAMES,
+    MIN_SENTENCES,
     N_OBS,
     NO_FINDING,
     OBSERVATIONS,
@@ -19,7 +20,6 @@ from mvh.corpus import (
     Vocabulary,
     detokenize,
     generate_dataset,
-    has_min_sentences,
     load_dataset,
     mine_concepts,
     pattern_mask,
@@ -99,7 +99,7 @@ def test_vocabulary_encode_uses_unk():
 def test_preprocessing_golden_files():
     raw = (DATA / "fixture_reports.txt").read_text(encoding="utf-8").splitlines()
     tokenized = [tokenize(line) for line in raw]
-    kept = [r for r in tokenized if has_min_sentences(r, 3)]
+    kept = [r for r in tokenized if len(r) >= MIN_SENTENCES]
     assert len(kept) == 3 and len(tokenized) == 4  # the 2-sentence report is rejected
 
     rendered = "\n".join(" | ".join(" ".join(s) for s in report) for report in kept) + "\n"
@@ -173,7 +173,7 @@ def test_generator_input_validation():
 
 def test_every_sample_has_three_sentences_and_both_views(small_dataset):
     for s in small_dataset:
-        assert has_min_sentences(s.report, 3)
+        assert len(s.report) >= MIN_SENTENCES
         assert s.frontal_image.shape == (1, 32, 32)
         assert s.lateral_image.shape == (1, 32, 32)
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
@@ -213,8 +213,15 @@ def test_severity_word_tracks_intensity():
 
 def test_concept_lexicon_terms_appear_in_generated_reports(small_dataset):
     corpus = [sent for s in small_dataset for sent in s.report]
-    cs = mine_concepts(corpus, threshold=1, concept_lexicon=CONCEPT_LEXICON)
-    assert cs.p >= 10
+    cs = mine_concepts(corpus, threshold=1)
+    assert cs.p >= 10 and set(cs.tokens) <= set(CONCEPT_LEXICON)
+
+
+def test_every_pathology_sentence_mentions_its_concept():
+    for spec in OBSERVATIONS[:NO_FINDING]:
+        for sentence in (*spec.templates, spec.negation):
+            tokens = [tok for sent in tokenize(sentence.format(sev="mild")) for tok in sent]
+            assert spec.concept in tokens, (spec.name, sentence)
 
 
 # split -----------------------------------------------------------------------------
@@ -295,17 +302,46 @@ def _drop_last_line(path):
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
 
 
-def _replace_first_label(path):
+def _set_first_row_field(path, index, value):
     lines = path.read_text(encoding="utf-8").splitlines()
     fields = lines[1].split(",")
-    fields[1] = "yes"
+    fields[index] = value
     lines[1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _repeat_line(path, index):
+    _append_line(path, path.read_text(encoding="utf-8").splitlines()[index])
+
+
+def _move_first_sample(d, sid):
+    """Rename sample s00000 to `sid` in labels.csv and move its files to where that id points."""
+    _set_first_row_field(d / "labels.csv", 0, sid)
+    for old, new in ((d / "reports" / "s00000.txt", d / "reports" / f"{sid}.txt"),
+                     (d / "images" / "s00000_f.pgm", d / "images" / f"{sid}_f.pgm"),
+                     (d / "images" / "s00000_l.pgm", d / "images" / f"{sid}_l.pgm")):
+        new.parent.mkdir(parents=True, exist_ok=True)
+        old.rename(new)
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda d: _append_line(d / "labels.csv", ""), id="blank_row"),
-    pytest.param(lambda d: _replace_first_label(d / "labels.csv"), id="non_numeric_label"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "yes"), id="non_numeric_label"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0.5"), id="fractional_label"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 2, "2"), id="label_above_one"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 3, "nan"), id="nan_label"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", -1, "0.5"), id="fractional_concept"),
+    pytest.param(lambda d: (d / "concepts.txt").write_text("", encoding="utf-8"), id="empty_concepts"),
+    pytest.param(lambda d: _repeat_line(d / "vocab.txt", 4), id="repeated_vocab_token"),
+    pytest.param(lambda d: _move_first_sample(d, "../x/r"), id="sample_id_escapes_directory"),
+    pytest.param(lambda d: _move_first_sample(d, "s 0"), id="sample_id_with_space"),
+    pytest.param(lambda d: _repeat_line(d / "labels.csv", 1), id="repeated_sample_id"),
+    pytest.param(lambda d: write_pgm(d / "images" / "s00000_l.pgm", np.zeros((16, 16))),
+                 id="lateral_smaller_than_frontal"),
+    pytest.param(lambda d: [write_pgm(d / "images" / f"s00000_{v}.pgm", np.zeros((32, 16))) for v in "fl"],
+                 id="non_square_views"),
+    pytest.param(lambda d: [write_pgm(d / "images" / f"s00001_{v}.pgm", np.zeros((16, 16))) for v in "fl"],
+                 id="second_sample_other_size"),
     pytest.param(lambda d: (d / "labels.csv").write_text("", encoding="utf-8"), id="empty_labels"),
     pytest.param(lambda d: _append_line(d / "labels.csv", "s00001,1"), id="short_row"),
     pytest.param(lambda d: (d / "reports" / "s00000.txt").unlink(), id="missing_report"),

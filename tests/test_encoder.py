@@ -18,7 +18,6 @@ from mvh.encoder import (
     fuse_view_predictions,
     grad_cam,
     init_encoder_params,
-    uncertainty_report,
 )
 from mvh.errors import ShapeError, ValidationError
 from mvh.pgm import read_pgm
@@ -140,26 +139,85 @@ def test_fuse_view_predictions_shape_error():
 
 # grad-cam -----------------------------------------------------------------------------
 
+def oracle_grad_cam(image, params, config, class_index):
+    """Grad-CAM by its definition: back-propagate the class logit to the last
+    feature map on a tape, average the gradient over cells per channel, and
+    weight the maps by it."""
+    x = image
+    for i in range(len(config.channels)):
+        x = ad.max_pool2d(ad.relu(ad.conv2d(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])))
+    maps_data = x.data
+    leaf = Tensor(maps_data.copy(), requires_grad=True)
+    with Tape() as tape:
+        local = ad.transpose(ad.reshape(leaf, (config.d_v, config.k)))
+        global_feature = ad.mean_pool(local)
+        row = Tensor(params["enc.obs.w"].data[class_index:class_index + 1, :])
+        logit = ad.reshape(ad.matmul(row, global_feature), ())
+    tape.backward(logit)
+    weights = leaf.grad.mean(axis=(1, 2))                        # (d_v,)
+    cam = np.maximum((weights[:, None, None] * maps_data).sum(axis=0), 0.0)
+    span = cam.max() - cam.min()
+    if span > 0:
+        cam = (cam - cam.min()) / span
+    return cam
+
+
+@pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "default"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_cam_matches_tape_oracle(config, seed):
+    params = init_encoder_params(config, seed)
+    rng = np.random.default_rng(seed)
+    image = Tensor(rng.uniform(size=(1, config.image_size, config.image_size)))
+    out = encode(image, params, config)
+    for c in range(N_OBS):
+        np.testing.assert_allclose(grad_cam(out, params, config, c),
+                                   oracle_grad_cam(image, params, config, c), rtol=0, atol=1e-12)
+
+
+def test_grad_cam_constant_map_keeps_its_scale():
+    # zero kernels leave each channel of the last map constant at its relu'd bias chain;
+    # a constant heatmap is not normalized, so its value shows the 1/k of the weights
+    params = tiny_params(seed=5)
+    for i in range(len(TINY.channels)):
+        params[f"enc.conv{i}.w"].data[:] = 0.0
+    image = Tensor(np.zeros((1, 8, 8)))
+    out = encode(image, params, TINY)
+    cams = [grad_cam(out, params, TINY, c) for c in range(N_OBS)]
+    assert any(cam.max() > 0 and cam.min() == cam.max() for cam in cams)
+    for c, cam in enumerate(cams):
+        np.testing.assert_allclose(cam, oracle_grad_cam(image, params, TINY, c), rtol=0, atol=1e-15)
+
+
 def test_grad_cam_zero_weights_all_zero_heatmap():
     params = tiny_params()
     for i in range(2):
         params[f"enc.conv{i}.w"].data[:] = 0.0
         params[f"enc.conv{i}.b"].data[:] = 0.0
-    cam = grad_cam(Tensor(np.full((1, 8, 8), 0.5)), params, TINY, 0)
+    cam = grad_cam(encode(Tensor(np.full((1, 8, 8), 0.5)), params, TINY), params, TINY, 0)
     np.testing.assert_array_equal(cam, np.zeros((2, 2)))
 
 
 def test_grad_cam_range_and_shape():
     params = tiny_params(seed=3)
     rng = np.random.default_rng(3)
-    cam = grad_cam(Tensor(rng.uniform(size=(1, 8, 8))), params, TINY, 5)
+    cam = grad_cam(encode(Tensor(rng.uniform(size=(1, 8, 8))), params, TINY), params, TINY, 5)
     assert cam.shape == (TINY.map_side, TINY.map_side)
     assert cam.min() >= 0.0 and cam.max() <= 1.0
 
 
 def test_grad_cam_class_index_validated():
-    with pytest.raises(ValidationError):
-        grad_cam(Tensor(np.zeros((1, 8, 8))), tiny_params(), TINY, N_OBS)
+    params = tiny_params()
+    out = encode(Tensor(np.zeros((1, 8, 8))), params, TINY)
+    for bad in (N_OBS, -1, 2.5, True, np.bool_(False), "1"):
+        with pytest.raises(ValidationError):
+            grad_cam(out, params, TINY, bad)
+    np.testing.assert_array_equal(grad_cam(out, params, TINY, np.int64(1)), grad_cam(out, params, TINY, 1))
+
+
+def test_grad_cam_output_of_another_config_is_shape_error():
+    out = encode(Tensor(np.zeros((1, 8, 8))), tiny_params(), TINY)
+    with pytest.raises(ShapeError):
+        grad_cam(out, init_encoder_params(EncoderConfig(), 0), EncoderConfig(), 0)
 
 
 def test_export_heatmap_round_trip(tmp_path):
@@ -169,22 +227,6 @@ def test_export_heatmap_round_trip(tmp_path):
     np.testing.assert_allclose(back, cam, atol=1 / 255)
     csv_text = (tmp_path / "h.csv").read_text()
     assert csv_text.splitlines()[0] == "0.0,0.5"
-
-
-# uncertainty banding ------------------------------------------------------------------
-
-def test_uncertainty_bands():
-    probs = np.full(N_OBS, 0.5)
-    probs[0], probs[1] = 0.05, 0.95
-    rows = uncertainty_report(Tensor(probs))
-    assert rows[0][2] == "negative"
-    assert rows[1][2] == "positive"
-    assert rows[2][2] == "uncertain"
-
-
-def test_uncertainty_threshold_validation():
-    with pytest.raises(ValidationError):
-        uncertainty_report(Tensor(np.full(N_OBS, 0.5)), low=0.7, high=0.6)
 
 
 # full-graph gradient check (tiny config) ------------------------------------------------
