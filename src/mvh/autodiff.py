@@ -395,7 +395,7 @@ def embedding_lookup(table, index):
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
     out_data = x.data.sum()
-    return _result(out_data, (x,), lambda g: _accum(x, np.broadcast_to(g, x.data.shape).copy()))
+    return _result(out_data, (x,), lambda g: _accum(x, np.broadcast_to(g, x.data.shape)))
 
 
 # ---------------------------------------------------------------------------

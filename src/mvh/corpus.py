@@ -470,12 +470,15 @@ def _read_counts(path):
     for n, line in enumerate(lines, 1):
         try:
             token, count = line.split()
-            rows.append((token, int(count)))
+            count = int(count)
         except ValueError:
             raise DataError(f"{path}:{n}: expected 'token count', got {line!r}") from None
+        if count < 0:
+            raise DataError(f"{path}:{n}: count of {token!r} is negative ({count})")
         if token in seen:
             raise DataError(f"{path}:{n}: token {token!r} repeats an earlier line")
         seen.add(token)
+        rows.append((token, count))
     return rows
 
 
@@ -487,7 +490,9 @@ def load_dataset(directory):
         raise DataError(f"no dataset at {directory} (missing labels.csv)")
 
     vocab_rows = _read_counts(directory / "vocab.txt")
-    vocab = Vocabulary([(t, c) for t, c in vocab_rows if t not in RESERVED])
+    if tuple(t for t, _ in vocab_rows[:len(RESERVED)]) != RESERVED:
+        raise DataError(f"{directory / 'vocab.txt'}: the first lines must be {' '.join(RESERVED)}, in that order")
+    vocab = Vocabulary(vocab_rows[len(RESERVED):])
     concept_rows = _read_counts(directory / "concepts.txt")
     if not concept_rows:
         raise DataError(f"{directory / 'concepts.txt'} lists no concepts")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidationError
 
 SENTINELS = ("<pad>", "<start>", "<end>")
+BLEU_ORDER = 4
 
 
 def _flatten(report):
@@ -27,129 +28,118 @@ def _flatten(report):
     return [tok for tok in flat if tok not in SENTINELS]
 
 
-def _check_pairs(hypotheses, references, op):
+def _token_pairs(hypotheses, references, op):
+    """Flattened (hypothesis, reference) token lists of a non-empty, equal-count set."""
     if len(hypotheses) == 0:
         raise ValidationError(f"{op} needs a non-empty hypothesis set")
     if len(hypotheses) != len(references):
         raise ValidationError(
             f"{op} needs equal counts, got {len(hypotheses)} hypotheses and {len(references)} references")
+    return [(_flatten(h), _flatten(r)) for h, r in zip(hypotheses, references)]
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens):
+    """Counts of every n-gram of orders 1..BLEU_ORDER, keyed by token tuple."""
+    return Counter(tuple(tokens[i:i + n])
+                   for n in range(1, BLEU_ORDER + 1) for i in range(len(tokens) - n + 1))
+
+
+def bleu(hypotheses, references):
+    """Corpus-level [BLEU-1, ..., BLEU-4] with clipped counts, geometric mean
+    over orders 1..n, and brevity penalty exp(1-r/c) when c < r.
+
+    BLEU-n is 0 once an order at or below n has no match."""
+    pairs = _token_pairs(hypotheses, references, "bleu")
+    matched, total = [0] * BLEU_ORDER, [0] * BLEU_ORDER
+    for h, rf in pairs:
+        for gram, count in (_ngrams(h) & _ngrams(rf)).items():  # & keeps the clipped count
+            matched[len(gram) - 1] += count
+        for k in range(BLEU_ORDER):
+            total[k] += max(0, len(h) - k)
+
+    c = sum(len(h) for h, _ in pairs)
+    r = sum(len(rf) for _, rf in pairs)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c) if c > 0 else 0.0
+    scores, log_sum = [], 0
+    for n, (m, t) in enumerate(zip(matched, total), 1):
+        if m == 0:
+            break
+        log_sum += math.log(m / t)
+        scores.append(bp * math.exp(log_sum / n))
+    return scores + [0.0] * (BLEU_ORDER - len(scores))
 
 
 def bleu_n(hypotheses, references, n):
-    """Corpus-level BLEU with clipped counts, geometric mean over orders 1..n,
-    and brevity penalty exp(1-r/c) when c < r."""
-    if not 1 <= n <= 4:
-        raise ValidationError(f"BLEU order must be in 1..4, got {n}")
-    _check_pairs(hypotheses, references, "bleu")
-    hyp_tokens = [_flatten(h) for h in hypotheses]
-    ref_tokens = [_flatten(r) for r in references]
-
-    c = sum(len(h) for h in hyp_tokens)
-    r = sum(len(rf) for rf in ref_tokens)
-    precisions = []
-    for order in range(1, n + 1):
-        matched = 0
-        total = 0
-        for h, rf in zip(hyp_tokens, ref_tokens):
-            hc = _ngrams(h, order)
-            rc = _ngrams(rf, order)
-            matched += sum(min(count, rc[gram]) for gram, count in hc.items())
-            total += sum(hc.values())
-        if total == 0 or matched == 0:
-            return 0.0
-        precisions.append(matched / total)
-
-    log_mean = sum(math.log(p) for p in precisions) / n
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c) if c > 0 else 0.0
-    return bp * math.exp(log_mean)
+    """BLEU-n alone: `bleu(hypotheses, references)[n - 1]`."""
+    if not 1 <= n <= BLEU_ORDER:
+        raise ValidationError(f"BLEU order must be in 1..{BLEU_ORDER}, got {n}")
+    return bleu(hypotheses, references)[n - 1]
 
 
-def _lcs_len(a, b):
-    # classic O(len(a)*len(b)) dynamic program
-    prev = [0] * (len(b) + 1)
-    for x in a:
+def _mean_over_pairs(hypotheses, references, op, score):
+    """Mean of score(hyp, ref) over the pairs; a pair with an empty side scores 0."""
+    pairs = _token_pairs(hypotheses, references, op)
+    return sum(score(h, rf) if h and rf else 0.0 for h, rf in pairs) / len(pairs)
+
+
+def _rouge_pair(hyp, ref):
+    """LCS F-measure (beta = 1) of two non-empty token lists."""
+    prev = [0] * (len(ref) + 1)  # classic O(len(hyp)*len(ref)) dynamic program
+    for x in hyp:
         cur = [0]
-        for j, y in enumerate(b, 1):
+        for j, y in enumerate(ref, 1):
             cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
         prev = cur
-    return prev[-1]
+    lcs = prev[-1]
+    if lcs == 0:
+        return 0.0
+    p = lcs / len(hyp)
+    r = lcs / len(ref)
+    return 2.0 * p * r / (p + r)
 
 
 def rouge_l(hypotheses, references):
     """LCS F-measure with beta=1, averaged over hypothesis/reference pairs."""
-    _check_pairs(hypotheses, references, "rouge_l")
-    scores = []
-    for h, rf in zip(hypotheses, references):
-        ht, rt = _flatten(h), _flatten(rf)
-        if not ht or not rt:
-            scores.append(0.0)
-            continue
-        lcs = _lcs_len(ht, rt)
-        if lcs == 0:
-            scores.append(0.0)
-            continue
-        p = lcs / len(ht)
-        r = lcs / len(rt)
-        scores.append(2.0 * p * r / (p + r))
-    return sum(scores) / len(scores)
+    return _mean_over_pairs(hypotheses, references, "rouge_l", _rouge_pair)
 
 
-def _align_greedy(hyp, ref):
-    """Exact-match unigram alignment, greedily preferring runs that continue
-    the previous mapping; returns aligned (hyp_pos, ref_pos) pairs."""
+def _align(hyp, ref):
+    """Exact-match unigram alignment, greedily preferring the ref position that
+    continues the previous match; returns (matches, chunks)."""
     used = [False] * len(ref)
-    pairs = []
+    matches = chunks = 0
     prev_ref = None
-    for i, tok in enumerate(hyp):
+    for tok in hyp:
         candidates = [j for j, rtok in enumerate(ref) if rtok == tok and not used[j]]
         if not candidates:
             prev_ref = None
             continue
         if prev_ref is not None and prev_ref + 1 in candidates:
             j = prev_ref + 1
-        else:
+        else:  # the match does not extend the previous one, so it opens a chunk
             j = candidates[0]
-        used[j] = True
-        pairs.append((i, j))
-        prev_ref = j
-    return pairs
-
-
-def _count_chunks(pairs):
-    chunks = 0
-    prev = None
-    for i, j in pairs:
-        if prev is None or i != prev[0] + 1 or j != prev[1] + 1:
             chunks += 1
-        prev = (i, j)
-    return chunks
+        used[j] = True
+        matches += 1
+        prev_ref = j
+    return matches, chunks
+
+
+def _meteor_pair(hyp, ref):
+    """METEOR-lite of two non-empty token lists."""
+    m, chunks = _align(hyp, ref)
+    if m == 0:
+        return 0.0
+    p = m / len(hyp)
+    r = m / len(ref)
+    f_mean = 10.0 * p * r / (r + 9.0 * p)
+    return f_mean * (1.0 - 0.5 * (chunks / m) ** 3)
 
 
 def meteor_lite(hypotheses, references):
     """Exact-match METEOR variant: F_mean = 10PR/(R+9P), fragmentation
     penalty 0.5*(chunks/matches)^3, no stemming or synonymy."""
-    _check_pairs(hypotheses, references, "meteor_lite")
-    scores = []
-    for h, rf in zip(hypotheses, references):
-        ht, rt = _flatten(h), _flatten(rf)
-        if not ht or not rt:
-            scores.append(0.0)
-            continue
-        pairs = _align_greedy(ht, rt)
-        m = len(pairs)
-        if m == 0:
-            scores.append(0.0)
-            continue
-        p = m / len(ht)
-        r = m / len(rt)
-        f_mean = 10.0 * p * r / (r + 9.0 * p)
-        penalty = 0.5 * (_count_chunks(pairs) / m) ** 3
-        scores.append(f_mean * (1.0 - penalty))
-    return sum(scores) / len(scores)
+    return _mean_over_pairs(hypotheses, references, "meteor_lite", _meteor_pair)
 
 
 def roc_auc(scores, labels):
@@ -221,31 +211,27 @@ class ScoreReport:
     avg_auc: float
     skipped_labels: list = field(default_factory=list)
 
+    def _columns(self):
+        """(column, CSV text) pairs in column order."""
+        scores = [("bleu1", self.bleu1), ("bleu2", self.bleu2), ("bleu3", self.bleu3), ("bleu4", self.bleu4),
+                  ("meteor", self.meteor), ("rouge_l", self.rouge_l)]
+        scores += [(f"auc_{name}", auc) for name, auc in self.per_label_auc.items()]
+        scores.append(("avg_auc", self.avg_auc))
+        return [(col, repr(v)) for col, v in scores] + [("skipped_labels", ";".join(self.skipped_labels))]
+
     def csv_header(self):
-        cols = ["bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l"]
-        cols += [f"auc_{name}" for name in self.per_label_auc]
-        cols += ["avg_auc", "skipped_labels"]
-        return ",".join(cols)
+        return ",".join(col for col, _ in self._columns())
 
     def csv_row(self):
-        vals = [repr(self.bleu1), repr(self.bleu2), repr(self.bleu3), repr(self.bleu4),
-                repr(self.meteor), repr(self.rouge_l)]
-        vals += [repr(v) for v in self.per_label_auc.values()]
-        vals += [repr(self.avg_auc), ";".join(self.skipped_labels)]
-        return ",".join(vals)
+        return ",".join(text for _, text in self._columns())
 
 
 def score_generation(hypotheses, references, score_matrix, label_matrix, label_names):
     """Full ScoreReport for one system run."""
     avg, per_label, skipped = avg_auc(score_matrix, label_matrix, label_names)
-    return ScoreReport(
-        bleu1=bleu_n(hypotheses, references, 1),
-        bleu2=bleu_n(hypotheses, references, 2),
-        bleu3=bleu_n(hypotheses, references, 3),
-        bleu4=bleu_n(hypotheses, references, 4),
-        meteor=meteor_lite(hypotheses, references),
-        rouge_l=rouge_l(hypotheses, references),
-        per_label_auc=per_label,
-        avg_auc=avg,
-        skipped_labels=skipped,
-    )
+    return ScoreReport(*bleu(hypotheses, references),
+                       meteor=meteor_lite(hypotheses, references),
+                       rouge_l=rouge_l(hypotheses, references),
+                       per_label_auc=per_label,
+                       avg_auc=avg,
+                       skipped_labels=skipped)

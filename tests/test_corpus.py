@@ -314,6 +314,18 @@ def _repeat_line(path, index):
     _append_line(path, path.read_text(encoding="utf-8").splitlines()[index])
 
 
+def _move_line_to_end(path, index):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.append(lines.pop(index))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _set_count(path, index, count):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[index] = f"{lines[index].split()[0]} {count}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _move_first_sample(d, sid):
     """Rename sample s00000 to `sid` in labels.csv and move its files to where that id points."""
     _set_first_row_field(d / "labels.csv", 0, sid)
@@ -349,6 +361,8 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: (d / "vocab.txt").unlink(), id="missing_vocab"),
     pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
     pytest.param(lambda d: _drop_last_line(d / "concepts.txt"), id="concepts_line_short"),
+    pytest.param(lambda d: _move_line_to_end(d / "vocab.txt", 3), id="reserved_tokens_reordered"),
+    pytest.param(lambda d: _set_count(d / "concepts.txt", 0, -6), id="negative_count"),
 ])
 def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
     corpus = [sent for s in small_dataset for sent in s.report]

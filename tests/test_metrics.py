@@ -10,6 +10,7 @@ from mvh.errors import ValidationError
 from mvh.metrics import (
     ScoreReport,
     avg_auc,
+    bleu,
     bleu_n,
     meteor_lite,
     roc_auc,
@@ -50,6 +51,51 @@ def oracle_lcs(a, b):
     return table[-1][-1]
 
 
+def _align_greedy(hyp, ref):
+    """Greedy exact-match alignment preferring runs; aligned (hyp_pos, ref_pos) pairs."""
+    used = [False] * len(ref)
+    pairs = []
+    prev_ref = None
+    for i, tok in enumerate(hyp):
+        candidates = [j for j, rtok in enumerate(ref) if rtok == tok and not used[j]]
+        if not candidates:
+            prev_ref = None
+            continue
+        if prev_ref is not None and prev_ref + 1 in candidates:
+            j = prev_ref + 1
+        else:
+            j = candidates[0]
+        used[j] = True
+        pairs.append((i, j))
+        prev_ref = j
+    return pairs
+
+
+def _count_chunks(pairs):
+    chunks = 0
+    prev = None
+    for i, j in pairs:
+        if prev is None or i != prev[0] + 1 or j != prev[1] + 1:
+            chunks += 1
+        prev = (i, j)
+    return chunks
+
+
+def oracle_meteor(hyps, refs):
+    """METEOR-lite over flat token lists from an explicit alignment pair list."""
+    scores = []
+    for h, r in zip(hyps, refs):
+        pairs = _align_greedy(h, r) if h and r else []
+        m = len(pairs)
+        if m == 0:
+            scores.append(0.0)
+            continue
+        p, rr = m / len(h), m / len(r)
+        f_mean = 10.0 * p * rr / (rr + 9.0 * p)
+        scores.append(f_mean * (1.0 - 0.5 * (_count_chunks(pairs) / m) ** 3))
+    return sum(scores) / len(scores)
+
+
 # BLEU ------------------------------------------------------------------------
 
 def test_bleu_identical_corpus_is_exactly_one():
@@ -81,8 +127,17 @@ def test_bleu_matches_loop_oracle_on_random_corpora():
     vocab = list("abcdefg")
     hyps = [[vocab[i] for i in rng.integers(0, 7, size=rng.integers(3, 10))] for _ in range(8)]
     refs = [[vocab[i] for i in rng.integers(0, 7, size=rng.integers(3, 10))] for _ in range(8)]
+    expected = [oracle_bleu(hyps, refs, n) for n in (1, 2, 3, 4)]
     for n in (1, 2, 3, 4):
-        assert bleu_n(hyps, refs, n) == pytest.approx(oracle_bleu(hyps, refs, n), abs=1e-12)
+        assert bleu_n(hyps, refs, n) == pytest.approx(expected[n - 1], abs=1e-12)
+    assert bleu(hyps, refs) == pytest.approx(expected, abs=1e-12)
+
+
+def test_bleu_is_zero_from_the_first_order_without_a_match():
+    # bigrams ab and bc match, no trigram does: p1 = 3/5, p2 = 2/4, c=5 > r=3 so BP=1
+    scores = bleu([["a", "b", "x", "b", "c"]], [["a", "b", "c"]])
+    assert scores == pytest.approx([0.6, math.sqrt(0.6 * 0.5), 0.0, 0.0], abs=1e-12)
+    assert scores[1] > 0 and scores[2] == scores[3] == 0.0
 
 
 def test_bleu_strips_sentinels_and_flattens_sentences():
@@ -163,6 +218,19 @@ def test_meteor_fragmentation_penalty_hand_case():
     f_mean = 10 * p * r / (r + 9 * p)
     expected = f_mean * (1 - 0.5 * (2 / 2) ** 3)
     assert score == pytest.approx(expected, abs=1e-12)
+
+
+# few distinct tokens, so the greedy alignment often has repeats to choose between
+_small_vocab_report = st.lists(st.integers(0, 3), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_small_vocab_report, _small_vocab_report), min_size=1, max_size=5))
+@example([([0, 1, 0, 1, 0], [0, 0, 1, 1, 0]), ([], [1]), ([2, 2], [2, 2, 2])])
+def test_meteor_equals_alignment_oracle_exactly(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert meteor_lite(hyps, refs) == oracle_meteor(hyps, refs)
 
 
 # ROC-AUC -------------------------------------------------------------------------
@@ -278,12 +346,16 @@ def test_text_metrics_invariant_under_token_relabeling(seqs):
 
 def test_score_report_csv_round():
     report = ScoreReport(1.0, 0.5, 0.25, 0.125, 0.3, 0.4,
-                         {"edema": 0.9, "pneumonia": 0.8}, 0.85, [])
+                         {"edema": 0.9, "pneumonia": 0.8}, 0.85, ["mass", "nodule"])
     header = report.csv_header()
     row = report.csv_row()
     assert header.split(",")[:6] == ["bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l"]
     assert "auc_edema" in header and "avg_auc" in header
     assert len(header.split(",")) == len(row.split(","))
+    columns = dict(zip(header.split(","), row.split(",")))
+    assert columns == {"bleu1": "1.0", "bleu2": "0.5", "bleu3": "0.25", "bleu4": "0.125", "meteor": "0.3",
+                       "rouge_l": "0.4", "auc_edema": "0.9", "auc_pneumonia": "0.8", "avg_auc": "0.85",
+                       "skipped_labels": "mass;nodule"}
 
 
 def test_score_generation_oracle_hypotheses():
