@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .pgm import read_pgm, write_pgm
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
+SENTINELS = (PAD, START, END)  # structure tokens, dropped before a report is shown or scored
 PAD_ID, START_ID, END_ID, UNK_ID = 0, 1, 2, 3
 
 SEVERITIES = ("mild", "moderate", "severe")
@@ -128,6 +130,7 @@ ARTIFACT_SENTENCE = "comparison is made to the prior xxxx."
 
 CONCEPT_LEXICON = tuple(o.concept for o in OBSERVATIONS[:NO_FINDING]) + ("chest", "lungs")
 MIN_SENTENCES = 3  # a loaded report needs at least this many sentences
+MIN_WORD_COUNT = 3  # rarer corpus words map to <unk>
 
 PATHOLOGY_RATE = 0.13
 MAX_ACTIVE = 4
@@ -145,7 +148,6 @@ class MultiViewSample:
     obs_labels: np.ndarray         # (14,) in {0, 1}
     report: list                   # token sentences incl. <start>/<end>
     report_text: str
-    concept_labels: np.ndarray = None  # filled once a ConceptSet exists
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +341,13 @@ def detokenize(sentences, id_to_token=None):
     lines = []
     for sent in sentences:
         toks = [id_to_token[t] if id_to_token is not None else t for t in sent]
-        lines.append(" ".join(t for t in toks if t not in (PAD, START, END)))
+        lines.append(" ".join(t for t in toks if t not in SENTINELS))
     return "\n".join(lines)
+
+
+def _ranked(tokens, min_count):
+    """(token, count) pairs of the tokens seen at least min_count times, most frequent first, ties by token."""
+    return sorted(((t, c) for t, c in Counter(tokens).items() if c >= min_count), key=lambda tc: (-tc[1], tc[0]))
 
 
 class Vocabulary:
@@ -352,18 +359,11 @@ class Vocabulary:
         self.counts = dict(tokens_with_counts)
 
     @classmethod
-    def build(cls, corpus_sentences, min_count=3):
+    def build(cls, corpus_sentences):
         if not corpus_sentences:
             raise DataError("cannot build a vocabulary from an empty corpus")
-        counts = {}
-        for sent in corpus_sentences:
-            for tok in sent:
-                if tok in RESERVED:
-                    continue
-                counts[tok] = counts.get(tok, 0) + 1
-        kept = sorted(((t, c) for t, c in counts.items() if c >= min_count),
-                      key=lambda tc: (-tc[1], tc[0]))
-        return cls(kept)
+        return cls(_ranked((tok for sent in corpus_sentences for tok in sent if tok not in RESERVED),
+                           MIN_WORD_COUNT))
 
     def id(self, token):
         return self.token_to_id.get(token, UNK_ID)
@@ -384,11 +384,11 @@ class Vocabulary:
 class ConceptSet:
     """Mined concept tokens ordered by descending corpus frequency."""
 
-    def __init__(self, tokens, counts):
-        if not tokens:
+    def __init__(self, tokens_with_counts):
+        if not tokens_with_counts:
             raise ConfigError("concept mining produced an empty concept set")
-        self.tokens = list(tokens)
-        self.counts = list(counts)
+        self.tokens = [t for t, _ in tokens_with_counts]
+        self.counts = dict(tokens_with_counts)
 
     @property
     def p(self):
@@ -400,18 +400,14 @@ class ConceptSet:
         return np.array([1.0 if t in present else 0.0 for t in self.tokens])
 
 
+_LEXICON = frozenset(CONCEPT_LEXICON)
+
+
 def mine_concepts(corpus_sentences, threshold):
     """Lexicon tokens with corpus frequency >= threshold, most frequent first."""
     if threshold < 1:
         raise ValidationError(f"concept threshold must be >= 1, got {threshold}")
-    counts = {t: 0 for t in CONCEPT_LEXICON}
-    for sent in corpus_sentences:
-        for tok in sent:
-            if tok in counts:
-                counts[tok] += 1
-    kept = sorted(((t, c) for t, c in counts.items() if c >= threshold),
-                  key=lambda tc: (-tc[1], tc[0]))
-    return ConceptSet([t for t, _ in kept], [c for _, c in kept])
+    return ConceptSet(_ranked((tok for sent in corpus_sentences for tok in sent if tok in _LEXICON), threshold))
 
 
 def split_dataset(samples, test_fraction=0.2, seed=0):
@@ -429,9 +425,11 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 # ---------------------------------------------------------------------------
 # dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv,
-# vocab.txt, concepts.txt
+# vocab.txt, concepts.txt. A sample's concept targets are not stored: they are
+# concepts.indicator(sample.report).
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
+_LABELS_HEADER = ["sample_id", *LABEL_NAMES]
 
 
 def save_dataset(directory, samples, vocab, concepts):
@@ -439,25 +437,21 @@ def save_dataset(directory, samples, vocab, concepts):
     (directory / "images").mkdir(parents=True, exist_ok=True)
     (directory / "reports").mkdir(parents=True, exist_ok=True)
     for s in samples:
-        if s.concept_labels is None:
-            s.concept_labels = concepts.indicator(s.report)
         write_pgm(directory / "images" / f"{s.sample_id}_f.pgm", s.frontal_image[0])
         write_pgm(directory / "images" / f"{s.sample_id}_l.pgm", s.lateral_image[0])
         (directory / "reports" / f"{s.sample_id}.txt").write_text(s.report_text + "\n", encoding="utf-8")
     with open(directory / "labels.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", *LABEL_NAMES, *concepts.tokens])
+        writer.writerow(_LABELS_HEADER)
         for s in samples:
-            row = [s.sample_id]
-            row += [str(int(v)) for v in s.obs_labels]
-            row += [str(int(v)) for v in s.concept_labels]
-            writer.writerow(row)
-    with open(directory / "vocab.txt", "w", encoding="utf-8") as fh:
-        for tok in vocab.id_to_token:
-            fh.write(f"{tok} {vocab.counts.get(tok, 0)}\n")
-    with open(directory / "concepts.txt", "w", encoding="utf-8") as fh:
-        for tok, count in zip(concepts.tokens, concepts.counts):
-            fh.write(f"{tok} {count}\n")
+            writer.writerow([s.sample_id, *(str(int(v)) for v in s.obs_labels)])
+    _write_counts(directory / "vocab.txt", vocab.id_to_token, vocab.counts)
+    _write_counts(directory / "concepts.txt", concepts.tokens, concepts.counts)
+
+
+def _write_counts(path, tokens, counts):
+    """One `token count` line per token, in order; a token without a count gets 0."""
+    path.write_text("".join(f"{tok} {counts.get(tok, 0)}\n" for tok in tokens), encoding="utf-8")
 
 
 def _read_counts(path):
@@ -496,19 +490,19 @@ def load_dataset(directory):
     concept_rows = _read_counts(directory / "concepts.txt")
     if not concept_rows:
         raise DataError(f"{directory / 'concepts.txt'} lists no concepts")
-    concepts = ConceptSet([t for t, _ in concept_rows], [c for _, c in concept_rows])
+    concepts = ConceptSet(concept_rows)
 
     samples, seen, size = [], set(), None
     with open(labels_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["sample_id", *LABEL_NAMES, *concepts.tokens]:
-            raise DataError(f"{labels_path}: header must be sample_id, the {N_OBS} label names and the "
-                            f"{concepts.p} concepts of concepts.txt in order, got {header}")
+        if header != _LABELS_HEADER:
+            raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
+                            f"got {header}")
         for row in reader:
             where = f"{labels_path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            if len(row) != len(_LABELS_HEADER):
+                raise DataError(f"{where}: expected {len(_LABELS_HEADER)} fields, got {len(row)}")
             sid = row[0]
             if not _SAMPLE_ID.fullmatch(sid):
                 raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
@@ -523,7 +517,7 @@ def load_dataset(directory):
             except (ValueError, OSError) as exc:
                 raise DataError(f"{where}: sample {sid!r}: {exc}") from None
             if any(v not in (0.0, 1.0) for v in values):
-                raise DataError(f"{where}: label and concept values must be 0 or 1, got {row[1:]}")
+                raise DataError(f"{where}: label values must be 0 or 1, got {row[1:]}")
             size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
             if frontal.shape != size or lateral.shape != size:
                 raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
@@ -535,9 +529,8 @@ def load_dataset(directory):
                 sample_id=sid,
                 frontal_image=frontal[None, :, :],
                 lateral_image=lateral[None, :, :],
-                obs_labels=np.array(values[:N_OBS]),
+                obs_labels=np.array(values),
                 report=sentences,
                 report_text=text,
-                concept_labels=np.array(values[N_OBS:]),
             ))
     return samples, vocab, concepts

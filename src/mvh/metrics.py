@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import SENTINELS
 from .errors import ValidationError
 
-SENTINELS = ("<pad>", "<start>", "<end>")
 BLEU_ORDER = 4
 
 
@@ -171,7 +171,7 @@ def roc_auc(scores, labels):
 def avg_auc(score_matrix, label_matrix, label_names):
     """Mean per-label AUC of two (n >= 1, len(label_names)) matrices, skipping single-class labels.
 
-    Returns (average, {name: auc or nan}, skipped names). Any other invalid
+    Returns (average, {name: auc, or nan where skipped}). Any other invalid
     column, such as a NaN score or a non-binary label, raises ValidationError.
     """
     score_matrix = np.asarray(score_matrix, dtype=np.float64)
@@ -181,20 +181,18 @@ def avg_auc(score_matrix, label_matrix, label_names):
         raise ValidationError(f"avg_auc needs score and label matrices of shape (n >= 1, {len(label_names)}), "
                               f"got {score_matrix.shape} and {label_matrix.shape}")
     per_label = {}
-    skipped = []
     vals = []
     for j, name in enumerate(label_names):
         labels = label_matrix[:, j]
         if labels.min() == labels.max():
             per_label[name] = float("nan")
-            skipped.append(name)
             continue
         auc = roc_auc(score_matrix[:, j], labels)
         per_label[name] = float(auc)
         vals.append(auc)
     if not vals:
         raise ValidationError("avg_auc undefined: every label is single-class")
-    return float(sum(vals) / len(vals)), per_label, skipped
+    return float(sum(vals) / len(vals)), per_label
 
 
 @dataclass
@@ -209,7 +207,11 @@ class ScoreReport:
     rouge_l: float
     per_label_auc: dict
     avg_auc: float
-    skipped_labels: list = field(default_factory=list)
+
+    @property
+    def skipped_labels(self):
+        """The labels whose AUC is undefined (NaN), in label order."""
+        return [name for name, auc in self.per_label_auc.items() if math.isnan(auc)]
 
     def _columns(self):
         """(column, CSV text) pairs in column order."""
@@ -228,10 +230,9 @@ class ScoreReport:
 
 def score_generation(hypotheses, references, score_matrix, label_matrix, label_names):
     """Full ScoreReport for one system run."""
-    avg, per_label, skipped = avg_auc(score_matrix, label_matrix, label_names)
+    avg, per_label = avg_auc(score_matrix, label_matrix, label_names)
     return ScoreReport(*bleu(hypotheses, references),
                        meteor=meteor_lite(hypotheses, references),
                        rouge_l=rouge_l(hypotheses, references),
                        per_label_auc=per_label,
-                       avg_auc=avg,
-                       skipped_labels=skipped)
+                       avg_auc=avg)

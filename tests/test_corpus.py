@@ -10,9 +10,11 @@ from mvh.corpus import (
     IMPRESSIONS,
     LABEL_NAMES,
     MIN_SENTENCES,
+    MIN_WORD_COUNT,
     N_OBS,
     NO_FINDING,
     OBSERVATIONS,
+    RESERVED,
     END_ID,
     START_ID,
     UNK_ID,
@@ -73,8 +75,9 @@ def test_tokenize_detokenize_round_trip_on_clean_words(words):
 # vocabulary -------------------------------------------------------------------
 
 def test_vocabulary_min_count_boundary():
+    assert MIN_WORD_COUNT == 3
     corpus = tokenize("cat dog. cat dog. cat bird.")
-    vocab = Vocabulary.build(corpus, min_count=3)
+    vocab = Vocabulary.build(corpus)
     assert vocab.id("cat") >= 4          # occurs 3 times: included
     assert vocab.id("dog") == UNK_ID     # occurs twice: dropped
     assert vocab.id("bird") == UNK_ID
@@ -82,15 +85,15 @@ def test_vocabulary_min_count_boundary():
 
 def test_vocabulary_reserved_ids_stable_across_rebuilds():
     corpus = tokenize("a b c. a b c. a b c.")
-    v1 = Vocabulary.build(corpus, min_count=3)
-    v2 = Vocabulary.build(corpus, min_count=3)
+    v1 = Vocabulary.build(corpus)
+    v2 = Vocabulary.build(corpus)
     assert v1.id_to_token[:4] == ["<pad>", "<start>", "<end>", "<unk>"]
     assert v1 == v2
 
 
 def test_vocabulary_encode_uses_unk():
     corpus = tokenize("a a a.")
-    vocab = Vocabulary.build(corpus, min_count=3)
+    vocab = Vocabulary.build(corpus)
     assert vocab.encode(["<start>", "a", "zzz", "<end>"]) == [START_ID, 4, UNK_ID, END_ID]
 
 
@@ -105,7 +108,7 @@ def test_preprocessing_golden_files():
     rendered = "\n".join(" | ".join(" ".join(s) for s in report) for report in kept) + "\n"
     assert rendered == (DATA / "golden_tokens.txt").read_text(encoding="utf-8")
 
-    vocab = Vocabulary.build([s for report in kept for s in report], min_count=3)
+    vocab = Vocabulary.build([s for report in kept for s in report])
     vocab_rendered = "".join(f"{t} {vocab.counts.get(t, 0)}\n" for t in vocab.id_to_token)
     assert vocab_rendered == (DATA / "golden_vocab.txt").read_text(encoding="utf-8")
 
@@ -135,8 +138,43 @@ def test_mine_concepts_empty_is_config_error():
         mine_concepts(tokenize("nothing clinical here."), threshold=5)
 
 
+def _ranked_oracle(corpus, keep, min_count):
+    """Count every kept token with a plain loop, then order by count (descending), ties by token."""
+    counts = {}
+    for sent in corpus:
+        for tok in sent:
+            if keep(tok):
+                counts[tok] = counts.get(tok, 0) + 1
+    by_token = sorted((t, c) for t, c in counts.items() if c >= min_count)
+    return sorted(by_token, key=lambda tc: -tc[1])  # stable, so equal counts stay in token order
+
+
+# reserved, lexicon and plain tokens; few of them, so counts tie and sit on the thresholds
+_TOKENS = st.sampled_from(["<start>", "<end>", "<pad>", "<unk>", "edema", "fracture", "chest", "lungs",
+                           "opacity", "is", "no", "the"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_TOKENS, max_size=8), min_size=1, max_size=8), st.integers(1, 6))
+def test_vocabulary_and_concepts_match_a_count_then_sort_loop(corpus, threshold):
+    vocab = Vocabulary.build(corpus)
+    expected = _ranked_oracle(corpus, lambda t: t not in RESERVED, MIN_WORD_COUNT)
+    assert vocab.id_to_token == [*RESERVED, *(t for t, _ in expected)]
+    assert vocab.counts == dict(expected)
+
+    expected = _ranked_oracle(corpus, lambda t: t in CONCEPT_LEXICON, threshold)
+    if not expected:
+        with pytest.raises(ConfigError):
+            mine_concepts(corpus, threshold)
+        return
+    concepts = mine_concepts(corpus, threshold)
+    assert concepts.tokens == [t for t, _ in expected]
+    assert concepts.counts == dict(expected)
+    assert list(concepts.counts) == concepts.tokens
+
+
 def test_concept_indicator_matches_literal_presence():
-    cs = ConceptSet(["edema", "fracture"], [10, 10])
+    cs = ConceptSet([("edema", 10), ("fracture", 10)])
     report = tokenize("there is edema. no change.")
     np.testing.assert_array_equal(cs.indicator(report), [1.0, 0.0])
 
@@ -254,19 +292,39 @@ def test_split_fraction_validated():
 
 def test_dataset_round_trip(tmp_path, small_dataset):
     corpus = [sent for s in small_dataset for sent in s.report]
-    vocab = Vocabulary.build(corpus, min_count=3)
+    vocab = Vocabulary.build(corpus)
     concepts = mine_concepts(corpus, threshold=2)
     save_dataset(tmp_path, small_dataset, vocab, concepts)
 
     loaded, vocab2, concepts2 = load_dataset(tmp_path)
     assert vocab2 == vocab
+    assert vocab2.counts == vocab.counts
     assert concepts2.tokens == concepts.tokens
+    assert concepts2.counts == concepts.counts
     assert [s.sample_id for s in loaded] == [s.sample_id for s in small_dataset]
     for a, b in zip(small_dataset, loaded):
         np.testing.assert_array_equal(a.obs_labels, b.obs_labels)
-        np.testing.assert_array_equal(a.concept_labels, b.concept_labels)
         np.testing.assert_allclose(a.frontal_image, b.frontal_image, atol=1e-12)
         assert a.report == b.report
+
+
+def _fields(sample):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in vars(sample).items()}
+
+
+def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dataset):
+    samples = small_dataset[:10]
+    before = [_fields(s) for s in samples]
+    corpus = [sent for s in small_dataset for sent in s.report]
+    vocab = Vocabulary.build(corpus)
+    wide, narrow = mine_concepts(corpus, threshold=1), mine_concepts(corpus, threshold=10)
+    assert wide.p > narrow.p
+    for name, concepts in (("wide", wide), ("narrow", narrow)):
+        save_dataset(tmp_path / name, samples, vocab, concepts)
+        assert [_fields(s) for s in samples] == before
+        loaded, _, concepts2 = load_dataset(tmp_path / name)
+        assert concepts2.tokens == concepts.tokens
+        assert [s.report for s in loaded] == [s.report for s in samples]
 
 
 def test_load_missing_dataset_raises(tmp_path):
@@ -297,11 +355,6 @@ def _swap_header_fields(path, i, j):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _drop_last_line(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-
-
 def _set_first_row_field(path, index, value):
     lines = path.read_text(encoding="utf-8").splitlines()
     fields = lines[1].split(",")
@@ -326,6 +379,18 @@ def _set_count(path, index, count):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _add_concept_columns(d):
+    """Rewrite labels.csv in the older layout that also stored each concept's 0/1 target per sample."""
+    tokens = [line.split()[0] for line in (d / "concepts.txt").read_text(encoding="utf-8").splitlines()]
+    lines = (d / "labels.csv").read_text(encoding="utf-8").splitlines()
+    rows = [",".join([lines[0], *tokens])]
+    for line in lines[1:]:
+        report = tokenize((d / "reports" / f"{line.split(',')[0]}.txt").read_text(encoding="utf-8"))
+        present = {tok for sent in report for tok in sent}
+        rows.append(",".join([line, *("1" if t in present else "0" for t in tokens)]))
+    (d / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def _move_first_sample(d, sid):
     """Rename sample s00000 to `sid` in labels.csv and move its files to where that id points."""
     _set_first_row_field(d / "labels.csv", 0, sid)
@@ -342,7 +407,6 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0.5"), id="fractional_label"),
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 2, "2"), id="label_above_one"),
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 3, "nan"), id="nan_label"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", -1, "0.5"), id="fractional_concept"),
     pytest.param(lambda d: (d / "concepts.txt").write_text("", encoding="utf-8"), id="empty_concepts"),
     pytest.param(lambda d: _repeat_line(d / "vocab.txt", 4), id="repeated_vocab_token"),
     pytest.param(lambda d: _move_first_sample(d, "../x/r"), id="sample_id_escapes_directory"),
@@ -360,7 +424,7 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
     pytest.param(lambda d: (d / "vocab.txt").unlink(), id="missing_vocab"),
     pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
-    pytest.param(lambda d: _drop_last_line(d / "concepts.txt"), id="concepts_line_short"),
+    pytest.param(_add_concept_columns, id="concept_columns_in_header"),
     pytest.param(lambda d: _move_line_to_end(d / "vocab.txt", 3), id="reserved_tokens_reordered"),
     pytest.param(lambda d: _set_count(d / "concepts.txt", 0, -6), id="negative_count"),
 ])

@@ -290,9 +290,9 @@ def test_auc_single_class_rejected():
 def test_avg_auc_skips_undefined_labels():
     scores = np.array([[0.9, 0.4], [0.1, 0.6]])
     labels = np.array([[1, 1], [0, 1]])
-    avg, per_label, skipped = avg_auc(scores, labels, ["first", "second"])
+    avg, per_label = avg_auc(scores, labels, ["first", "second"])
     assert avg == 1.0
-    assert skipped == ["second"]
+    assert per_label["first"] == 1.0
     assert math.isnan(per_label["second"])
 
 
@@ -346,7 +346,8 @@ def test_text_metrics_invariant_under_token_relabeling(seqs):
 
 def test_score_report_csv_round():
     report = ScoreReport(1.0, 0.5, 0.25, 0.125, 0.3, 0.4,
-                         {"edema": 0.9, "pneumonia": 0.8}, 0.85, ["mass", "nodule"])
+                         {"mass": math.nan, "edema": 0.9, "nodule": math.nan, "pneumonia": 0.8}, 0.85)
+    assert report.skipped_labels == ["mass", "nodule"]
     header = report.csv_header()
     row = report.csv_row()
     assert header.split(",")[:6] == ["bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l"]
@@ -354,7 +355,8 @@ def test_score_report_csv_round():
     assert len(header.split(",")) == len(row.split(","))
     columns = dict(zip(header.split(","), row.split(",")))
     assert columns == {"bleu1": "1.0", "bleu2": "0.5", "bleu3": "0.25", "bleu4": "0.125", "meteor": "0.3",
-                       "rouge_l": "0.4", "auc_edema": "0.9", "auc_pneumonia": "0.8", "avg_auc": "0.85",
+                       "rouge_l": "0.4", "auc_mass": "nan", "auc_edema": "0.9", "auc_nodule": "nan",
+                       "auc_pneumonia": "0.8", "avg_auc": "0.85",
                        "skipped_labels": "mass;nodule"}
 
 
