@@ -454,14 +454,18 @@ def _write_counts(path, tokens, counts):
     path.write_text("".join(f"{tok} {counts.get(tok, 0)}\n" for tok in tokens), encoding="utf-8")
 
 
-def _read_counts(path):
-    """(token, count) pairs from a file of `token count` lines."""
+def _read_lines(path):
+    """The lines of a UTF-8 text file; an unreadable or undecodable file raises DataError naming it."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_counts(path):
+    """(token, count) pairs from a file of `token count` lines."""
     rows, seen = [], set()
-    for n, line in enumerate(lines, 1):
+    for n, line in enumerate(_read_lines(path), 1):
         try:
             token, count = line.split()
             count = int(count)
@@ -493,44 +497,43 @@ def load_dataset(directory):
     concepts = ConceptSet(concept_rows)
 
     samples, seen, size = [], set(), None
-    with open(labels_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _LABELS_HEADER:
-            raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
-                            f"got {header}")
-        for row in reader:
-            where = f"{labels_path}:{reader.line_num}"
-            if len(row) != len(_LABELS_HEADER):
-                raise DataError(f"{where}: expected {len(_LABELS_HEADER)} fields, got {len(row)}")
-            sid = row[0]
-            if not _SAMPLE_ID.fullmatch(sid):
-                raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
-            if sid in seen:
-                raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
-            seen.add(sid)
-            try:
-                values = [float(v) for v in row[1:]]
-                text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
-                frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
-                lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
-            except (ValueError, OSError) as exc:
-                raise DataError(f"{where}: sample {sid!r}: {exc}") from None
-            if any(v not in (0.0, 1.0) for v in values):
-                raise DataError(f"{where}: label values must be 0 or 1, got {row[1:]}")
-            size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
-            if frontal.shape != size or lateral.shape != size:
-                raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
-                                f"{lateral.shape}, expected {size}")
-            sentences = tokenize(text)
-            if len(sentences) < MIN_SENTENCES:
-                raise DataError(f"report {sid} has fewer than {MIN_SENTENCES} sentences")
-            samples.append(MultiViewSample(
-                sample_id=sid,
-                frontal_image=frontal[None, :, :],
-                lateral_image=lateral[None, :, :],
-                obs_labels=np.array(values),
-                report=sentences,
-                report_text=text,
-            ))
+    reader = csv.reader(_read_lines(labels_path))
+    header = next(reader, None)
+    if header != _LABELS_HEADER:
+        raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
+                        f"got {header}")
+    for row in reader:
+        where = f"{labels_path}:{reader.line_num}"
+        if len(row) != len(_LABELS_HEADER):
+            raise DataError(f"{where}: expected {len(_LABELS_HEADER)} fields, got {len(row)}")
+        sid = row[0]
+        if not _SAMPLE_ID.fullmatch(sid):
+            raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
+        if sid in seen:
+            raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
+        seen.add(sid)
+        try:
+            values = [float(v) for v in row[1:]]
+            text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
+            frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
+            lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
+        except (ValueError, OSError) as exc:
+            raise DataError(f"{where}: sample {sid!r}: {exc}") from None
+        if any(v not in (0.0, 1.0) for v in values):
+            raise DataError(f"{where}: label values must be 0 or 1, got {row[1:]}")
+        size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
+        if frontal.shape != size or lateral.shape != size:
+            raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
+                            f"{lateral.shape}, expected {size}")
+        sentences = tokenize(text)
+        if len(sentences) < MIN_SENTENCES:
+            raise DataError(f"report {sid} has fewer than {MIN_SENTENCES} sentences")
+        samples.append(MultiViewSample(
+            sample_id=sid,
+            frontal_image=frontal[None, :, :],
+            lateral_image=lateral[None, :, :],
+            obs_labels=np.array(values),
+            report=sentences,
+            report_text=text,
+        ))
     return samples, vocab, concepts

@@ -2,7 +2,9 @@
 
 All text metrics operate on token sequences (any hashable tokens); sentence
 sentinels are stripped before scoring, and multi-sentence reports are scored
-as one flattened sequence per report.
+as one flattened sequence per report. Every text metric matches tokens as dict
+keys (equal hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens
+are the same.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ def _token_pairs(hypotheses, references, op):
 
 def _ngrams(tokens):
     """Counts of every n-gram of orders 1..BLEU_ORDER, keyed by token tuple."""
-    return Counter(tuple(tokens[i:i + n])
-                   for n in range(1, BLEU_ORDER + 1) for i in range(len(tokens) - n + 1))
+    grams = Counter()
+    for n in range(1, BLEU_ORDER + 1):
+        grams.update(zip(*(tokens[i:] for i in range(n))))
+    return grams
 
 
 def bleu(hypotheses, references):
@@ -83,14 +87,24 @@ def _mean_over_pairs(hypotheses, references, op, score):
 
 
 def _rouge_pair(hyp, ref):
-    """LCS F-measure (beta = 1) of two non-empty token lists."""
-    prev = [0] * (len(ref) + 1)  # classic O(len(hyp)*len(ref)) dynamic program
+    """LCS F-measure (beta = 1) of two non-empty token lists.
+
+    The LCS length comes from the bit-parallel recurrence of Allison & Dix
+    (1986) in the form of Hyyro (2004). Bit j of `mask[x]` is set where
+    ref[j] is x, and `row` starts with all len(ref) bits set. Each hypothesis
+    token x takes `u = row & mask[x]` and `row = ((row + u) | (row - u)) & full`;
+    afterwards the LCS is len(ref) minus the set bits of `row`. That is
+    O(len(hyp)) big-int operations on len(ref)-bit ints, not the
+    O(len(hyp) * len(ref)) cells of the dynamic-programming table.
+    """
+    mask = {}
+    for j, y in enumerate(ref):
+        mask[y] = mask.get(y, 0) | 1 << j
+    full = row = (1 << len(ref)) - 1
     for x in hyp:
-        cur = [0]
-        for j, y in enumerate(ref, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    lcs = prev[-1]
+        u = row & mask.get(x, 0)
+        row = ((row + u) | (row - u)) & full
+    lcs = len(ref) - row.bit_count()
     if lcs == 0:
         return 0.0
     p = lcs / len(hyp)
@@ -105,12 +119,17 @@ def rouge_l(hypotheses, references):
 
 def _align(hyp, ref):
     """Exact-match unigram alignment, greedily preferring the ref position that
-    continues the previous match; returns (matches, chunks)."""
-    used = [False] * len(ref)
+    continues the previous match, else the first unused one; returns (matches, chunks).
+
+    The reference is indexed once as {token: unused positions, ascending}, so
+    each hypothesis token scans only the positions of its own token."""
+    free = {}
+    for j, rtok in enumerate(ref):
+        free.setdefault(rtok, []).append(j)
     matches = chunks = 0
     prev_ref = None
     for tok in hyp:
-        candidates = [j for j, rtok in enumerate(ref) if rtok == tok and not used[j]]
+        candidates = free.get(tok)
         if not candidates:
             prev_ref = None
             continue
@@ -119,7 +138,7 @@ def _align(hyp, ref):
         else:  # the match does not extend the previous one, so it opens a chunk
             j = candidates[0]
             chunks += 1
-        used[j] = True
+        candidates.remove(j)
         matches += 1
         prev_ref = j
     return matches, chunks

@@ -6,10 +6,16 @@ from .errors import DataError
 
 
 def write_pgm(path, values01):
-    """Write a [0,1] 2-d array as a P2 graymap with maxval 255."""
+    """Write a [0,1] 2-d array as a P2 graymap with maxval 255.
+
+    Values outside [0,1] are clipped. An array `read_pgm` would refuse (an
+    empty side, or a NaN or infinite value) raises DataError and writes nothing.
+    """
     arr = np.asarray(values01, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"PGM needs a 2-d array, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise DataError(f"{path}: PGM needs a non-empty 2-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: PGM values must be finite")
     ints = np.clip(np.round(arr * 255.0), 0, 255).astype(int)
     h, w = ints.shape
     lines = [f"P2\n{w} {h}\n255\n"]
@@ -21,13 +27,16 @@ def write_pgm(path, values01):
 
 def read_pgm(path):
     """Read a P2 graymap back into a [0,1] float array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for line in fh:
-            hash_pos = line.find("#")
-            if hash_pos >= 0:
-                line = line[:hash_pos]
-            tokens.extend(line.split())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = []
+            for line in fh:
+                hash_pos = line.find("#")
+                if hash_pos >= 0:
+                    line = line[:hash_pos]
+                tokens.extend(line.split())
+    except UnicodeDecodeError:  # such as a binary P5 graymap
+        raise DataError(f"{path} is not an ASCII P2 graymap (not UTF-8 text)") from None
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path} is not an ASCII P2 graymap")
     if len(tokens) < 4:

@@ -436,6 +436,40 @@ def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param(b"sample_id", b"sample_\xe9d", id="header"),
+    pytest.param(b"s00001", b"s0000\xe9", id="second_row"),
+])
+def test_load_non_utf8_labels_is_data_error_naming_the_file(tmp_path, small_dataset, old, new):
+    corpus = [sent for s in small_dataset for sent in s.report]
+    save_dataset(tmp_path, small_dataset[:3], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
+    path = tmp_path / "labels.csv"
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(DataError, match="labels.csv"):
+        load_dataset(tmp_path)
+
+
+def test_read_pgm_non_utf8_bytes_is_data_error_naming_the_path(tmp_path):
+    path = tmp_path / "binary.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n\xff\xfe\x00\x01")
+    with pytest.raises(DataError, match="binary.pgm"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.array([[0.5, np.nan]]), id="nan"),
+    pytest.param(np.array([[np.inf, 0.5]]), id="inf"),
+    pytest.param(np.array([[0.5], [-np.inf]]), id="negative_inf"),
+    pytest.param(np.zeros((0, 3)), id="no_rows"),
+    pytest.param(np.zeros((3, 0)), id="no_columns"),
+])
+def test_write_pgm_refuses_what_read_pgm_rejects_and_writes_nothing(tmp_path, values):
+    path = tmp_path / "out.pgm"
+    with pytest.raises(DataError, match="out.pgm"):
+        write_pgm(path, values)
+    assert not path.exists()
+
+
 def test_read_pgm_truncated_header_is_data_error(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_text("P2\n4 4\n", encoding="utf-8")

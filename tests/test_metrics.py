@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mvh.corpus import LABEL_NAMES, generate_dataset, split_dataset
 from mvh.errors import ValidationError
 from mvh.metrics import (
+    BLEU_ORDER,
     ScoreReport,
     avg_auc,
     bleu,
@@ -122,17 +126,6 @@ def test_bleu_brevity_penalty():
     assert score == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
-def test_bleu_matches_loop_oracle_on_random_corpora():
-    rng = np.random.default_rng(0)
-    vocab = list("abcdefg")
-    hyps = [[vocab[i] for i in rng.integers(0, 7, size=rng.integers(3, 10))] for _ in range(8)]
-    refs = [[vocab[i] for i in rng.integers(0, 7, size=rng.integers(3, 10))] for _ in range(8)]
-    expected = [oracle_bleu(hyps, refs, n) for n in (1, 2, 3, 4)]
-    for n in (1, 2, 3, 4):
-        assert bleu_n(hyps, refs, n) == pytest.approx(expected[n - 1], abs=1e-12)
-    assert bleu(hyps, refs) == pytest.approx(expected, abs=1e-12)
-
-
 def test_bleu_is_zero_from_the_first_order_without_a_match():
     # bigrams ab and bc match, no trigram does: p1 = 3/5, p2 = 2/4, c=5 > r=3 so BP=1
     scores = bleu([["a", "b", "x", "b", "c"]], [["a", "b", "c"]])
@@ -144,6 +137,22 @@ def test_bleu_strips_sentinels_and_flattens_sentences():
     hyp = [["<start>", "a", "b", "<end>"], ["<start>", "c", "<end>"]]
     ref = [["<start>", "a", "b", "<end>"], ["<start>", "c", "<end>"]]
     assert bleu_n([hyp], [ref], 2) == 1.0
+
+
+# few distinct tokens and short reports, so every order has matches, misses and reports too short for it
+_short_report = st.lists(st.integers(0, 3), max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_short_report, _short_report), min_size=1, max_size=8))
+@example([([0, 1, 2], [0, 1, 2, 3])])
+@example([([0], [0]), ([], [1, 2]), ([1, 2, 3], [1, 2])])
+def test_bleu_matches_loop_oracle_on_random_corpora(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    expected = [oracle_bleu(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)]
+    assert bleu(hyps, refs) == expected
+    assert [bleu_n(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)] == expected
 
 
 def test_bleu_empty_hypothesis_set_rejected():
@@ -175,19 +184,38 @@ def test_rouge_no_common_token():
     assert rouge_l([["a", "b"]], [["x", "y"]]) == 0.0
 
 
-def test_rouge_matches_dp_oracle():
-    rng = np.random.default_rng(5)
-    vocab = list("abcd")
-    for _ in range(20):
-        h = [vocab[i] for i in rng.integers(0, 4, size=rng.integers(1, 9))]
-        r = [vocab[i] for i in rng.integers(0, 4, size=rng.integers(1, 9))]
-        lcs = oracle_lcs(h, r)
-        if lcs == 0:
-            expected = 0.0
-        else:
-            p, rr = lcs / len(h), lcs / len(r)
-            expected = 2 * p * rr / (p + rr)
-        assert rouge_l([h], [r]) == pytest.approx(expected, abs=1e-12)
+def _rouge_from_lcs(lcs, hyp_len, ref_len):
+    if lcs == 0:
+        return 0.0
+    p, r = lcs / hyp_len, lcs / ref_len
+    return 2.0 * p * r / (p + r)
+
+
+def _report_pair(k):
+    """Two reports over k distinct tokens, each of a length drawn uniformly from 1..150."""
+    report = st.integers(1, 150).flatmap(lambda n: st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return st.tuples(report, report)
+
+
+# 3-5 distinct tokens, so matches are dense and the reference's masks cross 64 and 128 bits
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 5).flatmap(_report_pair))
+@example(([0] * 64 + [1], [1] + [0] * 64))
+@example(([0, 1, 2] * 50, [2, 1, 0] * 43))
+@example(([3, 1, 4, 1, 0, 2, 4] * 20, [1, 0, 4, 2] * 32 + [3]))
+def test_rouge_matches_dp_oracle(pair):
+    h, r = pair
+    assert rouge_l([h], [r]) == _rouge_from_lcs(oracle_lcs(h, r), len(h), len(r))
+
+
+def test_rouge_closed_form_on_long_reports():
+    # the O(len(hyp) * len(ref)) table would fill 4M cells for each of these pairs
+    rng = np.random.default_rng(9)
+    report = [f"w{i}" for i in rng.integers(0, 5, size=2000)]
+    assert rouge_l([report], [report]) == 1.0
+    distinct = list(range(2000))
+    assert rouge_l([distinct], [distinct[::-1]]) == _rouge_from_lcs(1, 2000, 2000)
+    assert _rouge_from_lcs(1, 2000, 2000) == pytest.approx(1 / 2000, abs=1e-15)
 
 
 # METEOR-lite -------------------------------------------------------------------
@@ -367,3 +395,72 @@ def test_score_generation_oracle_hypotheses():
     report = score_generation(refs, refs, scores, labels, ["one", "two"])
     assert report.bleu1 == report.bleu4 == 1.0
     assert report.avg_auc == 1.0
+
+
+# golden scores -------------------------------------------------------------------
+
+def _golden_report(seed):
+    """Score a fixed small corpus: training reports picked by a seeded random.Random as hypotheses."""
+    train, test = split_dataset(generate_dataset(seed, 60, image_size=16), seed=seed)
+    pick = random.Random(seed)
+    hyps = [pick.choice(train) for _ in test]
+    noise = np.random.default_rng(seed).uniform(size=(len(test), len(LABEL_NAMES)))
+    scores = 0.6 * np.array([h.obs_labels for h in hyps]) + 0.4 * noise
+    return score_generation([h.report for h in hyps], [s.report for s in test], scores,
+                            np.array([s.obs_labels for s in test]), LABEL_NAMES)
+
+
+# repr of every ScoreReport field, recorded with the dynamic-programming LCS and the linear-scan
+# alignment that oracle_lcs and _align_greedy implement; a faster scorer must leave every bit alone
+GOLDEN_SCORES = {
+    3: {
+        "bleu1": "0.4934597252718301",
+        "bleu2": "0.34498349404028505",
+        "bleu3": "0.2605068004303737",
+        "bleu4": "0.2033094184803114",
+        "meteor": "0.39592238175862476",
+        "rouge_l": "0.4056933593831607",
+        "per_label_auc": ("{'enlarged_cardiomediastinum': 0.15, 'cardiomegaly': 0.0, 'lung_opacity': 0.7, "
+                          "'lung_lesion': 0.7, 'edema': 0.7142857142857143, "
+                          "'consolidation': 0.45454545454545453, 'pneumonia': 0.375, 'atelectasis': 1.0, "
+                          "'pneumothorax': 0.5454545454545454, 'pleural_effusion': 0.03125, "
+                          "'pleural_other': nan, 'fracture': 0.8181818181818182, 'support_devices': 0.6, "
+                          "'no_finding': 0.18181818181818182}"),
+        "avg_auc": "0.48234890109890105",
+    },
+    7: {
+        "bleu1": "0.46433528393948803",
+        "bleu2": "0.32730835540753606",
+        "bleu3": "0.24531892626948462",
+        "bleu4": "0.189291695211461",
+        "meteor": "0.37891322575135405",
+        "rouge_l": "0.382277383230673",
+        "per_label_auc": ("{'enlarged_cardiomediastinum': 0.85, 'cardiomegaly': 0.45454545454545453, "
+                          "'lung_opacity': 0.9, 'lung_lesion': 0.8, 'edema': 0.0, 'consolidation': 0.35, "
+                          "'pneumonia': 0.2857142857142857, 'atelectasis': 0.2, 'pneumothorax': nan, "
+                          "'pleural_effusion': 0.6363636363636364, 'pleural_other': 0.5185185185185185, "
+                          "'fracture': 0.7037037037037037, 'support_devices': 0.5, 'no_finding': nan}"),
+        "avg_auc": "0.5165704665704666",
+    },
+    11: {
+        "bleu1": "0.42244224422442245",
+        "bleu2": "0.3095345586844417",
+        "bleu3": "0.24341899121560048",
+        "bleu4": "0.1954244819697692",
+        "meteor": "0.33244076908225184",
+        "rouge_l": "0.3618927661954019",
+        "per_label_auc": ("{'enlarged_cardiomediastinum': 0.6363636363636364, 'cardiomegaly': nan, "
+                          "'lung_opacity': nan, 'lung_lesion': nan, 'edema': 0.4, 'consolidation': 0.5, "
+                          "'pneumonia': 1.0, 'atelectasis': 0.45454545454545453, "
+                          "'pneumothorax': 0.37037037037037035, 'pleural_effusion': 0.15, "
+                          "'pleural_other': 0.15, 'fracture': 0.6363636363636364, "
+                          "'support_devices': 0.7777777777777778, 'no_finding': 0.3333333333333333}"),
+        "avg_auc": "0.49170492806856436",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SCORES))
+def test_score_generation_golden_corpus_bit_for_bit(seed):
+    report = _golden_report(seed)
+    assert {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)} == GOLDEN_SCORES[seed]
