@@ -188,6 +188,8 @@ def _shape_mask(shape, b):
 
 def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
     """Boolean (s,s) mask of observation obs_index's pattern at a given jitter."""
+    if not 0 <= obs_index < N_OBS:
+        raise ValidationError(f"observation index must be in 0..{N_OBS - 1}, got {obs_index}")
     spec = OBSERVATIONS[obs_index]
     mask = np.zeros((image_size, image_size), dtype=bool)
     if spec.cell is None:  # whole-image border frame
@@ -336,27 +338,23 @@ def tokenize(text):
     return sentences
 
 
-def detokenize(sentences, id_to_token=None):
+def detokenize(sentences):
     """Render token sentences one per line, sentinels dropped, single spaces."""
-    lines = []
-    for sent in sentences:
-        toks = [id_to_token[t] if id_to_token is not None else t for t in sent]
-        lines.append(" ".join(t for t in toks if t not in SENTINELS))
-    return "\n".join(lines)
+    return "\n".join(" ".join(t for t in sent if t not in SENTINELS) for sent in sentences)
 
 
 def _ranked(tokens, min_count):
-    """(token, count) pairs of the tokens seen at least min_count times, most frequent first, ties by token."""
-    return sorted(((t, c) for t, c in Counter(tokens).items() if c >= min_count), key=lambda tc: (-tc[1], tc[0]))
+    """The tokens seen at least min_count times, most frequent first, ties by token."""
+    counts = Counter(tokens)
+    return sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
 
 
 class Vocabulary:
     """Bidirectional token<->id map with reserved sentinel ids 0..3."""
 
-    def __init__(self, tokens_with_counts):
-        self.id_to_token = list(RESERVED) + [t for t, _ in tokens_with_counts]
+    def __init__(self, tokens):
+        self.id_to_token = [*RESERVED, *tokens]
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        self.counts = dict(tokens_with_counts)
 
     @classmethod
     def build(cls, corpus_sentences):
@@ -368,27 +366,20 @@ class Vocabulary:
     def id(self, token):
         return self.token_to_id.get(token, UNK_ID)
 
-    def token(self, idx):
-        return self.id_to_token[idx]
-
     def encode(self, sentence):
         return [self.id(t) for t in sentence]
 
     def __len__(self):
         return len(self.id_to_token)
 
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
-
 
 class ConceptSet:
     """Mined concept tokens ordered by descending corpus frequency."""
 
-    def __init__(self, tokens_with_counts):
-        if not tokens_with_counts:
+    def __init__(self, tokens):
+        if not tokens:
             raise ConfigError("concept mining produced an empty concept set")
-        self.tokens = [t for t, _ in tokens_with_counts]
-        self.counts = dict(tokens_with_counts)
+        self.tokens = list(tokens)
 
     @property
     def p(self):
@@ -411,12 +402,14 @@ def mine_concepts(corpus_sentences, threshold):
 
 
 def split_dataset(samples, test_fraction=0.2, seed=0):
-    """Disjoint, exhaustive, seed-deterministic sample-level split."""
+    """Disjoint, exhaustive, seed-deterministic sample-level split; neither side may be empty."""
     if not 0 < test_fraction < 1:
         raise ValidationError(f"test fraction must be in (0,1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
     n_test = int(round(len(samples) * test_fraction))
+    if not 0 < n_test < len(samples):
+        raise ValidationError(f"test fraction {test_fraction} of {len(samples)} samples leaves an empty split")
     test_idx = set(order[:n_test].tolist())
     train = [s for i, s in enumerate(samples) if i not in test_idx]
     test = [s for i, s in enumerate(samples) if i in test_idx]
@@ -424,15 +417,15 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv,
-# vocab.txt, concepts.txt. A sample's concept targets are not stored: they are
-# concepts.indicator(sample.report).
+# dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv.
+# The vocabulary, the concepts and each sample's concept targets are not
+# stored: they are derived from the training reports.
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
 _LABELS_HEADER = ["sample_id", *LABEL_NAMES]
 
 
-def save_dataset(directory, samples, vocab, concepts):
+def save_dataset(directory, samples):
     directory = Path(directory)
     (directory / "images").mkdir(parents=True, exist_ok=True)
     (directory / "reports").mkdir(parents=True, exist_ok=True)
@@ -445,13 +438,6 @@ def save_dataset(directory, samples, vocab, concepts):
         writer.writerow(_LABELS_HEADER)
         for s in samples:
             writer.writerow([s.sample_id, *(str(int(v)) for v in s.obs_labels)])
-    _write_counts(directory / "vocab.txt", vocab.id_to_token, vocab.counts)
-    _write_counts(directory / "concepts.txt", concepts.tokens, concepts.counts)
-
-
-def _write_counts(path, tokens, counts):
-    """One `token count` line per token, in order; a token without a count gets 0."""
-    path.write_text("".join(f"{tok} {counts.get(tok, 0)}\n" for tok in tokens), encoding="utf-8")
 
 
 def _read_lines(path):
@@ -462,39 +448,12 @@ def _read_lines(path):
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _read_counts(path):
-    """(token, count) pairs from a file of `token count` lines."""
-    rows, seen = [], set()
-    for n, line in enumerate(_read_lines(path), 1):
-        try:
-            token, count = line.split()
-            count = int(count)
-        except ValueError:
-            raise DataError(f"{path}:{n}: expected 'token count', got {line!r}") from None
-        if count < 0:
-            raise DataError(f"{path}:{n}: count of {token!r} is negative ({count})")
-        if token in seen:
-            raise DataError(f"{path}:{n}: token {token!r} repeats an earlier line")
-        seen.add(token)
-        rows.append((token, count))
-    return rows
-
-
 def load_dataset(directory):
-    """Load a persisted dataset; returns (samples, vocab, concepts)."""
+    """Load a persisted dataset's samples; other files in the directory are ignored."""
     directory = Path(directory)
     labels_path = directory / "labels.csv"
     if not labels_path.exists():
         raise DataError(f"no dataset at {directory} (missing labels.csv)")
-
-    vocab_rows = _read_counts(directory / "vocab.txt")
-    if tuple(t for t, _ in vocab_rows[:len(RESERVED)]) != RESERVED:
-        raise DataError(f"{directory / 'vocab.txt'}: the first lines must be {' '.join(RESERVED)}, in that order")
-    vocab = Vocabulary(vocab_rows[len(RESERVED):])
-    concept_rows = _read_counts(directory / "concepts.txt")
-    if not concept_rows:
-        raise DataError(f"{directory / 'concepts.txt'} lists no concepts")
-    concepts = ConceptSet(concept_rows)
 
     samples, seen, size = [], set(), None
     reader = csv.reader(_read_lines(labels_path))
@@ -517,7 +476,8 @@ def load_dataset(directory):
             text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
             frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
             lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
-        except (ValueError, OSError) as exc:
+            sentences = tokenize(text)
+        except (ValueError, OSError, DataError) as exc:
             raise DataError(f"{where}: sample {sid!r}: {exc}") from None
         if any(v not in (0.0, 1.0) for v in values):
             raise DataError(f"{where}: label values must be 0 or 1, got {row[1:]}")
@@ -525,9 +485,9 @@ def load_dataset(directory):
         if frontal.shape != size or lateral.shape != size:
             raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
                             f"{lateral.shape}, expected {size}")
-        sentences = tokenize(text)
         if len(sentences) < MIN_SENTENCES:
-            raise DataError(f"report {sid} has fewer than {MIN_SENTENCES} sentences")
+            raise DataError(f"{where}: sample {sid!r}: report has {len(sentences)} sentences, "
+                            f"fewer than {MIN_SENTENCES}")
         samples.append(MultiViewSample(
             sample_id=sid,
             frontal_image=frontal[None, :, :],
@@ -536,4 +496,4 @@ def load_dataset(directory):
             report=sentences,
             report_text=text,
         ))
-    return samples, vocab, concepts
+    return samples

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from mvh.corpus import (
     load_dataset,
     mine_concepts,
     pattern_mask,
+    pattern_pixels,
     render_report,
     save_dataset,
     split_dataset,
@@ -88,7 +90,7 @@ def test_vocabulary_reserved_ids_stable_across_rebuilds():
     v1 = Vocabulary.build(corpus)
     v2 = Vocabulary.build(corpus)
     assert v1.id_to_token[:4] == ["<pad>", "<start>", "<end>", "<unk>"]
-    assert v1 == v2
+    assert v1.id_to_token == v2.id_to_token
 
 
 def test_vocabulary_encode_uses_unk():
@@ -109,7 +111,8 @@ def test_preprocessing_golden_files():
     assert rendered == (DATA / "golden_tokens.txt").read_text(encoding="utf-8")
 
     vocab = Vocabulary.build([s for report in kept for s in report])
-    vocab_rendered = "".join(f"{t} {vocab.counts.get(t, 0)}\n" for t in vocab.id_to_token)
+    counts = Counter(tok for report in kept for s in report for tok in s if tok not in RESERVED)
+    vocab_rendered = "".join(f"{t} {counts[t]}\n" for t in vocab.id_to_token)
     assert vocab_rendered == (DATA / "golden_vocab.txt").read_text(encoding="utf-8")
 
     # min-count-3 words map to <unk>; sentinels wrap every sentence
@@ -160,7 +163,6 @@ def test_vocabulary_and_concepts_match_a_count_then_sort_loop(corpus, threshold)
     vocab = Vocabulary.build(corpus)
     expected = _ranked_oracle(corpus, lambda t: t not in RESERVED, MIN_WORD_COUNT)
     assert vocab.id_to_token == [*RESERVED, *(t for t, _ in expected)]
-    assert vocab.counts == dict(expected)
 
     expected = _ranked_oracle(corpus, lambda t: t in CONCEPT_LEXICON, threshold)
     if not expected:
@@ -169,12 +171,10 @@ def test_vocabulary_and_concepts_match_a_count_then_sort_loop(corpus, threshold)
         return
     concepts = mine_concepts(corpus, threshold)
     assert concepts.tokens == [t for t, _ in expected]
-    assert concepts.counts == dict(expected)
-    assert list(concepts.counts) == concepts.tokens
 
 
 def test_concept_indicator_matches_literal_presence():
-    cs = ConceptSet([("edema", 10), ("fracture", 10)])
+    cs = ConceptSet(["edema", "fracture"])
     report = tokenize("there is edema. no change.")
     np.testing.assert_array_equal(cs.indicator(report), [1.0, 0.0])
 
@@ -215,6 +215,14 @@ def test_every_sample_has_three_sentences_and_both_views(small_dataset):
         assert s.frontal_image.shape == (1, 32, 32)
         assert s.lateral_image.shape == (1, 32, 32)
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
+
+
+@pytest.mark.parametrize("obs_index", [-1, 20])
+def test_pattern_of_unknown_observation_is_validation_error(obs_index):
+    with pytest.raises(ValidationError, match=str(obs_index)):
+        pattern_pixels(obs_index, 32)
+    with pytest.raises(ValidationError, match=str(obs_index)):
+        pattern_mask(obs_index, 32)
 
 
 def test_active_labels_have_planted_patterns_in_both_views(small_dataset):
@@ -288,24 +296,30 @@ def test_split_fraction_validated():
         split_dataset(samples, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("fraction", [0.01, 0.99])
+def test_split_leaving_a_side_empty_is_validation_error(fraction):
+    samples = generate_dataset(seed=2, n_samples=10, image_size=16)
+    with pytest.raises(ValidationError, match="empty"):
+        split_dataset(samples, fraction, seed=0)
+
+
 # persistence -------------------------------------------------------------------------
 
 def test_dataset_round_trip(tmp_path, small_dataset):
-    corpus = [sent for s in small_dataset for sent in s.report]
-    vocab = Vocabulary.build(corpus)
-    concepts = mine_concepts(corpus, threshold=2)
-    save_dataset(tmp_path, small_dataset, vocab, concepts)
+    save_dataset(tmp_path, small_dataset)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "labels.csv", "reports"]
 
-    loaded, vocab2, concepts2 = load_dataset(tmp_path)
-    assert vocab2 == vocab
-    assert vocab2.counts == vocab.counts
-    assert concepts2.tokens == concepts.tokens
-    assert concepts2.counts == concepts.counts
+    # files an older layout kept beside the samples are ignored
+    (tmp_path / "vocab.txt").write_text("junk\n", encoding="utf-8")
+    (tmp_path / "concepts.txt").write_text("", encoding="utf-8")
+    loaded = load_dataset(tmp_path)
     assert [s.sample_id for s in loaded] == [s.sample_id for s in small_dataset]
     for a, b in zip(small_dataset, loaded):
         np.testing.assert_array_equal(a.obs_labels, b.obs_labels)
         np.testing.assert_allclose(a.frontal_image, b.frontal_image, atol=1e-12)
+        np.testing.assert_allclose(a.lateral_image, b.lateral_image, atol=1e-12)
         assert a.report == b.report
+        assert a.report_text == b.report_text
 
 
 def _fields(sample):
@@ -313,34 +327,22 @@ def _fields(sample):
 
 
 def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dataset):
-    samples = small_dataset[:10]
-    before = [_fields(s) for s in samples]
+    before = [_fields(s) for s in small_dataset]
+    save_dataset(tmp_path, small_dataset)
+    assert [_fields(s) for s in small_dataset] == before
+
+    # the loaded samples derive the same vocabulary and concepts, at any threshold
     corpus = [sent for s in small_dataset for sent in s.report]
-    vocab = Vocabulary.build(corpus)
-    wide, narrow = mine_concepts(corpus, threshold=1), mine_concepts(corpus, threshold=10)
-    assert wide.p > narrow.p
-    for name, concepts in (("wide", wide), ("narrow", narrow)):
-        save_dataset(tmp_path / name, samples, vocab, concepts)
-        assert [_fields(s) for s in samples] == before
-        loaded, _, concepts2 = load_dataset(tmp_path / name)
-        assert concepts2.tokens == concepts.tokens
-        assert [s.report for s in loaded] == [s.report for s in samples]
+    loaded = [sent for s in load_dataset(tmp_path) for sent in s.report]
+    assert Vocabulary.build(loaded).id_to_token == Vocabulary.build(corpus).id_to_token
+    assert mine_concepts(corpus, threshold=1).p > mine_concepts(corpus, threshold=10).p
+    for threshold in (1, 10):
+        assert mine_concepts(loaded, threshold).tokens == mine_concepts(corpus, threshold).tokens
 
 
 def test_load_missing_dataset_raises(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nope")
-
-
-@pytest.mark.parametrize("name", ["vocab.txt", "concepts.txt"])
-@pytest.mark.parametrize("bad_line", ["", "onlytoken", "token notanumber"])
-def test_load_malformed_count_line_is_data_error(tmp_path, small_dataset, name, bad_line):
-    corpus = [sent for s in small_dataset for sent in s.report]
-    save_dataset(tmp_path, small_dataset[:10], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
-    path = tmp_path / name
-    path.write_text(path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=name):
-        load_dataset(tmp_path)
 
 
 def _append_line(path, line):
@@ -367,25 +369,14 @@ def _repeat_line(path, index):
     _append_line(path, path.read_text(encoding="utf-8").splitlines()[index])
 
 
-def _move_line_to_end(path, index):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines.append(lines.pop(index))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _set_count(path, index, count):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[index] = f"{lines[index].split()[0]} {count}"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _add_concept_columns(d):
     """Rewrite labels.csv in the older layout that also stored each concept's 0/1 target per sample."""
-    tokens = [line.split()[0] for line in (d / "concepts.txt").read_text(encoding="utf-8").splitlines()]
     lines = (d / "labels.csv").read_text(encoding="utf-8").splitlines()
+    reports = [tokenize((d / "reports" / f"{line.split(',')[0]}.txt").read_text(encoding="utf-8"))
+               for line in lines[1:]]
+    tokens = mine_concepts([sent for report in reports for sent in report], threshold=1).tokens
     rows = [",".join([lines[0], *tokens])]
-    for line in lines[1:]:
-        report = tokenize((d / "reports" / f"{line.split(',')[0]}.txt").read_text(encoding="utf-8"))
+    for line, report in zip(lines[1:], reports):
         present = {tok for sent in report for tok in sent}
         rows.append(",".join([line, *("1" if t in present else "0" for t in tokens)]))
     (d / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -407,8 +398,6 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0.5"), id="fractional_label"),
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 2, "2"), id="label_above_one"),
     pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 3, "nan"), id="nan_label"),
-    pytest.param(lambda d: (d / "concepts.txt").write_text("", encoding="utf-8"), id="empty_concepts"),
-    pytest.param(lambda d: _repeat_line(d / "vocab.txt", 4), id="repeated_vocab_token"),
     pytest.param(lambda d: _move_first_sample(d, "../x/r"), id="sample_id_escapes_directory"),
     pytest.param(lambda d: _move_first_sample(d, "s 0"), id="sample_id_with_space"),
     pytest.param(lambda d: _repeat_line(d / "labels.csv", 1), id="repeated_sample_id"),
@@ -422,17 +411,24 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: _append_line(d / "labels.csv", "s00001,1"), id="short_row"),
     pytest.param(lambda d: (d / "reports" / "s00000.txt").unlink(), id="missing_report"),
     pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
-    pytest.param(lambda d: (d / "vocab.txt").unlink(), id="missing_vocab"),
     pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
     pytest.param(_add_concept_columns, id="concept_columns_in_header"),
-    pytest.param(lambda d: _move_line_to_end(d / "vocab.txt", 3), id="reserved_tokens_reordered"),
-    pytest.param(lambda d: _set_count(d / "concepts.txt", 0, -6), id="negative_count"),
 ])
 def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
-    corpus = [sent for s in small_dataset for sent in s.report]
-    save_dataset(tmp_path, small_dataset[:3], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
+    save_dataset(tmp_path, small_dataset[:3])
     damage(tmp_path)
     with pytest.raises(DataError):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(" \n", id="blank_report"),
+    pytest.param("there is no edema. no fracture is identified.", id="two_sentence_report"),
+])
+def test_load_unusable_report_is_data_error_naming_the_sample(tmp_path, small_dataset, text):
+    save_dataset(tmp_path, small_dataset[:3])
+    (tmp_path / "reports" / "s00000.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=r"labels\.csv:2: sample 's00000'"):
         load_dataset(tmp_path)
 
 
@@ -441,8 +437,7 @@ def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
     pytest.param(b"s00001", b"s0000\xe9", id="second_row"),
 ])
 def test_load_non_utf8_labels_is_data_error_naming_the_file(tmp_path, small_dataset, old, new):
-    corpus = [sent for s in small_dataset for sent in s.report]
-    save_dataset(tmp_path, small_dataset[:3], Vocabulary.build(corpus), mine_concepts(corpus, threshold=2))
+    save_dataset(tmp_path, small_dataset[:3])
     path = tmp_path / "labels.csv"
     path.write_bytes(path.read_bytes().replace(old, new, 1))
     with pytest.raises(DataError, match="labels.csv"):
