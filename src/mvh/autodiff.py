@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import math
 from contextvars import ContextVar
+from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     NumericsError,
@@ -113,8 +114,12 @@ def _result(data, parents, backward):
     """
     out = Tensor(data)
     tape = _ACTIVE_TAPE.get()
-    if tape is not None and not any(p.requires_grad for p in parents):
-        tape = None
+    if tape is not None:
+        for p in parents:
+            if p.requires_grad:
+                break
+        else:
+            tape = None
     if not np.isfinite(out.data).all():
         at = "" if tape is None else f" at tape node {len(tape._nodes)}"
         raise NumericsError(f"{backward.__qualname__.split('.')[0]} produced non-finite values{at}")
@@ -166,7 +171,7 @@ def transpose(x):
 def reshape(x, shape):
     """x's data in a new shape; a view whenever numpy can make one."""
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} into {shape}")
     return _result(x.data.reshape(shape), (x,), lambda g: _accum(x, g.reshape(x.data.shape)))
 
@@ -221,12 +226,8 @@ def tanh(x):
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(x))  # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x):
@@ -330,17 +331,37 @@ def max_pool2d(x):
     np.maximum(out, xd[:, 1::2, 0::2], out=out)
     np.maximum(out, xd[:, 1::2, 1::2], out=out)
     def bw(g):
-        dx, free = np.zeros_like(xd), np.ones(out.shape, dtype=bool)  # free: gradient not placed yet
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major window order
-            hit = (xd[:, i::2, j::2] == out) & free
-            free ^= hit
-            np.copyto(dx[:, i::2, j::2], g, where=hit)
-        _accum(x, dx)
+        w = xd.shape[2]
+        # flat index in x of each window's first max, choosing corners from the last one back
+        first = np.where(xd[:, 1::2, 0::2] == out, w, w + 1)
+        first = np.where(xd[:, 0::2, 1::2] == out, 1, first)
+        first = np.where(xd[:, 0::2, 0::2] == out, 0, first)
+        first += np.arange(xd.size).reshape(xd.shape)[:, 0::2, 0::2]
+        dx = np.zeros(xd.size)
+        dx[first] = g
+        _accum(x, dx.reshape(xd.shape))
     return _result(out, (x,), bw)
 
 
+@cache
+def _im2col_index(cin, h, width, kh, kw):
+    """Read-only (gather, scatter) indices into x's cells, with cin*h*w for a zero outside the image.
+
+    gather[i*w + j, (c*kh + di)*kw + dj] indexes x[c, i+di-kh//2, j+dj-kw//2]. scatter holds the same
+    indices in tap-major (c, di, dj, pixel) order, in which every cell meets its taps in (di, dj) order.
+    """
+    pad = np.full((cin, h + kh - 1, width + kw - 1), cin * h * width)
+    pad[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + width] = np.arange(cin * h * width).reshape(cin, h, width)
+    win = sliding_window_view(pad, (kh, kw), axis=(1, 2))  # (cin, h, w, kh, kw)
+    gather = win.transpose(1, 2, 0, 3, 4).reshape(h * width, cin * kh * kw)
+    scatter = win.transpose(0, 3, 4, 1, 2).ravel()
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
+
+
 def conv2d(x, w, b):
-    """Same-padding stride-1 convolution of (cin,h,w) with (cout,cin,kh,kw)."""
+    """Same-padding stride-1 convolution of (cin,h,w) with (cout,cin,kh,kw): im2col is one gather through
+    a cached index (the unrolled convolution of Chellapilla et al., 2006), col2im one bincount scatter-add."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 3 or wd.ndim != 4 or bd.ndim != 1:
         raise ShapeError(f"conv2d needs (cin,h,w), (cout,cin,kh,kw), (cout,), got {xd.shape}, {wd.shape}, {bd.shape}")
@@ -350,24 +371,19 @@ def conv2d(x, w, b):
         raise ShapeError(f"conv2d channel mismatch: input {xd.shape}, kernel {wd.shape}, bias {bd.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d supports odd kernels only, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((h + 2 * ph, width + 2 * pw, cin))  # zero-bordered x in (h, w, cin) order
-    xp[ph:ph + h, pw:pw + width] = xd.transpose(1, 2, 0)
-    win = as_strided(xp, (h, width, cin, kh, kw), xp.strides + xp.strides[:2], writeable=False)
-    cols = win.reshape(h * width, cin * kh * kw)  # im2col: one (cin, kh, kw) patch per pixel
+    gather, scatter = _im2col_index(cin, h, width, kh, kw)
+    cols = np.append(xd, 0.0).take(gather)  # im2col: one (cin, kh, kw) patch per pixel
     wmat = wd.reshape(cout, cin * kh * kw)
-    out_mat = cols @ wmat.T + bd
+    out_mat = cols @ wmat.T
+    out_mat += bd
     def bw(g):
         gm = g.reshape(cout, h * width).T  # (h*w, cout)
         _accum(b, gm.sum(axis=0))
         _accum(w, (gm.T @ cols).reshape(wd.shape))
         if x.requires_grad:
-            dcols = (gm @ wmat).reshape(h, width, cin, kh, kw)
-            dxp = np.zeros_like(xp)
-            for di in range(kh):
-                for dj in range(kw):
-                    dxp[di:di + h, dj:dj + width] += dcols[:, :, :, di, dj]
-            _accum(x, dxp[ph:ph + h, pw:pw + width].transpose(2, 0, 1))
+            dcols = gm @ wmat
+            dx = np.bincount(scatter, dcols.T.ravel(), xd.size + 1)  # adds in order: taps in (di, dj) order from 0.0
+            _accum(x, dx[:-1].reshape(xd.shape))
     return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
 
 
@@ -450,8 +466,8 @@ class Adam:
     """Adam optimizer with per-parameter moment state, serializable into checkpoints."""
 
     def __init__(self, lr=1e-3):
-        if lr <= 0:
-            raise ValidationError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValidationError(f"learning rate must be positive and finite, got {lr}")
         self.lr = lr
         self.t = 0
         self.m = {}
@@ -488,12 +504,14 @@ def zero_grads(params):
 
 def clip_global_norm(params, max_norm):
     """Scale all gradients so their joint L2 norm is at most max_norm."""
+    if not max_norm > 0:
+        raise ValidationError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -507,6 +525,8 @@ def seeded_uniform(name, shape, fan_in, seed):
     Keyed by (seed, sha256(name)) so initialization does not depend on
     creation order or on which other tensors a configuration instantiates.
     """
+    if not fan_in >= 1:
+        raise ValidationError(f"fan_in must be at least 1, got {fan_in}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))

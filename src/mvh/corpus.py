@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import _index
 from .errors import ConfigError, DataError, ValidationError
 from .pgm import read_pgm, write_pgm
 
@@ -188,9 +189,7 @@ def _shape_mask(shape, b):
 
 def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
     """Boolean (s,s) mask of observation obs_index's pattern at a given jitter."""
-    if not 0 <= obs_index < N_OBS:
-        raise ValidationError(f"observation index must be in 0..{N_OBS - 1}, got {obs_index}")
-    spec = OBSERVATIONS[obs_index]
+    spec = OBSERVATIONS[_index(obs_index, N_OBS, "observation index")]
     mask = np.zeros((image_size, image_size), dtype=bool)
     if spec.cell is None:  # whole-image border frame
         w = max(1, image_size // 16)

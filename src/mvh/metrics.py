@@ -190,8 +190,8 @@ def roc_auc(scores, labels):
 def avg_auc(score_matrix, label_matrix, label_names):
     """Mean per-label AUC of two (n >= 1, len(label_names)) matrices, skipping single-class labels.
 
-    Returns (average, {name: auc, or nan where skipped}). Any other invalid
-    column, such as a NaN score or a non-binary label, raises ValidationError.
+    Returns (average, {name: auc, or nan where skipped}). A non-binary label
+    anywhere, or any other invalid column such as a NaN score, raises ValidationError.
     """
     score_matrix = np.asarray(score_matrix, dtype=np.float64)
     label_matrix = np.asarray(label_matrix)
@@ -199,6 +199,8 @@ def avg_auc(score_matrix, label_matrix, label_names):
             or label_matrix.shape != score_matrix.shape):
         raise ValidationError(f"avg_auc needs score and label matrices of shape (n >= 1, {len(label_names)}), "
                               f"got {score_matrix.shape} and {label_matrix.shape}")
+    if not np.all((label_matrix == 0) | (label_matrix == 1)):  # a constant 2 or 0.5 column is not single-class
+        raise ValidationError("avg_auc labels must be binary")
     per_label = {}
     vals = []
     for j, name in enumerate(label_names):

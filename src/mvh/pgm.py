@@ -37,6 +37,8 @@ def read_pgm(path):
                 tokens.extend(line.split())
     except UnicodeDecodeError:  # such as a binary P5 graymap
         raise DataError(f"{path} is not an ASCII P2 graymap (not UTF-8 text)") from None
+    except OSError as exc:  # such as a missing file or a directory
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path} is not an ASCII P2 graymap")
     if len(tokens) < 4:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
@@ -443,15 +445,18 @@ def _conv_oracle(x, w, b, g):
     return out, dx, dw, db
 
 
-@pytest.mark.parametrize("cin, h, width, cout, kh, kw, as_view, x_grad", [
+CONV_CASES = [
     pytest.param(3, 5, 7, 2, 3, 3, False, True, id="nonsquare_3x3"),
     pytest.param(1, 4, 6, 3, 1, 1, False, True, id="1x1_cin1"),
     pytest.param(3, 3, 5, 2, 1, 3, False, True, id="1x3_cin3"),
     pytest.param(1, 6, 4, 2, 5, 3, False, True, id="5x3_cin1"),
     pytest.param(3, 6, 5, 2, 5, 3, True, True, id="5x3_cin3_view_input"),
     pytest.param(3, 4, 5, 2, 3, 3, False, False, id="x_without_grad"),
-])
-def test_conv2d_matches_loop_oracle(cin, h, width, cout, kh, kw, as_view, x_grad):
+]
+
+
+def _taped_conv(cin, h, width, cout, kh, kw, as_view, x_grad):
+    """conv2d on seeded inputs, backpropagated from sum(out * g); returns (x, w, b, out)."""
     rng = np.random.default_rng(cin * 1000 + h * 100 + width * 10 + kh)
     xd = rng.normal(size=(h, width, cin)).transpose(2, 0, 1) if as_view else rng.normal(size=(cin, h, width))
     assert xd.flags.c_contiguous != as_view
@@ -463,7 +468,13 @@ def test_conv2d_matches_loop_oracle(cin, h, width, cout, kh, kw, as_view, x_grad
         out = ad.conv2d(x, w, b)
         loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
     tape.backward(loss)
-    ref_out, ref_dx, ref_dw, ref_db = _conv_oracle(xd, w.data, b.data, g)
+    return x, w, b, out
+
+
+@pytest.mark.parametrize("cin, h, width, cout, kh, kw, as_view, x_grad", CONV_CASES)
+def test_conv2d_matches_loop_oracle(cin, h, width, cout, kh, kw, as_view, x_grad):
+    x, w, b, out = _taped_conv(cin, h, width, cout, kh, kw, as_view, x_grad)
+    ref_out, ref_dx, ref_dw, ref_db = _conv_oracle(x.data, w.data, b.data, out.grad)
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(w.grad, ref_dw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b.grad, ref_db, rtol=0, atol=1e-12)
@@ -471,6 +482,52 @@ def test_conv2d_matches_loop_oracle(cin, h, width, cout, kh, kw, as_view, x_grad
         np.testing.assert_allclose(x.grad, ref_dx, rtol=0, atol=1e-12)
     else:
         assert x.grad is None
+
+
+def _conv_strided(x, w, b, g):
+    """The earlier conv2d kernel: a zero-bordered (h, w, cin) buffer, an as_strided
+    im2col view, and col2im as nine shifted `+=` from zeros. Returns out, dx, dw, db."""
+    cin, h, width = x.shape
+    cout, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((h + 2 * ph, width + 2 * pw, cin))
+    xp[ph:ph + h, pw:pw + width] = x.transpose(1, 2, 0)
+    win = as_strided(xp, (h, width, cin, kh, kw), xp.strides + xp.strides[:2], writeable=False)
+    cols = win.reshape(h * width, cin * kh * kw)
+    wmat = w.reshape(cout, cin * kh * kw)
+    out_mat = cols @ wmat.T + b
+    gm = g.reshape(cout, h * width).T
+    dcols = (gm @ wmat).reshape(h, width, cin, kh, kw)
+    dxp = np.zeros_like(xp)
+    for di in range(kh):
+        for dj in range(kw):
+            dxp[di:di + h, dj:dj + width] += dcols[:, :, :, di, dj]
+    dx = dxp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
+    return out_mat.T.reshape(cout, h, width), dx, (gm.T @ cols).reshape(w.shape), gm.sum(axis=0)
+
+
+@pytest.mark.parametrize("cin, h, width, cout, kh, kw, as_view, x_grad", CONV_CASES)
+def test_conv2d_bit_for_bit_equals_strided_kernel(cin, h, width, cout, kh, kw, as_view, x_grad):
+    x, w, b, out = _taped_conv(cin, h, width, cout, kh, kw, as_view, x_grad)
+    ref_out, ref_dx, ref_dw, ref_db = _conv_strided(x.data, w.data, b.data, out.grad)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert w.grad.tobytes() == ref_dw.tobytes()
+    assert b.grad.tobytes() == ref_db.tobytes()
+    if x_grad:
+        assert x.grad.tobytes() == ref_dx.tobytes()
+    else:
+        assert x.grad is None
+
+
+def test_conv2d_index_cache_is_read_only():
+    ad.conv2d(t(np.ones((2, 4, 6))), t(np.ones((3, 2, 3, 3))), t(np.ones(3)))
+    gather, scatter = ad._im2col_index(2, 4, 6, 3, 3)
+    assert ad._im2col_index(2, 4, 6, 3, 3)[0] is gather  # built once per shape
+    assert gather.shape == (4 * 6, 2 * 3 * 3) and scatter.shape == (gather.size,)
+    for index in (gather, scatter):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
 
 
 def _pool_oracle(x):
@@ -511,6 +568,86 @@ def test_max_pool2d_ties_match_loop_oracle(as_view):
     for window, cell in first.items():
         expected[cell] = g[window]
     np.testing.assert_array_equal(x.grad, expected)
+
+
+def _pool_free_mask(x, out, g):
+    """The earlier max_pool2d backward: each corner in row-major order takes the
+    windows it maximises that no earlier corner took."""
+    dx, free = np.zeros_like(x), np.ones(out.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x[:, i::2, j::2] == out) & free
+        free ^= hit
+        np.copyto(dx[:, i::2, j::2], g, where=hit)
+    return dx
+
+
+def _tie_heavy(rng):
+    """(3, 6, 8) values with flat regions, zeros and all-negative windows, as conv2d lays them out."""
+    hwc = rng.normal(size=(6, 8, 3))
+    hwc[0:4, 0:4, 0] = 1.5            # a flat region over four windows
+    hwc[0:2, 4:8, 1] = -0.75          # flat and negative
+    hwc[2:4, 0:4, 2] = 0.0            # zero windows
+    hwc[4:6, 0:2, :] = -rng.uniform(0.1, 1.0, size=(2, 2, 3))  # all negative
+    hwc[4:6, 2:4, 0] = [[-1.0, 0.0], [0.0, -2.0]]  # zero ties above negatives
+    hwc[4:6, 4:6, 1] = [[0.5, -0.5], [2.0, 2.0]]   # tie on the bottom row
+    return hwc.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["contiguous", "channel_last_view"])
+def test_max_pool2d_backward_bit_for_bit_equals_free_mask_kernel(as_view):
+    rng = np.random.default_rng(23)
+    xd = _tie_heavy(rng) if as_view else np.ascontiguousarray(_tie_heavy(rng))
+    x = Tensor(xd, requires_grad=True)
+    g = rng.normal(size=(3, 3, 4))
+    with Tape() as tape:
+        out = ad.max_pool2d(x)
+        loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    assert x.grad.tobytes() == _pool_free_mask(xd, out.data, out.grad).tobytes()
+
+
+def test_pool_then_relu_equals_relu_then_pool():
+    rng = np.random.default_rng(29)
+    g = rng.normal(size=(3, 3, 4))  # both signs: a -0.0 may sit in a different cell of a window with max <= 0
+    outs, grads = [], []
+    for block in (lambda x: ad.max_pool2d(ad.relu(x)), lambda x: ad.relu(ad.max_pool2d(x))):
+        x = Tensor(_tie_heavy(np.random.default_rng(31)), requires_grad=True)
+        with Tape() as tape:
+            out = block(x)
+            loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
+        tape.backward(loss)
+        outs.append(out.data)
+        grads.append(x.grad)
+    assert outs[0].tobytes() == outs[1].tobytes()
+    np.testing.assert_array_equal(grads[0], grads[1])
+    assert (grads[0] + 0.0).tobytes() == (grads[1] + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0 only
+
+
+def _sigmoid_masked(x):
+    """The earlier sigmoid kernel: boolean-mask indexing into the two stable branches."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_bit_for_bit_equals_masked_kernel():
+    rng = np.random.default_rng(37)
+    values = np.concatenate([[800.0, -800.0, 0.0, -0.0, 709.0, -745.0, 1e-300, -1e-300, 36.0, -36.0],
+                             rng.normal(scale=10.0, size=200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (values, values.reshape(15, 14)[:, ::2]):
+            x = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                out = ad.sigmoid(x)
+                loss = ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=data.shape))))
+            tape.backward(loss)
+            ref = _sigmoid_masked(data)
+            assert out.data.tobytes() == ref.tobytes()
+            assert x.grad.tobytes() == (out.grad * ref * (1.0 - ref)).tobytes()
 
 
 def _recording_ops():
@@ -624,6 +761,12 @@ def test_adam_first_step_moves_by_about_lr():
     assert w.data[0] == pytest.approx(2.0 - 1e-3, abs=1e-8)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_adam_rejects_non_positive_or_non_finite_lr(lr):
+    with pytest.raises(ValidationError, match="learning rate"):
+        Adam(lr=lr)
+
+
 def test_nan_gradient_names_parameter():
     w = t([1.0], grad=True)
     w.grad = np.array([np.nan])
@@ -638,6 +781,21 @@ def test_clip_global_norm():
     norm = ad.clip_global_norm({"a": a, "b": b}, 1.0)
     assert norm == pytest.approx(5.0)
     assert math.hypot(a.grad[0], b.grad[0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("max_norm", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_clip_global_norm_rejects_non_positive_max_norm(max_norm):
+    a = t([3.0], grad=True)
+    a.grad = np.array([3.0])
+    with pytest.raises(ValidationError, match="max_norm"):
+        ad.clip_global_norm({"a": a}, max_norm)
+    assert a.grad[0] == 3.0
+
+
+@pytest.mark.parametrize("fan_in", [0, -4, 0.5], ids=["zero", "negative", "fraction"])
+def test_seeded_uniform_rejects_fan_in_below_one(fan_in):
+    with pytest.raises(ValidationError, match="fan_in"):
+        ad.seeded_uniform("dec.w", (3, 4), fan_in=fan_in, seed=9)
 
 
 def test_seeded_uniform_is_name_keyed_and_deterministic():

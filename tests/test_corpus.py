@@ -217,12 +217,17 @@ def test_every_sample_has_three_sentences_and_both_views(small_dataset):
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
 
 
-@pytest.mark.parametrize("obs_index", [-1, 20])
+@pytest.mark.parametrize("obs_index", [-1, 20, 2.5, True, pytest.param(np.bool_(True), id="numpy_True")])
 def test_pattern_of_unknown_observation_is_validation_error(obs_index):
     with pytest.raises(ValidationError, match=str(obs_index)):
         pattern_pixels(obs_index, 32)
     with pytest.raises(ValidationError, match=str(obs_index)):
         pattern_mask(obs_index, 32)
+
+
+def test_pattern_of_numpy_integer_observation_equals_python_int():
+    assert pattern_pixels(np.int64(2), 32, (1, -1)).tobytes() == pattern_pixels(2, 32, (1, -1)).tobytes()
+    assert pattern_mask(np.int64(2), 32).tobytes() == pattern_mask(2, 32).tobytes()
 
 
 def test_active_labels_have_planted_patterns_in_both_views(small_dataset):
@@ -449,6 +454,16 @@ def test_read_pgm_non_utf8_bytes_is_data_error_naming_the_path(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\xff\xfe\x00\x01")
     with pytest.raises(DataError, match="binary.pgm"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("name, make", [
+    pytest.param("absent.pgm", lambda path: None, id="missing"),
+    pytest.param("folder.pgm", lambda path: path.mkdir(), id="directory"),
+])
+def test_read_pgm_unopenable_path_is_data_error_naming_the_path(tmp_path, name, make):
+    make(tmp_path / name)
+    with pytest.raises(DataError, match=name):
+        read_pgm(tmp_path / name)
 
 
 @pytest.mark.parametrize("values", [

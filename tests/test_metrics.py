@@ -333,6 +333,9 @@ def _with_nan_score(scores, labels):
     pytest.param(_with_nan_score, "NaN", id="nan_score"),
     pytest.param(lambda s, l: (s[:, :2], l), "shape", id="too_few_score_columns"),
     pytest.param(lambda s, l: (s[:40], l), "shape", id="row_count_mismatch"),
+    # constant columns that are not 0/1 must not be skipped as single-class
+    pytest.param(lambda s, l: (s, np.where(np.arange(3) == 1, 2.0, l)), "binary", id="constant_2"),
+    pytest.param(lambda s, l: (s, np.where(np.arange(3) == 1, 0.5, l)), "binary", id="constant_half"),
 ])
 def test_avg_auc_malformed_input_is_validation_error(damage, message):
     rng = np.random.default_rng(12)
