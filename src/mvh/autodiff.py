@@ -6,6 +6,9 @@ backward closure on it; with no active tape the same ops run as pure
 inference-mode numpy. Every op returns through `_result`, the one place
 where an output joins the tape and is checked to be finite. One tape per
 training step, consumed by a single backward pass.
+
+Gradients are values: backward rules hand them over uncopied, so a `grad` may
+be a view, read-only or shared, and no rule, optimizer or utility writes into one.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ class Tensor:
     """An n-d float64 value with optional gradient participation.
 
     `data` is float64 and may be a view of another tensor's data (`reshape`
-    and `transpose` do not copy); `grad` is a same-shape buffer allocated
-    lazily during backward and only for tensors with requires_grad.
+    and `transpose` do not copy); `grad` is set during backward, only with
+    requires_grad, and may be shared or read-only: replace it, never write into it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
@@ -131,13 +134,8 @@ def _result(data, parents, backward):
 
 
 def _accum(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:  # a fresh buffer laid out like t.data: g may be a view or a read-only broadcast
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
-    else:
-        t.grad += g
+    if t.requires_grad:  # asarray: a product of 0-d arrays is a numpy scalar
+        t.grad = np.asarray(g if t.grad is None else t.grad + g)
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +375,21 @@ def conv2d(x, w, b):
     out_mat = cols @ wmat.T
     out_mat += bd
     def bw(g):
-        gm = g.reshape(cout, h * width).T  # (h*w, cout)
-        _accum(b, gm.sum(axis=0))
-        _accum(w, (gm.T @ cols).reshape(wd.shape))
-        if x.requires_grad:
-            dcols = gm @ wmat
-            dx = np.bincount(scatter, dcols.T.ravel(), xd.size + 1)  # adds in order: taps in (di, dj) order from 0.0
+        gm = g.reshape(cout, h * width)
+        _accum(b, gm.sum(axis=1))
+        _accum(w, (gm @ cols).reshape(wd.shape))
+        if x.requires_grad:  # col2im adds in order: each cell's taps in (di, dj) order from 0.0
+            dx = np.bincount(scatter, (wmat.T @ gm).ravel(), xd.size + 1)
             _accum(x, dx[:-1].reshape(xd.shape))
     return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
 
 
-def _index(i, n, what):
-    """i as an int in [0, n); bools, floats and other non-integers are rejected."""
+def _index(i, n, what, low=0):
+    """i as an int in [low, n), n may be math.inf; bools, floats and other non-integers are rejected."""
     if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {i!r}")
-    if not 0 <= i < n:
-        raise ValidationError(f"{what} {i} out of range 0..{n - 1}")
+    if not low <= i < n:
+        raise ValidationError(f"{what} {i} out of range {low}..{n - 1}")
     return int(i)
 
 
@@ -515,7 +512,7 @@ def clip_global_norm(params, max_norm):
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad *= factor
+                p.grad = p.grad * factor
     return norm
 
 
@@ -527,8 +524,9 @@ def seeded_uniform(name, shape, fan_in, seed):
     """
     if not fan_in >= 1:
         raise ValidationError(f"fan_in must be at least 1, got {fan_in}")
+    seed = _index(seed, math.inf, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key))))
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)

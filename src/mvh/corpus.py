@@ -11,6 +11,7 @@ is recoverable from the labels plus the sampled template choices.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -267,12 +268,11 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
 
 def generate_dataset(seed, n_samples, image_size=32):
     """Deterministically generate n_samples multi-view samples with reports."""
-    if n_samples < 10:
-        raise ValidationError(f"need at least 10 samples, got {n_samples}")
-    if image_size < 16 or image_size % 8:
+    n_samples = _index(n_samples, math.inf, "sample count", low=10)
+    if _index(image_size, math.inf, "image_size") < 16 or image_size % 8:
         raise ConfigError(
             f"image_size {image_size} too small for the pattern grid (needs >= 16, divisible by 8)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     samples = []
     for i in range(n_samples):
         labels = np.zeros(N_OBS)
@@ -404,7 +404,7 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
     """Disjoint, exhaustive, seed-deterministic sample-level split; neither side may be empty."""
     if not 0 < test_fraction < 1:
         raise ValidationError(f"test fraction must be in (0,1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     order = rng.permutation(len(samples))
     n_test = int(round(len(samples) * test_fraction))
     if not 0 < n_test < len(samples):

@@ -11,6 +11,7 @@ BCE plus a cross-view consistency penalty on the prediction gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .corpus import N_OBS
-from .errors import ShapeError, ValidationError
+from .errors import DataError, ShapeError, ValidationError
 from .pgm import write_pgm
 
 
@@ -29,13 +30,15 @@ class EncoderConfig:
     n_concepts: int = 1
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
+        self.image_size = ad._index(self.image_size, math.inf, "image_size", low=1)
+        self.channels = tuple(ad._index(c, math.inf, "channel count", low=1) for c in self.channels)
+        self.n_concepts = ad._index(self.n_concepts, math.inf, "n_concepts", low=1)
+        if not self.channels:
+            raise ValidationError("channels must list at least one conv layer")
         stride = 2 ** len(self.channels)
-        if self.image_size % stride:
+        if self.image_size % stride:  # else image_size >= stride, so the feature map is not empty
             raise ValidationError(
                 f"image_size {self.image_size} not divisible by total pooling stride {stride}")
-        if self.map_side < 1:
-            raise ValidationError(f"config yields an empty feature map (k = {self.k})")
 
     @property
     def map_side(self):
@@ -134,5 +137,9 @@ def export_heatmap(path_base, cam):
     """Write a heatmap as {base}.pgm plus {base}.csv of raw cell values."""
     write_pgm(str(path_base) + ".pgm", cam)
     lines = [",".join(repr(float(v)) for v in row) for row in cam]
-    with open(str(path_base) + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = str(path_base) + ".csv"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:  # such as a missing directory or a directory in the way
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None

@@ -21,8 +21,11 @@ def write_pgm(path, values01):
     lines = [f"P2\n{w} {h}\n255\n"]
     for row in ints:
         lines.append(" ".join(str(v) for v in row) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+    except OSError as exc:  # such as a missing directory or a directory in the way
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_pgm(path):

@@ -704,6 +704,39 @@ def test_nan_input_raises_numerics_error_naming_the_op(name):
         NAN_CALLS[name]()
 
 
+@pytest.mark.parametrize("name", sorted(_recording_ops()))
+def test_backward_writes_into_no_gradient(name, monkeypatch):
+    # rerun NAN_CALLS[name] with finite inputs that require grad: its lambdas look up _nan and _ones when called
+    assert name in NAN_CALLS, f"no call case for op {name}"
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(Tensor(rng.uniform(0.1, 0.9, size=shape), requires_grad=True))
+        return leaves[-1]
+
+    monkeypatch.setitem(globals(), "_nan", leaf)
+    monkeypatch.setitem(globals(), "_ones", leaf)
+    with Tape() as tape:
+        out = NAN_CALLS[name]()
+    [(node_out, backward)] = tape._nodes
+    assert node_out is out
+    g = np.array(rng.normal(size=out.data.shape))
+    g_bytes = g.tobytes()
+    g.flags.writeable = False  # from here on a write into g raises
+    backward(g)  # first gradients, handed over as they come
+    first = [x.grad for x in leaves]
+    for grad in first:
+        assert type(grad) is np.ndarray
+        grad.flags.writeable = False
+    first_bytes = [grad.tobytes() for grad in first]
+    backward(g)  # the same gradients again, added to the first ones
+    assert g.tobytes() == g_bytes
+    for x, grad, before in zip(leaves, first, first_bytes):
+        assert grad.tobytes() == before
+        np.testing.assert_array_equal(x.grad, 2.0 * grad)
+
+
 def test_numerics_error_gives_the_tape_node_index():
     a = t([1.0], grad=True)
     with Tape() as tape:
@@ -790,6 +823,34 @@ def test_clip_global_norm_rejects_non_positive_max_norm(max_norm):
     with pytest.raises(ValidationError, match="max_norm"):
         ad.clip_global_norm({"a": a}, max_norm)
     assert a.grad[0] == 3.0
+
+
+def test_clip_global_norm_scales_a_shared_gradient_once():
+    p, q = t([3.0, 0.0], grad=True), t([0.0, 4.0], grad=True)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.mul(ad.add(p, q), t([3.0, 4.0])))
+    tape.backward(loss)
+    assert p.grad is q.grad  # add hands its output's gradient to both inputs
+    norm = ad.clip_global_norm({"p": p, "q": q}, 1.0)
+    assert norm == math.sqrt(50.0)
+    for x in (p, q):
+        np.testing.assert_allclose(x.grad, np.array([3.0, 4.0]) / math.sqrt(50.0), rtol=1e-15)
+
+
+def test_grad_of_a_0d_tensor_is_an_array():
+    a, b = t(2.0, grad=True), t(3.0, grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.mul(a, b), ad.tanh(ad.mul(a, a)))  # a's second gradient adds two numpy scalars
+    tape.backward(loss)
+    for x, expected in ((a, 3.0 + 4.0 * (1.0 - math.tanh(4.0) ** 2)), (b, 2.0)):
+        assert type(x.grad) is np.ndarray and x.grad.shape == ()
+        assert x.grad == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, None], ids=["negative", "fraction", "none"])
+def test_seeded_uniform_rejects_negative_or_non_integer_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        ad.seeded_uniform("dec.w", (3, 4), fan_in=4, seed=seed)
 
 
 @pytest.mark.parametrize("fan_in", [0, -4, 0.5], ids=["zero", "negative", "fraction"])

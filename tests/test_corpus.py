@@ -209,6 +209,18 @@ def test_generator_input_validation():
         generate_dataset(seed=0, n_samples=10, image_size=12)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: generate_dataset(-1, 10), "seed -1", id="generate_negative_seed"),
+    pytest.param(lambda: generate_dataset(2.5, 10), "seed must be an integer", id="generate_fractional_seed"),
+    pytest.param(lambda: generate_dataset(0, 10.5), "sample count must be an integer", id="fractional_count"),
+    pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), 0.2, seed=-1), "seed -1",
+                 id="split_negative_seed"),
+])
+def test_negative_or_non_integer_seed_or_count_is_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_every_sample_has_three_sentences_and_both_views(small_dataset):
     for s in small_dataset:
         assert len(s.report) >= MIN_SENTENCES
@@ -464,6 +476,16 @@ def test_read_pgm_unopenable_path_is_data_error_naming_the_path(tmp_path, name, 
     make(tmp_path / name)
     with pytest.raises(DataError, match=name):
         read_pgm(tmp_path / name)
+
+
+@pytest.mark.parametrize("name, make", [
+    pytest.param("absent/out.pgm", lambda path: None, id="missing_directory"),
+    pytest.param("folder.pgm", lambda path: path.mkdir(), id="directory"),
+])
+def test_write_pgm_unwritable_path_is_data_error_naming_the_path(tmp_path, name, make):
+    make(tmp_path / name)
+    with pytest.raises(DataError, match=name):
+        write_pgm(tmp_path / name, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("values", [

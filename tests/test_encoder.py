@@ -19,7 +19,7 @@ from mvh.encoder import (
     grad_cam,
     init_encoder_params,
 )
-from mvh.errors import ShapeError, ValidationError
+from mvh.errors import DataError, ShapeError, ValidationError
 from mvh.pgm import read_pgm
 
 TINY = EncoderConfig(image_size=8, channels=(2, 3), n_concepts=2)
@@ -35,6 +35,19 @@ def test_config_geometry():
     assert TINY.k == 4 and TINY.d_v == 3
     with pytest.raises(ValidationError):
         EncoderConfig(image_size=30)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param({"channels": ()}, "at least one conv layer", id="no_channels"),
+    pytest.param({"channels": (8, -16, 32)}, "channel count -16", id="negative_channels"),
+    pytest.param({"channels": (0, 16, 32)}, "channel count 0", id="zero_channels"),
+    pytest.param({"channels": (8, 16.5, 32)}, "channel count must be an integer", id="fractional_channels"),
+    pytest.param({"n_concepts": -1}, "n_concepts -1", id="negative_concepts"),
+    pytest.param({"n_concepts": 0}, "n_concepts 0", id="no_concepts"),
+])
+def test_config_with_unusable_sizes_is_validation_error(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        EncoderConfig(**kwargs)
 
 
 def test_zero_heads_give_half_probabilities():
@@ -227,6 +240,16 @@ def test_export_heatmap_round_trip(tmp_path):
     np.testing.assert_allclose(back, cam, atol=1 / 255)
     csv_text = (tmp_path / "h.csv").read_text()
     assert csv_text.splitlines()[0] == "0.0,0.5"
+
+
+@pytest.mark.parametrize("base, make, named", [
+    pytest.param("absent/h", lambda base: None, "h.pgm", id="missing_directory"),
+    pytest.param("h", lambda base: base.with_name("h.csv").mkdir(), "h.csv", id="csv_is_a_directory"),
+])
+def test_export_heatmap_unwritable_path_is_data_error_naming_it(tmp_path, base, make, named):
+    make(tmp_path / base)
+    with pytest.raises(DataError, match=named):
+        export_heatmap(tmp_path / base, np.array([[0.0, 1.0]]))
 
 
 # full-graph gradient check (tiny config) ------------------------------------------------

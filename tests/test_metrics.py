@@ -1,14 +1,14 @@
 import dataclasses
 import math
-import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvh.corpus import LABEL_NAMES, generate_dataset, split_dataset
+from mvh.corpus import LABEL_NAMES
 from mvh.errors import ValidationError
 from mvh.metrics import (
     BLEU_ORDER,
@@ -402,15 +402,28 @@ def test_score_generation_oracle_hypotheses():
 
 # golden scores -------------------------------------------------------------------
 
+def _golden_corpus(seed):
+    """{"H": (reports, labels), "R": ...} of one seed from data/golden_scorer_corpus.txt.
+
+    The file freezes the corpus the scorers were pinned on, so the golden test does not follow the
+    generator: the test split of split_dataset(generate_dataset(seed, 60, image_size=16), seed=seed)
+    as references, and as hypotheses the training samples picked by random.Random(seed).choice.
+    """
+    rows = {"H": ([], []), "R": ([], [])}
+    for line in (Path(__file__).parent / "data" / "golden_scorer_corpus.txt").read_text().splitlines():
+        row_seed, side, labels, report = line.split(" ", 3)
+        if row_seed == str(seed):
+            rows[side][0].append([sentence.split() for sentence in report.split(" | ")])
+            rows[side][1].append([float(v) for v in labels])
+    return {side: (reports, np.array(labels)) for side, (reports, labels) in rows.items()}
+
+
 def _golden_report(seed):
-    """Score a fixed small corpus: training reports picked by a seeded random.Random as hypotheses."""
-    train, test = split_dataset(generate_dataset(seed, 60, image_size=16), seed=seed)
-    pick = random.Random(seed)
-    hyps = [pick.choice(train) for _ in test]
-    noise = np.random.default_rng(seed).uniform(size=(len(test), len(LABEL_NAMES)))
-    scores = 0.6 * np.array([h.obs_labels for h in hyps]) + 0.4 * noise
-    return score_generation([h.report for h in hyps], [s.report for s in test], scores,
-                            np.array([s.obs_labels for s in test]), LABEL_NAMES)
+    """Score the frozen corpus, with hypothesis labels plus seeded noise as the predicted scores."""
+    corpus = _golden_corpus(seed)
+    (hyps, hyp_labels), (refs, ref_labels) = corpus["H"], corpus["R"]
+    noise = np.random.default_rng(seed).uniform(size=(len(refs), len(LABEL_NAMES)))
+    return score_generation(hyps, refs, 0.6 * hyp_labels + 0.4 * noise, ref_labels, LABEL_NAMES)
 
 
 # repr of every ScoreReport field, recorded with the dynamic-programming LCS and the linear-scan
