@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 FUSION_SCHEMES = ("concat", "early", "late")
 LATE_COMBINES = ("project", "mean")
@@ -68,7 +68,7 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     Returns (c_att (d_c,), alpha_c (p,)).
     """
     if c.data.ndim != 2 or c.data.shape[0] < 1:
-        raise ConfigError(f"concept_attend needs at least one concept, got shape {c.data.shape}")
+        raise ShapeError(f"concept_attend needs at least one concept, got shape {c.data.shape}")
     p = c.data.shape[0]
     if concept_probs.data.shape != (p,):
         raise ShapeError(f"concept_probs shape {concept_probs.data.shape} does not match {p} concepts")

@@ -21,13 +21,7 @@ from functools import cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    NumericsError,
-    ShapeError,
-    TapeError,
-    TrainingError,
-    ValidationError,
-)
+from .errors import NumericsError, ShapeError, TapeError, ValidationError
 
 PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -480,7 +474,7 @@ class Adam:
                 continue
             g = p.grad
             if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter '{name}'")
+                raise NumericsError(f"non-finite gradient for parameter '{name}'")
             m = self.m.get(name)
             if m is None:
                 m = np.zeros_like(p.data)

@@ -11,6 +11,7 @@ is recoverable from the labels plus the sampled template choices.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import Counter
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import _index
-from .errors import ConfigError, DataError, ValidationError
-from .pgm import read_pgm, write_pgm
+from .errors import DataError, ValidationError
+from .pgm import read_pgm, read_text, write_pgm, write_text
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -185,12 +186,20 @@ def _shape_mask(shape, b):
     if shape == "x":
         w = max(1, b // 4)
         return (np.abs(ii - jj) <= w) | (np.abs(ii + jj - (b - 1)) <= w)
-    raise ConfigError(f"unknown pattern shape '{shape}'")
+    raise ValidationError(f"unknown pattern shape '{shape}'")
+
+
+def _image_size(image_size):
+    """image_size as an int, if the GRID of patterns fits it: at least 16 and divisible by 8."""
+    if _index(image_size, math.inf, "image_size", low=16) % 8:
+        raise ValidationError(f"image_size {image_size} does not fit the pattern grid (needs a multiple of 8)")
+    return int(image_size)
 
 
 def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
     """Boolean (s,s) mask of observation obs_index's pattern at a given jitter."""
     spec = OBSERVATIONS[_index(obs_index, N_OBS, "observation index")]
+    image_size = _image_size(image_size)
     mask = np.zeros((image_size, image_size), dtype=bool)
     if spec.cell is None:  # whole-image border frame
         w = max(1, image_size // 16)
@@ -210,11 +219,9 @@ def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
 
 def pattern_mask(obs_index, image_size):
     """Union of the pattern over all jitters, i.e. where it can appear."""
-    mask = np.zeros((image_size, image_size), dtype=bool)
-    for dr in range(-JITTER, JITTER + 1):
-        for dc in range(-JITTER, JITTER + 1):
-            mask |= pattern_pixels(obs_index, image_size, (dr, dc))
-    return mask
+    shifts = range(-JITTER, JITTER + 1)
+    return np.logical_or.reduce([pattern_pixels(obs_index, image_size, (dr, dc))
+                                 for dr in shifts for dc in shifts])
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +276,7 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
 def generate_dataset(seed, n_samples, image_size=32):
     """Deterministically generate n_samples multi-view samples with reports."""
     n_samples = _index(n_samples, math.inf, "sample count", low=10)
-    if _index(image_size, math.inf, "image_size") < 16 or image_size % 8:
-        raise ConfigError(
-            f"image_size {image_size} too small for the pattern grid (needs >= 16, divisible by 8)")
+    image_size = _image_size(image_size)
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     samples = []
     for i in range(n_samples):
@@ -377,7 +382,7 @@ class ConceptSet:
 
     def __init__(self, tokens):
         if not tokens:
-            raise ConfigError("concept mining produced an empty concept set")
+            raise ValidationError("concept mining produced an empty concept set")
         self.tokens = list(tokens)
 
     @property
@@ -424,38 +429,50 @@ _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so 
 _LABELS_HEADER = ["sample_id", *LABEL_NAMES]
 
 
+def _checked_labels(where, sid, labels, seen):
+    """The labels as floats. An id that cannot name the sample's files or repeats one in `seen`, or
+    a label other than 0 or 1, raises DataError; save_dataset and load_dataset share these checks."""
+    if not (isinstance(sid, str) and _SAMPLE_ID.fullmatch(sid)):
+        raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
+    if sid in seen:
+        raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
+    seen.add(sid)
+    try:
+        values = [float(v) for v in labels]
+        if all(v in (0.0, 1.0) for v in values):
+            return values
+    except (TypeError, ValueError):  # such as a label that is not a number
+        pass
+    raise DataError(f"{where}: label values must be 0 or 1, got {[str(v) for v in labels]}")
+
+
 def save_dataset(directory, samples):
+    """Write the samples; one that load_dataset would refuse for its id or labels raises DataError first."""
     directory = Path(directory)
-    (directory / "images").mkdir(parents=True, exist_ok=True)
-    (directory / "reports").mkdir(parents=True, exist_ok=True)
+    seen, rows = set(), [_LABELS_HEADER]
+    for i, s in enumerate(samples):
+        values = _checked_labels(f"{directory}: sample {i}", s.sample_id, s.obs_labels, seen)
+        rows.append([s.sample_id, *(str(int(v)) for v in values)])
+    for sub in ("images", "reports"):
+        try:
+            (directory / sub).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # such as a plain file in the way
+            raise DataError(f"cannot create {directory / sub}: {exc.strerror}") from None
     for s in samples:
         write_pgm(directory / "images" / f"{s.sample_id}_f.pgm", s.frontal_image[0])
         write_pgm(directory / "images" / f"{s.sample_id}_l.pgm", s.lateral_image[0])
-        (directory / "reports" / f"{s.sample_id}.txt").write_text(s.report_text + "\n", encoding="utf-8")
-    with open(directory / "labels.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LABELS_HEADER)
-        for s in samples:
-            writer.writerow([s.sample_id, *(str(int(v)) for v in s.obs_labels)])
-
-
-def _read_lines(path):
-    """The lines of a UTF-8 text file; an unreadable or undecodable file raises DataError naming it."""
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        write_text(directory / "reports" / f"{s.sample_id}.txt", s.report_text + "\n")
+    labels_csv = io.StringIO()
+    csv.writer(labels_csv).writerows(rows)
+    write_text(directory / "labels.csv", labels_csv.getvalue())
 
 
 def load_dataset(directory):
     """Load a persisted dataset's samples; other files in the directory are ignored."""
     directory = Path(directory)
     labels_path = directory / "labels.csv"
-    if not labels_path.exists():
-        raise DataError(f"no dataset at {directory} (missing labels.csv)")
-
     samples, seen, size = [], set(), None
-    reader = csv.reader(_read_lines(labels_path))
+    reader = csv.reader(read_text(labels_path).splitlines())
     header = next(reader, None)
     if header != _LABELS_HEADER:
         raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
@@ -465,21 +482,14 @@ def load_dataset(directory):
         if len(row) != len(_LABELS_HEADER):
             raise DataError(f"{where}: expected {len(_LABELS_HEADER)} fields, got {len(row)}")
         sid = row[0]
-        if not _SAMPLE_ID.fullmatch(sid):
-            raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
-        if sid in seen:
-            raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
-        seen.add(sid)
+        values = _checked_labels(where, sid, row[1:], seen)
         try:
-            values = [float(v) for v in row[1:]]
-            text = (directory / "reports" / f"{sid}.txt").read_text(encoding="utf-8").strip()
+            text = read_text(directory / "reports" / f"{sid}.txt").strip()
             frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
             lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
             sentences = tokenize(text)
-        except (ValueError, OSError, DataError) as exc:
+        except DataError as exc:
             raise DataError(f"{where}: sample {sid!r}: {exc}") from None
-        if any(v not in (0.0, 1.0) for v in values):
-            raise DataError(f"{where}: label values must be 0 or 1, got {row[1:]}")
         size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
         if frontal.shape != size or lateral.shape != size:
             raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "

@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .corpus import N_OBS
-from .errors import DataError, ShapeError, ValidationError
-from .pgm import write_pgm
+from .errors import ShapeError, ValidationError
+from .pgm import write_pgm, write_text
 
 
 @dataclass
@@ -30,11 +30,11 @@ class EncoderConfig:
     n_concepts: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.channels, (tuple, list)) or not self.channels:
+            raise ValidationError(f"channels must list at least one conv layer, got {self.channels!r}")
         self.image_size = ad._index(self.image_size, math.inf, "image_size", low=1)
         self.channels = tuple(ad._index(c, math.inf, "channel count", low=1) for c in self.channels)
         self.n_concepts = ad._index(self.n_concepts, math.inf, "n_concepts", low=1)
-        if not self.channels:
-            raise ValidationError("channels must list at least one conv layer")
         stride = 2 ** len(self.channels)
         if self.image_size % stride:  # else image_size >= stride, so the feature map is not empty
             raise ValidationError(
@@ -136,10 +136,4 @@ def grad_cam(output, params, config, class_index):
 def export_heatmap(path_base, cam):
     """Write a heatmap as {base}.pgm plus {base}.csv of raw cell values."""
     write_pgm(str(path_base) + ".pgm", cam)
-    lines = [",".join(repr(float(v)) for v in row) for row in cam]
-    path = str(path_base) + ".csv"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:  # such as a missing directory or a directory in the way
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    write_text(str(path_base) + ".csv", "".join(",".join(repr(float(v)) for v in row) + "\n" for row in cam))

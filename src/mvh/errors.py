@@ -6,23 +6,15 @@ class MvhError(Exception):
 
 
 class ShapeError(MvhError):
-    """Tensor shapes are inconsistent with an operation's contract."""
+    """A tensor argument's shape does not fit the operation it is passed to."""
 
 
 class ValidationError(MvhError):
-    """An argument value violates a documented precondition."""
-
-
-class ConfigError(MvhError):
-    """A configuration is internally inconsistent or unusable."""
+    """An argument or configuration value is outside what the function accepts."""
 
 
 class DataError(MvhError):
-    """Input data violates the corpus contracts."""
-
-
-class TrainingError(MvhError):
-    """Training cannot continue (e.g. non-finite gradients)."""
+    """A file cannot be read or written, or its content breaks the PGM or dataset format."""
 
 
 class CheckpointError(MvhError):
@@ -34,4 +26,4 @@ class TapeError(MvhError):
 
 
 class NumericsError(MvhError):
-    """An op's output holds a non-finite value."""
+    """A value that must be finite is not: an op's output or a gradient about to be applied."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _index
 from .corpus import SENTINELS
 from .errors import ValidationError
 
@@ -75,8 +76,7 @@ def bleu(hypotheses, references):
 
 def bleu_n(hypotheses, references, n):
     """BLEU-n alone: `bleu(hypotheses, references)[n - 1]`."""
-    if not 1 <= n <= BLEU_ORDER:
-        raise ValidationError(f"BLEU order must be in 1..{BLEU_ORDER}, got {n}")
+    n = _index(n, BLEU_ORDER + 1, "BLEU order", low=1)
     return bleu(hypotheses, references)[n - 1]
 
 
@@ -190,8 +190,8 @@ def roc_auc(scores, labels):
 def avg_auc(score_matrix, label_matrix, label_names):
     """Mean per-label AUC of two (n >= 1, len(label_names)) matrices, skipping single-class labels.
 
-    Returns (average, {name: auc, or nan where skipped}). A non-binary label
-    anywhere, or any other invalid column such as a NaN score, raises ValidationError.
+    Returns (average, {name: auc, or nan where skipped}). A non-binary label or a
+    NaN score anywhere, skipped columns included, raises ValidationError.
     """
     score_matrix = np.asarray(score_matrix, dtype=np.float64)
     label_matrix = np.asarray(label_matrix)
@@ -201,6 +201,8 @@ def avg_auc(score_matrix, label_matrix, label_names):
                               f"got {score_matrix.shape} and {label_matrix.shape}")
     if not np.all((label_matrix == 0) | (label_matrix == 1)):  # a constant 2 or 0.5 column is not single-class
         raise ValidationError("avg_auc labels must be binary")
+    if np.isnan(score_matrix).any():  # in a skipped single-class column too
+        raise ValidationError("avg_auc scores must not be NaN")
     per_label = {}
     vals = []
     for j, name in enumerate(label_names):

@@ -1,8 +1,30 @@
-"""ASCII portable graymap (P2) reading and writing."""
+"""The package's file reads and writes: UTF-8 text, and ASCII portable graymaps (P2) made of it.
+
+`read_text` and `write_text` are the only code that opens a file, so a failure
+to open, decode or write one is always a DataError naming the path.
+"""
 
 import numpy as np
 
 from .errors import DataError
+
+
+def read_text(path):
+    """A file's UTF-8 text, with its line ends read as "\\n"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # such as a missing file, a directory, or bytes that are not UTF-8
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def write_text(path, text):
+    """Write text to a file as UTF-8, byte for byte: no line end is translated."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # such as a missing directory or a lone surrogate
+        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def write_pgm(path, values01):
@@ -18,30 +40,14 @@ def write_pgm(path, values01):
         raise DataError(f"{path}: PGM values must be finite")
     ints = np.clip(np.round(arr * 255.0), 0, 255).astype(int)
     h, w = ints.shape
-    lines = [f"P2\n{w} {h}\n255\n"]
-    for row in ints:
-        lines.append(" ".join(str(v) for v in row) + "\n")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
-    except OSError as exc:  # such as a missing directory or a directory in the way
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    write_text(path, f"P2\n{w} {h}\n255\n" + "".join(" ".join(str(v) for v in row) + "\n" for row in ints))
 
 
 def read_pgm(path):
-    """Read a P2 graymap back into a [0,1] float array."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = []
-            for line in fh:
-                hash_pos = line.find("#")
-                if hash_pos >= 0:
-                    line = line[:hash_pos]
-                tokens.extend(line.split())
-    except UnicodeDecodeError:  # such as a binary P5 graymap
-        raise DataError(f"{path} is not an ASCII P2 graymap (not UTF-8 text)") from None
-    except OSError as exc:  # such as a missing file or a directory
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    """Read a P2 graymap back into a [0,1] float array; a '#' comments out the rest of its line."""
+    tokens = []
+    for line in read_text(path).split("\n"):
+        tokens.extend(line.split("#", 1)[0].split())
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path} is not an ASCII P2 graymap")
     if len(tokens) < 4:

@@ -10,7 +10,7 @@ from gradcheck import check_grads
 from mvh.attention import AttentionParams, concept_attend, context_dim, fuse, visual_attend
 from mvh.autodiff import Tape, Tensor
 from mvh.encoder import EncoderOutput
-from mvh.errors import ConfigError, ShapeError, ValidationError
+from mvh.errors import ShapeError, ValidationError
 
 
 def make_params(d_v=3, d_h_sent=4, d_h_word=4, d_a=5, d_c=3, d_ac=5, seed=0):
@@ -149,7 +149,7 @@ def test_concept_attend_matches_scalar_oracle():
 
 def test_concept_attend_no_concepts_is_config_error():
     p = make_params()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError):
         concept_attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(0)), Tensor(np.zeros(4)), p)
 
 

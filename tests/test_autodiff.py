@@ -17,7 +17,6 @@ from mvh.errors import (
     NumericsError,
     ShapeError,
     TapeError,
-    TrainingError,
     ValidationError,
 )
 
@@ -803,7 +802,7 @@ def test_adam_rejects_non_positive_or_non_finite_lr(lr):
 def test_nan_gradient_names_parameter():
     w = t([1.0], grad=True)
     w.grad = np.array([np.nan])
-    with pytest.raises(TrainingError, match="enc.w0"):
+    with pytest.raises(NumericsError, match="enc.w0"):
         Adam().step({"enc.w0": w})
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from mvh.corpus import (
     split_dataset,
     tokenize,
 )
-from mvh.errors import ConfigError, DataError, ValidationError
+from mvh.errors import DataError, ValidationError
 from mvh.pgm import read_pgm, write_pgm
 
 DATA = Path(__file__).parent / "data"
@@ -137,7 +138,7 @@ def test_mine_concepts_tie_broken_lexicographically():
 
 
 def test_mine_concepts_empty_is_config_error():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         mine_concepts(tokenize("nothing clinical here."), threshold=5)
 
 
@@ -166,7 +167,7 @@ def test_vocabulary_and_concepts_match_a_count_then_sort_loop(corpus, threshold)
 
     expected = _ranked_oracle(corpus, lambda t: t in CONCEPT_LEXICON, threshold)
     if not expected:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             mine_concepts(corpus, threshold)
         return
     concepts = mine_concepts(corpus, threshold)
@@ -205,7 +206,7 @@ def test_generator_seed_changes_output():
 def test_generator_input_validation():
     with pytest.raises(ValidationError):
         generate_dataset(seed=0, n_samples=5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         generate_dataset(seed=0, n_samples=10, image_size=12)
 
 
@@ -360,6 +361,41 @@ def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dat
 def test_load_missing_dataset_raises(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nope")
+
+
+def _with_labels(sample, labels):
+    return replace(sample, obs_labels=np.array(labels, dtype=np.float64))
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda s: [s[0], replace(s[1], sample_id="../../escaped")], "sample 1: sample id",
+                 id="id_escapes_directory"),
+    pytest.param(lambda s: [s[0], replace(s[1], sample_id="s 1")], "sample 1: sample id", id="id_with_space"),
+    pytest.param(lambda s: [s[0], s[1], replace(s[2], sample_id=s[0].sample_id)], "sample 2: .* repeats",
+                 id="repeated_id"),
+    pytest.param(lambda s: [_with_labels(s[0], [0.5] + [0.0] * (N_OBS - 1))], "sample 0: label values",
+                 id="fractional_label"),
+    pytest.param(lambda s: [_with_labels(s[0], [2.0] * N_OBS)], "sample 0: label values", id="label_above_one"),
+    pytest.param(lambda s: [_with_labels(s[0], [np.nan] * N_OBS)], "sample 0: label values", id="nan_label"),
+])
+def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
+    directory = tmp_path / "a" / "b" / "ds"
+    with pytest.raises(DataError, match=message):
+        save_dataset(directory, damage(small_dataset[:3]))
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("target, make, named", [
+    pytest.param("plain", lambda d: d.write_text("x", encoding="utf-8"), "plain", id="into_a_file"),
+    pytest.param("plain/ds", lambda d: d.parent.write_text("x", encoding="utf-8"), "plain/ds",
+                 id="below_a_file"),
+    pytest.param("ds", lambda d: (d / "reports" / "s00001.txt").mkdir(parents=True), "s00001.txt",
+                 id="report_path_is_a_directory"),
+])
+def test_save_unwritable_path_is_data_error_naming_it(tmp_path, small_dataset, target, make, named):
+    make(tmp_path / target)
+    with pytest.raises(DataError, match=named):
+        save_dataset(tmp_path / target, small_dataset[:3])
 
 
 def _append_line(path, line):

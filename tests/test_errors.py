@@ -1,0 +1,67 @@
+"""One way to fail: argument values raise ValidationError, and only mvh.pgm opens files.
+
+`mvh.pgm.read_text` and `write_text` turn every failure to open, decode or
+write a file into a DataError naming the path. A module that opens a file
+some other way would fail with a raw OSError instead, so the source is
+checked for such calls.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mvh
+from mvh.corpus import pattern_mask, pattern_pixels
+from mvh.encoder import EncoderConfig
+from mvh.errors import ValidationError
+from mvh.metrics import bleu_n
+
+_HYP = [["the", "lungs", "are", "clear"]]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: EncoderConfig(channels=8), "at least one conv layer", id="channels_int"),
+    pytest.param(lambda: EncoderConfig(channels="8"), "at least one conv layer", id="channels_str"),
+    pytest.param(lambda: bleu_n(_HYP, _HYP, 2.0), "BLEU order must be an integer", id="bleu_float_order"),
+    pytest.param(lambda: bleu_n(_HYP, _HYP, 5), "BLEU order 5", id="bleu_order_above_4"),
+    pytest.param(lambda: pattern_pixels(0, 8), "image_size 8", id="pattern_pixels_8"),
+    pytest.param(lambda: pattern_pixels(0, 20), "image_size 20", id="pattern_pixels_20"),
+    pytest.param(lambda: pattern_pixels(0, 0), "image_size 0", id="pattern_pixels_0"),
+    pytest.param(lambda: pattern_pixels(0, 32.0), "image_size must be an integer", id="pattern_pixels_float"),
+    pytest.param(lambda: pattern_mask(0, 4), "image_size 4", id="pattern_mask_4"),
+    pytest.param(lambda: pattern_mask(0, -1), "image_size -1", id="pattern_mask_negative"),
+])
+def test_argument_values_are_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_access_calls(tree):
+    """Line numbers of calls to open() or to a file method; pgm.read_text/write_text are allowed."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield node.lineno
+        elif (isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS
+              and not (isinstance(func.value, ast.Name) and func.value.id == "pgm")):
+            yield node.lineno
+
+
+def test_only_pgm_opens_files():
+    package = Path(mvh.__file__).parent
+    found = [f"{path.name}:{line}"
+             for path in sorted(package.glob("*.py")) if path.name != "pgm.py"
+             for line in _file_access_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [], "open files through mvh.pgm.read_text/write_text, not directly"
+
+
+def test_file_access_check_sees_each_kind_of_call():
+    source = ("open(p)\nio.open(p)\npath.read_text()\npath.write_text(t)\npath.read_bytes()\n"
+              "path.write_bytes(b)\npgm.read_text(p)\nread_text(p)\n")
+    assert sorted(_file_access_calls(ast.parse(source))) == [1, 2, 3, 4, 5, 6]

@@ -329,8 +329,15 @@ def _with_nan_score(scores, labels):
     return scores, labels
 
 
+def _with_nan_score_in_single_class_column(scores, labels):
+    labels[:, 1] = 0  # a column avg_auc skips
+    scores[7, 1] = np.nan
+    return scores, labels
+
+
 @pytest.mark.parametrize("damage, message", [
     pytest.param(_with_nan_score, "NaN", id="nan_score"),
+    pytest.param(_with_nan_score_in_single_class_column, "NaN", id="nan_score_in_skipped_column"),
     pytest.param(lambda s, l: (s[:, :2], l), "shape", id="too_few_score_columns"),
     pytest.param(lambda s, l: (s[:40], l), "shape", id="row_count_mismatch"),
     # constant columns that are not 0/1 must not be skipped as single-class
