@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -400,14 +401,13 @@ _LEXICON = frozenset(CONCEPT_LEXICON)
 
 def mine_concepts(corpus_sentences, threshold):
     """Lexicon tokens with corpus frequency >= threshold, most frequent first."""
-    if threshold < 1:
-        raise ValidationError(f"concept threshold must be >= 1, got {threshold}")
+    threshold = _index(threshold, math.inf, "concept threshold", low=1)
     return ConceptSet(_ranked((tok for sent in corpus_sentences for tok in sent if tok in _LEXICON), threshold))
 
 
 def split_dataset(samples, test_fraction=0.2, seed=0):
     """Disjoint, exhaustive, seed-deterministic sample-level split; neither side may be empty."""
-    if not 0 < test_fraction < 1:
+    if not (isinstance(test_fraction, numbers.Real) and 0 < test_fraction < 1):
         raise ValidationError(f"test fraction must be in (0,1), got {test_fraction}")
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     order = rng.permutation(len(samples))
@@ -421,37 +421,53 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv.
-# The vocabulary, the concepts and each sample's concept targets are not
-# stored: they are derived from the training reports.
+# dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv. A sample, saved or loaded,
+# has an id that names its files and repeats no other, N_OBS labels of 0 or 1, finite views both square
+# and sized like the first frontal, and MIN_SENTENCES or more report sentences. The vocabulary, the
+# concepts and each sample's concept targets are not stored: they are derived from the training reports.
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
 _LABELS_HEADER = ["sample_id", *LABEL_NAMES]
 
 
-def _checked_labels(where, sid, labels, seen):
-    """The labels as floats. An id that cannot name the sample's files or repeats one in `seen`, or
-    a label other than 0 or 1, raises DataError; save_dataset and load_dataset share these checks."""
+def _checked_id(where, sid, seen):
     if not (isinstance(sid, str) and _SAMPLE_ID.fullmatch(sid)):
         raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
     if sid in seen:
         raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
+
+
+def _checked_sample(where, sid, labels, views, text, seen, size):
+    """(labels as floats, report sentences, view size) of a sample keeping the contract above, else DataError."""
+    _checked_id(where, sid, seen)
     seen.add(sid)
     try:
         values = [float(v) for v in labels]
-        if all(v in (0.0, 1.0) for v in values):
-            return values
     except (TypeError, ValueError):  # such as a label that is not a number
-        pass
-    raise DataError(f"{where}: label values must be 0 or 1, got {[str(v) for v in labels]}")
+        values = []
+    if len(values) != N_OBS or not all(v in (0.0, 1.0) for v in values):
+        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {[str(v) for v in labels]}")
+    where, size = f"{where}: sample {sid!r}", size or np.shape(views[0])
+    if (len(size) != 2 or not size[0] == size[1] > 0
+            or any(np.shape(v) != size or not np.isfinite(v).all() for v in views)):
+        raise DataError(f"{where} has views of {[np.shape(v) for v in views]}; both must be finite, "
+                        f"square and sized like the first frontal, {size}")
+    try:
+        sentences = tokenize(text)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if len(sentences) < MIN_SENTENCES:
+        raise DataError(f"{where}: report has {len(sentences)} sentences, fewer than {MIN_SENTENCES}")
+    return values, sentences, size
 
 
 def save_dataset(directory, samples):
-    """Write the samples; one that load_dataset would refuse for its id or labels raises DataError first."""
+    """Write the samples; one that breaks the contract above raises DataError before anything is written."""
     directory = Path(directory)
-    seen, rows = set(), [_LABELS_HEADER]
+    seen, size, rows = set(), None, [_LABELS_HEADER]
     for i, s in enumerate(samples):
-        values = _checked_labels(f"{directory}: sample {i}", s.sample_id, s.obs_labels, seen)
+        values, _, size = _checked_sample(f"{directory}: sample {i}", s.sample_id, s.obs_labels,
+                                          (s.frontal_image[0], s.lateral_image[0]), s.report_text, seen, size)
         rows.append([s.sample_id, *(str(int(v)) for v in values)])
     for sub in ("images", "reports"):
         try:
@@ -468,7 +484,7 @@ def save_dataset(directory, samples):
 
 
 def load_dataset(directory):
-    """Load a persisted dataset's samples; other files in the directory are ignored."""
+    """Load a persisted dataset's samples; one that breaks the contract above raises DataError."""
     directory = Path(directory)
     labels_path = directory / "labels.csv"
     samples, seen, size = [], set(), None
@@ -479,24 +495,14 @@ def load_dataset(directory):
                         f"got {header}")
     for row in reader:
         where = f"{labels_path}:{reader.line_num}"
-        if len(row) != len(_LABELS_HEADER):
-            raise DataError(f"{where}: expected {len(_LABELS_HEADER)} fields, got {len(row)}")
-        sid = row[0]
-        values = _checked_labels(where, sid, row[1:], seen)
+        sid = row[0] if row else ""
+        _checked_id(where, sid, seen)  # before the id names a file to read
         try:
             text = read_text(directory / "reports" / f"{sid}.txt").strip()
-            frontal = read_pgm(directory / "images" / f"{sid}_f.pgm")
-            lateral = read_pgm(directory / "images" / f"{sid}_l.pgm")
-            sentences = tokenize(text)
+            frontal, lateral = (read_pgm(directory / "images" / f"{sid}_{v}.pgm") for v in "fl")
         except DataError as exc:
             raise DataError(f"{where}: sample {sid!r}: {exc}") from None
-        size = size or (frontal.shape[0],) * 2  # every view is square, sized like the first frontal
-        if frontal.shape != size or lateral.shape != size:
-            raise DataError(f"{where}: sample {sid!r} has views of {frontal.shape} and "
-                            f"{lateral.shape}, expected {size}")
-        if len(sentences) < MIN_SENTENCES:
-            raise DataError(f"{where}: sample {sid!r}: report has {len(sentences)} sentences, "
-                            f"fewer than {MIN_SENTENCES}")
+        values, sentences, size = _checked_sample(where, sid, row[1:], (frontal, lateral), text, seen, size)
         samples.append(MultiViewSample(
             sample_id=sid,
             frontal_image=frontal[None, :, :],

@@ -4,7 +4,9 @@ All text metrics operate on token sequences (any hashable tokens); sentence
 sentinels are stripped before scoring, and multi-sentence reports are scored
 as one flattened sequence per report. Every text metric matches tokens as dict
 keys (equal hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens
-are the same.
+are the same. `score_generation` checks and flattens its reports once for the
+private cores (`_bleu`, `_mean`); `bleu`, `rouge_l` and `meteor_lite` are
+checked entry points over the same cores.
 """
 
 from __future__ import annotations
@@ -49,12 +51,8 @@ def _ngrams(tokens):
     return grams
 
 
-def bleu(hypotheses, references):
-    """Corpus-level [BLEU-1, ..., BLEU-4] with clipped counts, geometric mean
-    over orders 1..n, and brevity penalty exp(1-r/c) when c < r.
-
-    BLEU-n is 0 once an order at or below n has no match."""
-    pairs = _token_pairs(hypotheses, references, "bleu")
+def _bleu(pairs):
+    """Corpus-level [BLEU-1, ..., BLEU-4] of checked, flattened pairs."""
     matched, total = [0] * BLEU_ORDER, [0] * BLEU_ORDER
     for h, rf in pairs:
         for gram, count in (_ngrams(h) & _ngrams(rf)).items():  # & keeps the clipped count
@@ -74,15 +72,22 @@ def bleu(hypotheses, references):
     return scores + [0.0] * (BLEU_ORDER - len(scores))
 
 
+def bleu(hypotheses, references):
+    """Corpus-level [BLEU-1, ..., BLEU-4] with clipped counts, geometric mean
+    over orders 1..n, and brevity penalty exp(1-r/c) when c < r.
+
+    BLEU-n is 0 once an order at or below n has no match."""
+    return _bleu(_token_pairs(hypotheses, references, "bleu"))
+
+
 def bleu_n(hypotheses, references, n):
     """BLEU-n alone: `bleu(hypotheses, references)[n - 1]`."""
     n = _index(n, BLEU_ORDER + 1, "BLEU order", low=1)
     return bleu(hypotheses, references)[n - 1]
 
 
-def _mean_over_pairs(hypotheses, references, op, score):
-    """Mean of score(hyp, ref) over the pairs; a pair with an empty side scores 0."""
-    pairs = _token_pairs(hypotheses, references, op)
+def _mean(pairs, score):
+    """Mean of score(hyp, ref) over checked, flattened pairs; a pair with an empty side scores 0."""
     return sum(score(h, rf) if h and rf else 0.0 for h, rf in pairs) / len(pairs)
 
 
@@ -114,7 +119,7 @@ def _rouge_pair(hyp, ref):
 
 def rouge_l(hypotheses, references):
     """LCS F-measure with beta=1, averaged over hypothesis/reference pairs."""
-    return _mean_over_pairs(hypotheses, references, "rouge_l", _rouge_pair)
+    return _mean(_token_pairs(hypotheses, references, "rouge_l"), _rouge_pair)
 
 
 def _align(hyp, ref):
@@ -158,7 +163,7 @@ def _meteor_pair(hyp, ref):
 def meteor_lite(hypotheses, references):
     """Exact-match METEOR variant: F_mean = 10PR/(R+9P), fragmentation
     penalty 0.5*(chunks/matches)^3, no stemming or synonymy."""
-    return _mean_over_pairs(hypotheses, references, "meteor_lite", _meteor_pair)
+    return _mean(_token_pairs(hypotheses, references, "meteor_lite"), _meteor_pair)
 
 
 def roc_auc(scores, labels):
@@ -254,8 +259,9 @@ class ScoreReport:
 def score_generation(hypotheses, references, score_matrix, label_matrix, label_names):
     """Full ScoreReport for one system run."""
     avg, per_label = avg_auc(score_matrix, label_matrix, label_names)
-    return ScoreReport(*bleu(hypotheses, references),
-                       meteor=meteor_lite(hypotheses, references),
-                       rouge_l=rouge_l(hypotheses, references),
+    pairs = _token_pairs(hypotheses, references, "score_generation")
+    return ScoreReport(*_bleu(pairs),
+                       meteor=_mean(pairs, _meteor_pair),
+                       rouge_l=_mean(pairs, _rouge_pair),
                        per_label_auc=per_label,
                        avg_auc=avg)

@@ -367,6 +367,16 @@ def _with_labels(sample, labels):
     return replace(sample, obs_labels=np.array(labels, dtype=np.float64))
 
 
+def _with_views(sample, frontal, lateral):
+    return replace(sample, frontal_image=frontal, lateral_image=lateral)
+
+
+def _with_nan(image):
+    image = image.copy()
+    image[0, 5, 5] = np.nan
+    return image
+
+
 @pytest.mark.parametrize("damage, message", [
     pytest.param(lambda s: [s[0], replace(s[1], sample_id="../../escaped")], "sample 1: sample id",
                  id="id_escapes_directory"),
@@ -377,6 +387,17 @@ def _with_labels(sample, labels):
                  id="fractional_label"),
     pytest.param(lambda s: [_with_labels(s[0], [2.0] * N_OBS)], "sample 0: label values", id="label_above_one"),
     pytest.param(lambda s: [_with_labels(s[0], [np.nan] * N_OBS)], "sample 0: label values", id="nan_label"),
+    pytest.param(lambda s: [_with_labels(s[0], [0.0, 1.0, 0.0])], "sample 0: label values", id="three_labels"),
+    pytest.param(lambda s: [s[0], _with_views(s[1], np.zeros((1, 16, 16)), np.zeros((1, 16, 16)))],
+                 "sample 1: sample 's00001' has views", id="second_sample_other_size"),
+    pytest.param(lambda s: [_with_views(s[0], np.zeros((1, 32, 16)), np.zeros((1, 32, 16)))],
+                 "sample 0: sample 's00000' has views", id="non_square_views"),
+    pytest.param(lambda s: [replace(s[0], report_text="there is no edema.")],
+                 "sample 0: sample 's00000': report has 1 sentences", id="one_sentence_report"),
+    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image[0], s[1].lateral_image)],
+                 "sample 1: sample 's00001' has views", id="two_dimensional_frontal"),
+    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image, _with_nan(s[1].lateral_image))],
+                 "sample 1: sample 's00001' has views .* finite", id="nan_lateral_pixel"),
 ])
 def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
     directory = tmp_path / "a" / "b" / "ds"
@@ -471,6 +492,13 @@ def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
     save_dataset(tmp_path, small_dataset[:3])
     damage(tmp_path)
     with pytest.raises(DataError):
+        load_dataset(tmp_path)
+
+
+def test_load_refuses_an_unsafe_id_before_reading_its_files(tmp_path, small_dataset):
+    save_dataset(tmp_path, small_dataset[:3])
+    _set_first_row_field(tmp_path / "labels.csv", 0, "../../elsewhere")
+    with pytest.raises(DataError, match=r"labels\.csv:2: sample id '\.\./\.\./elsewhere' must match"):
         load_dataset(tmp_path)
 
 

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import mvh
-from mvh.corpus import pattern_mask, pattern_pixels
+from mvh.corpus import generate_dataset, mine_concepts, pattern_mask, pattern_pixels, split_dataset, tokenize
 from mvh.encoder import EncoderConfig
 from mvh.errors import ValidationError
 from mvh.metrics import bleu_n
 
 _HYP = [["the", "lungs", "are", "clear"]]
+_CORPUS = tokenize("there is no edema. edema is present. edema.")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -31,6 +32,19 @@ _HYP = [["the", "lungs", "are", "clear"]]
     pytest.param(lambda: pattern_pixels(0, 32.0), "image_size must be an integer", id="pattern_pixels_float"),
     pytest.param(lambda: pattern_mask(0, 4), "image_size 4", id="pattern_mask_4"),
     pytest.param(lambda: pattern_mask(0, -1), "image_size -1", id="pattern_mask_negative"),
+    pytest.param(lambda: mine_concepts(_CORPUS, float("nan")), "concept threshold must be an integer",
+                 id="concept_threshold_nan"),
+    pytest.param(lambda: mine_concepts(_CORPUS, 2.5), "concept threshold must be an integer",
+                 id="concept_threshold_float"),
+    pytest.param(lambda: mine_concepts(_CORPUS, "3"), "concept threshold must be an integer",
+                 id="concept_threshold_str"),
+    pytest.param(lambda: mine_concepts(_CORPUS, True), "concept threshold must be an integer",
+                 id="concept_threshold_bool"),
+    pytest.param(lambda: mine_concepts(_CORPUS, 0), "concept threshold 0", id="concept_threshold_0"),
+    pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), "0.2"), "test fraction must be",
+                 id="test_fraction_str"),
+    pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), None), "test fraction must be",
+                 id="test_fraction_none"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):

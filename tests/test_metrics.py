@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mvh import metrics
 from mvh.corpus import LABEL_NAMES
 from mvh.errors import ValidationError
 from mvh.metrics import (
@@ -487,3 +488,15 @@ GOLDEN_SCORES = {
 def test_score_generation_golden_corpus_bit_for_bit(seed):
     report = _golden_report(seed)
     assert {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)} == GOLDEN_SCORES[seed]
+
+
+def test_score_generation_flattens_each_report_once_and_agrees_with_the_entry_points(monkeypatch):
+    corpus = _golden_corpus(3)
+    (hyps, hyp_labels), (refs, ref_labels) = corpus["H"], corpus["R"]
+    flatten, flattened = metrics._flatten, []
+    monkeypatch.setattr(metrics, "_flatten", lambda report: flattened.append(report) or flatten(report))
+    report = score_generation(hyps, refs, hyp_labels, ref_labels, LABEL_NAMES)
+    assert len(flattened) == 2 * len(refs)
+    monkeypatch.undo()
+    assert [report.bleu1, report.bleu2, report.bleu3, report.bleu4] == bleu(hyps, refs)
+    assert (report.meteor, report.rouge_l) == (meteor_lite(hyps, refs), rouge_l(hyps, refs))
