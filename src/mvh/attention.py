@@ -15,7 +15,6 @@ from .autodiff import Tensor, seeded_uniform
 from .errors import ShapeError, ValidationError
 
 FUSION_SCHEMES = ("concat", "early", "late")
-LATE_COMBINES = ("project", "mean")
 
 
 @dataclass
@@ -83,8 +82,10 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
 
     concat: both global features stitched together (2*d_v, no attention).
     early:  one attention pass over the stacked 2k-region bank (d_v).
-    late:   per-view attention, then combine the two attended vectors (d_v).
+    late:   per-view attention, then the two attended vectors, stacked, projected through w_late (d_v).
     """
+    if late_combine != "project":  # a one-value knob bench/workloads.py still passes; ROADMAP item 4 drops it
+        raise ValidationError(f"unknown late_combine {late_combine!r} (expected 'project')")
     if scheme == "concat":
         return ad.concat([front.global_feature, lat.global_feature])
     if scheme == "early":
@@ -94,11 +95,7 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
     if scheme == "late":
         va_f, _ = visual_attend(front.local_features, h_prev, params)
         va_l, _ = visual_attend(lat.local_features, h_prev, params)
-        if late_combine == "mean":
-            return ad.mul(ad.add(va_f, va_l), Tensor(0.5))
-        if late_combine == "project":
-            return ad.matmul(params.w_late, ad.concat([va_f, va_l]))
-        raise ValidationError(f"unknown late_combine '{late_combine}' (expected one of {LATE_COMBINES})")
+        return ad.matmul(params.w_late, ad.concat([va_f, va_l]))
     raise ValidationError(f"unknown fusion scheme '{scheme}' (expected one of {FUSION_SCHEMES})")
 
 

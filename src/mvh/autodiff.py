@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from contextvars import ContextVar
 from functools import cache
 
@@ -457,8 +458,8 @@ class Adam:
     """Adam optimizer with per-parameter moment state, serializable into checkpoints."""
 
     def __init__(self, lr=1e-3):
-        if not 0 < lr < math.inf:
-            raise ValidationError(f"learning rate must be positive and finite, got {lr}")
+        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+            raise ValidationError(f"learning rate must be positive and finite, got {lr!r}")
         self.lr = lr
         self.t = 0
         self.m = {}
@@ -495,8 +496,8 @@ def zero_grads(params):
 
 def clip_global_norm(params, max_norm):
     """Scale all gradients so their joint L2 norm is at most max_norm."""
-    if not max_norm > 0:
-        raise ValidationError(f"max_norm must be positive, got {max_norm}")
+    if not (isinstance(max_norm, numbers.Real) and max_norm > 0):
+        raise ValidationError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -516,8 +517,8 @@ def seeded_uniform(name, shape, fan_in, seed):
     Keyed by (seed, sha256(name)) so initialization does not depend on
     creation order or on which other tensors a configuration instantiates.
     """
-    if not fan_in >= 1:
-        raise ValidationError(f"fan_in must be at least 1, got {fan_in}")
+    if not (isinstance(fan_in, numbers.Real) and fan_in >= 1):
+        raise ValidationError(f"fan_in must be at least 1, got {fan_in!r}")
     seed = _index(seed, math.inf, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")

@@ -422,8 +422,8 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 # ---------------------------------------------------------------------------
 # dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv. A sample, saved or loaded,
-# has an id that names its files and repeats no other, N_OBS labels of 0 or 1, finite views both square
-# and sized like the first frontal, and MIN_SENTENCES or more report sentences. The vocabulary, the
+# has an id that names its files and repeats no other, N_OBS labels of 0 or 1, finite views of one square
+# channel sized like the first frontal, and MIN_SENTENCES or more report sentences. The vocabulary, the
 # concepts and each sample's concept targets are not stored: they are derived from the training reports.
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
@@ -443,15 +443,15 @@ def _checked_sample(where, sid, labels, views, text, seen, size):
     seen.add(sid)
     try:
         values = [float(v) for v in labels]
-    except (TypeError, ValueError):  # such as a label that is not a number
+    except (TypeError, ValueError):  # such as no labels, or a label that is not a number
         values = []
     if len(values) != N_OBS or not all(v in (0.0, 1.0) for v in values):
-        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {[str(v) for v in labels]}")
+        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {labels!r}")
     where, size = f"{where}: sample {sid!r}", size or np.shape(views[0])
-    if (len(size) != 2 or not size[0] == size[1] > 0
+    if (len(size) != 3 or size[0] != 1 or not size[1] == size[2] > 0
             or any(np.shape(v) != size or not np.isfinite(v).all() for v in views)):
         raise DataError(f"{where} has views of {[np.shape(v) for v in views]}; both must be finite, "
-                        f"square and sized like the first frontal, {size}")
+                        f"one square channel and sized like the first frontal, {size}")
     try:
         sentences = tokenize(text)
     except DataError as exc:
@@ -463,11 +463,11 @@ def _checked_sample(where, sid, labels, views, text, seen, size):
 
 def save_dataset(directory, samples):
     """Write the samples; one that breaks the contract above raises DataError before anything is written."""
-    directory = Path(directory)
+    directory, samples = Path(directory), list(samples)  # an iterator is read once, for checks and writes
     seen, size, rows = set(), None, [_LABELS_HEADER]
     for i, s in enumerate(samples):
         values, _, size = _checked_sample(f"{directory}: sample {i}", s.sample_id, s.obs_labels,
-                                          (s.frontal_image[0], s.lateral_image[0]), s.report_text, seen, size)
+                                          (s.frontal_image, s.lateral_image), s.report_text, seen, size)
         rows.append([s.sample_id, *(str(int(v)) for v in values)])
     for sub in ("images", "reports"):
         try:
@@ -489,24 +489,28 @@ def load_dataset(directory):
     labels_path = directory / "labels.csv"
     samples, seen, size = [], set(), None
     reader = csv.reader(read_text(labels_path).splitlines())
-    header = next(reader, None)
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise DataError(f"{labels_path}:{reader.line_num}: {exc}") from None
+    header = rows[0][1] if rows else None
     if header != _LABELS_HEADER:
         raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
                         f"got {header}")
-    for row in reader:
-        where = f"{labels_path}:{reader.line_num}"
+    for line, row in rows[1:]:
+        where = f"{labels_path}:{line}"
         sid = row[0] if row else ""
         _checked_id(where, sid, seen)  # before the id names a file to read
         try:
             text = read_text(directory / "reports" / f"{sid}.txt").strip()
-            frontal, lateral = (read_pgm(directory / "images" / f"{sid}_{v}.pgm") for v in "fl")
+            frontal, lateral = (read_pgm(directory / "images" / f"{sid}_{v}.pgm")[None] for v in "fl")
         except DataError as exc:
             raise DataError(f"{where}: sample {sid!r}: {exc}") from None
         values, sentences, size = _checked_sample(where, sid, row[1:], (frontal, lateral), text, seen, size)
         samples.append(MultiViewSample(
             sample_id=sid,
-            frontal_image=frontal[None, :, :],
-            lateral_image=lateral[None, :, :],
+            frontal_image=frontal,
+            lateral_image=lateral,
             obs_labels=np.array(values),
             report=sentences,
             report_text=text,

@@ -6,7 +6,8 @@ as one flattened sequence per report. Every text metric matches tokens as dict
 keys (equal hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens
 are the same. `score_generation` checks and flattens its reports once for the
 private cores (`_bleu`, `_mean`); `bleu`, `rouge_l` and `meteor_lite` are
-checked entry points over the same cores.
+checked entry points over the same cores. `avg_auc` is the one AUC entry point:
+it checks its matrices whole, then scores each two-class column with `_auc`.
 """
 
 from __future__ import annotations
@@ -166,25 +167,15 @@ def meteor_lite(hypotheses, references):
     return _mean(_token_pairs(hypotheses, references, "meteor_lite"), _meteor_pair)
 
 
-def roc_auc(scores, labels):
-    """P(random positive outscores random negative), ties counted 0.5.
+def _auc(scores, labels):
+    """AUC of one column that avg_auc has checked: float64 scores, no NaN, 0/1 labels of both classes.
 
-    This is the Mann-Whitney U statistic over P*N. Each positive is located
-    among the sorted negatives by binary search, so it takes O(n log n) time
-    and O(n) memory, and U is an exact half-integer sum.
+    P(random positive outscores random negative), ties counted 0.5: the Mann-Whitney U statistic over
+    P*N. Each positive is located among the sorted negatives by binary search, so it takes O(n log n)
+    time and O(n) memory, and U is an exact half-integer sum.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValidationError(f"roc_auc needs matching 1-d arrays, got {scores.shape} and {labels.shape}")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValidationError("roc_auc labels must be binary")
-    if np.isnan(scores).any():
-        raise ValidationError("roc_auc scores must not be NaN")
     pos = scores[labels == 1]
     neg = np.sort(scores[labels == 0])
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValidationError("roc_auc needs at least one positive and one negative")
     below = np.searchsorted(neg, pos, side="left")  # negatives each positive outscores
     upto = np.searchsorted(neg, pos, side="right")
     greater = below.sum()
@@ -215,7 +206,7 @@ def avg_auc(score_matrix, label_matrix, label_names):
         if labels.min() == labels.max():
             per_label[name] = float("nan")
             continue
-        auc = roc_auc(score_matrix[:, j], labels)
+        auc = _auc(score_matrix[:, j], labels)
         per_label[name] = float(auc)
         vals.append(auc)
     if not vals:

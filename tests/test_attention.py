@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
-from mvh.attention import AttentionParams, concept_attend, context_dim, fuse, visual_attend
+from mvh.attention import FUSION_SCHEMES, AttentionParams, concept_attend, context_dim, fuse, visual_attend
 from mvh.autodiff import Tape, Tensor
 from mvh.encoder import EncoderOutput
 from mvh.errors import ShapeError, ValidationError
@@ -185,14 +185,15 @@ def test_fuse_early_identical_views_equals_duplicated_bank():
     np.testing.assert_allclose(ctx.data, dup.data, atol=1e-12)
 
 
-def test_fuse_late_identical_views_mean_combine_is_per_view_vector():
+def test_fuse_late_projects_both_attended_views():
     rng = np.random.default_rng(8)
-    local = rng.normal(size=(4, 3))
-    h = Tensor(rng.normal(size=4))
+    front, lat = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+    h = rng.normal(size=4)
     p = make_params()
-    ctx = fuse("late", _enc_output(local), _enc_output(local), h, p, late_combine="mean")
-    single, _ = visual_attend(Tensor(local), h, p)
-    np.testing.assert_allclose(ctx.data, single.data, atol=1e-12)
+    ctx = fuse("late", _enc_output(front), _enc_output(lat), Tensor(h), p)
+    v_f, _ = scalar_oracle_visual(front, h, p)
+    v_l, _ = scalar_oracle_visual(lat, h, p)
+    np.testing.assert_allclose(ctx.data, p.w_late.data @ np.concatenate([v_f, v_l]), atol=1e-12)
 
 
 def test_fuse_unknown_scheme_rejected():
@@ -200,8 +201,10 @@ def test_fuse_unknown_scheme_rejected():
     out = _enc_output(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         fuse("middle", out, out, Tensor(np.zeros(4)), p)
-    with pytest.raises(ValidationError):
-        fuse("late", out, out, Tensor(np.zeros(4)), p, late_combine="median")
+    for scheme in FUSION_SCHEMES:  # refused before any attention work, under every scheme
+        with Tape() as tape, pytest.raises(ValidationError, match="late_combine 'median'"):
+            fuse(scheme, out, out, Tensor(np.zeros(4)), p, late_combine="median")
+        assert len(tape) == 0
 
 
 # gradients through attention -----------------------------------------------------

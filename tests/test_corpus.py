@@ -358,6 +358,17 @@ def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dat
         assert mine_concepts(loaded, threshold).tokens == mine_concepts(corpus, threshold).tokens
 
 
+def _files(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_save_reads_an_iterator_once(tmp_path, small_dataset):
+    save_dataset(tmp_path / "list", small_dataset[:3])
+    save_dataset(tmp_path / "iter", iter(small_dataset[:3]))
+    assert _files(tmp_path / "iter") == _files(tmp_path / "list")
+    assert len(_files(tmp_path / "list")) == 1 + 3 * 3
+
+
 def test_load_missing_dataset_raises(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nope")
@@ -398,6 +409,10 @@ def _with_nan(image):
                  "sample 1: sample 's00001' has views", id="two_dimensional_frontal"),
     pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image, _with_nan(s[1].lateral_image))],
                  "sample 1: sample 's00001' has views .* finite", id="nan_lateral_pixel"),
+    pytest.param(lambda s: [s[0], replace(s[1], obs_labels=None)], "sample 1: label values .* got None",
+                 id="no_labels"),
+    pytest.param(lambda s: [_with_views(s[0], None, s[0].lateral_image)], "sample 0: sample 's00000' has views",
+                 id="no_frontal"),
 ])
 def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
     directory = tmp_path / "a" / "b" / "ds"
@@ -487,6 +502,7 @@ def _move_first_sample(d, sid):
     pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
     pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
     pytest.param(_add_concept_columns, id="concept_columns_in_header"),
+    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0" * 200_000), id="field_over_csv_limit"),
 ])
 def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
     save_dataset(tmp_path, small_dataset[:3])

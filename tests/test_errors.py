@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mvh
+from mvh.autodiff import Adam, clip_global_norm, seeded_uniform
 from mvh.corpus import generate_dataset, mine_concepts, pattern_mask, pattern_pixels, split_dataset, tokenize
 from mvh.encoder import EncoderConfig
 from mvh.errors import ValidationError
@@ -45,6 +46,10 @@ _CORPUS = tokenize("there is no edema. edema is present. edema.")
                  id="test_fraction_str"),
     pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), None), "test fraction must be",
                  id="test_fraction_none"),
+    pytest.param(lambda: Adam(lr="0.1"), "learning rate must be", id="adam_lr_str"),
+    pytest.param(lambda: Adam(lr=None), "learning rate must be", id="adam_lr_none"),
+    pytest.param(lambda: clip_global_norm({}, "5"), "max_norm must be", id="clip_max_norm_str"),
+    pytest.param(lambda: seeded_uniform("w", (2, 2), "3", 0), "fan_in must be", id="seeded_uniform_fan_in_str"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):

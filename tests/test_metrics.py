@@ -18,7 +18,6 @@ from mvh.metrics import (
     bleu,
     bleu_n,
     meteor_lite,
-    roc_auc,
     rouge_l,
     score_generation,
 )
@@ -274,6 +273,12 @@ def oracle_auc(scores, labels):
     return (greater + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def column_auc(scores, labels):
+    """avg_auc of a one-label matrix: the AUC of that one column."""
+    avg, _ = avg_auc(np.reshape(scores, (-1, 1)), np.reshape(labels, (-1, 1)), ["only"])
+    return avg
+
+
 # few distinct scores, so most draws have ties within and across the classes
 _tied_scores = st.one_of(st.integers(0, 6).map(lambda i: i / 6), st.floats(0, 1))
 
@@ -284,36 +289,36 @@ def test_auc_equals_pairwise_definition_exactly(pairs):
     scores = [s for s, _ in pairs]
     labels = [l for _, l in pairs]
     assume(len(set(labels)) == 2)
-    assert roc_auc(scores, labels) == oracle_auc(scores, labels)
+    assert column_auc(scores, labels) == oracle_auc(scores, labels)
 
 
 def test_auc_nan_score_rejected():
-    with pytest.raises(ValidationError):
-        roc_auc([0.1, float("nan"), 0.3], [0, 1, 1])
+    with pytest.raises(ValidationError, match="NaN"):
+        column_auc([0.1, float("nan"), 0.3], [0, 1, 1])
 
 
 def test_auc_perfect_separation():
-    assert roc_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
+    assert column_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
 
 
 def test_auc_hand_case():
-    assert roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == pytest.approx(0.75, abs=1e-12)
+    assert column_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_auc_label_inversion_symmetry():
     scores = [0.1, 0.7, 0.3, 0.9, 0.5]
     labels = [0, 1, 0, 1, 1]
     flipped = [1 - l for l in labels]
-    assert roc_auc(scores, labels) == pytest.approx(1 - roc_auc(scores, flipped), abs=1e-12)
+    assert column_auc(scores, labels) == pytest.approx(1 - column_auc(scores, flipped), abs=1e-12)
 
 
 def test_auc_ties_count_half():
-    assert roc_auc([0.5, 0.5], [0, 1]) == pytest.approx(0.5)
+    assert column_auc([0.5, 0.5], [0, 1]) == pytest.approx(0.5)
 
 
 def test_auc_single_class_rejected():
-    with pytest.raises(ValidationError):
-        roc_auc([0.1, 0.2], [1, 1])
+    with pytest.raises(ValidationError, match="every label is single-class"):
+        column_auc([0.1, 0.2], [1, 1])
 
 
 def test_avg_auc_skips_undefined_labels():
@@ -361,9 +366,9 @@ def test_auc_invariant_under_monotone_transform(pairs):
     labels = [l for _, l in pairs]
     if len(set(labels)) < 2:
         return
-    base = roc_auc(scores, labels)
+    base = column_auc(scores, labels)
     # strictly increasing on [0, 1] and exact in floating point, so no two distinct scores merge
-    warped = roc_auc([s if s < 0.5 else 4.0 * s for s in scores], labels)
+    warped = column_auc([s if s < 0.5 else 4.0 * s for s in scores], labels)
     assert warped == pytest.approx(base, abs=1e-12)
 
 
