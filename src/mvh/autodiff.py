@@ -388,6 +388,15 @@ def _index(i, n, what, low=0):
     return int(i)
 
 
+def _numbers(x):
+    """x as an array if it holds only numbers (bool, int or float dtype), else None; no value is parsed."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # ragged rows
+        return None
+    return x if x.dtype.kind in "biuf" else None
+
+
 def embedding_lookup(table, index):
     """Select row `index` of a (v,d) embedding table."""
     if table.data.ndim != 2:
@@ -458,7 +467,7 @@ class Adam:
     """Adam optimizer with per-parameter moment state, serializable into checkpoints."""
 
     def __init__(self, lr=1e-3):
-        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
             raise ValidationError(f"learning rate must be positive and finite, got {lr!r}")
         self.lr = lr
         self.t = 0
@@ -496,7 +505,7 @@ def zero_grads(params):
 
 def clip_global_norm(params, max_norm):
     """Scale all gradients so their joint L2 norm is at most max_norm."""
-    if not (isinstance(max_norm, numbers.Real) and max_norm > 0):
+    if isinstance(max_norm, bool) or not (isinstance(max_norm, numbers.Real) and max_norm > 0):
         raise ValidationError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for p in params.values():
@@ -517,8 +526,7 @@ def seeded_uniform(name, shape, fan_in, seed):
     Keyed by (seed, sha256(name)) so initialization does not depend on
     creation order or on which other tensors a configuration instantiates.
     """
-    if not (isinstance(fan_in, numbers.Real) and fan_in >= 1):
-        raise ValidationError(f"fan_in must be at least 1, got {fan_in!r}")
+    fan_in = _index(fan_in, math.inf, "fan_in", low=1)
     seed = _index(seed, math.inf, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")

@@ -17,11 +17,12 @@ import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _index
+from .autodiff import _index, _numbers
 from .errors import DataError, ValidationError
 from .pgm import read_pgm, read_text, write_pgm, write_text
 
@@ -144,14 +145,19 @@ FRONTAL_NOISE = 0.08
 LATERAL_NOISE = 0.15
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiViewSample:
+    """One study: two views and 14 labels, all numbers, and a report read from report_text alone."""
+
     sample_id: str
     frontal_image: np.ndarray      # (1, s, s) in [0, 1]
     lateral_image: np.ndarray
     obs_labels: np.ndarray         # (14,) in {0, 1}
-    report: list                   # token sentences incl. <start>/<end>
     report_text: str
+
+    @cached_property
+    def report(self):  # token sentences incl. <start>/<end>, cached: frozen fields cannot make it stale
+        return tokenize(self.report_text)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +311,6 @@ def generate_dataset(seed, n_samples, image_size=32):
             frontal_image=frontal[None, :, :],
             lateral_image=lateral[None, :, :],
             obs_labels=labels,
-            report=tokenize(text),
             report_text=text,
         ))
     return samples
@@ -324,7 +329,9 @@ def tokenize(text):
     Punctuation is stripped except within-word hyphens; de-identification
     runs of x become <unk>.
     """
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise DataError(f"report text must be a string, got {text!r}")
+    if not text.strip():
         raise DataError("empty report text")
     sentences = []
     for raw in text.lower().split("."):
@@ -409,6 +416,7 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
     """Disjoint, exhaustive, seed-deterministic sample-level split; neither side may be empty."""
     if not (isinstance(test_fraction, numbers.Real) and 0 < test_fraction < 1):
         raise ValidationError(f"test fraction must be in (0,1), got {test_fraction}")
+    samples = list(samples)  # an iterator is read once
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     order = rng.permutation(len(samples))
     n_test = int(round(len(samples) * test_fraction))
@@ -423,42 +431,41 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 # ---------------------------------------------------------------------------
 # dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv. A sample, saved or loaded,
 # has an id that names its files and repeats no other, N_OBS labels of 0 or 1, finite views of one square
-# channel sized like the first frontal, and MIN_SENTENCES or more report sentences. The vocabulary, the
-# concepts and each sample's concept targets are not stored: they are derived from the training reports.
+# channel sized like the first frontal, and a report_text of MIN_SENTENCES or more sentences, from which
+# its report is read. Labels and views must hold numbers: the contract checks values and converts none,
+# and load_dataset parses the csv labels as floats first. The vocabulary, the concepts and each sample's
+# concept targets are not stored: they are derived from the training reports.
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
 _LABELS_HEADER = ["sample_id", *LABEL_NAMES]
 
 
 def _checked_id(where, sid, seen):
+    """Record sid in seen if it can name a sample's files and repeats no earlier id, else DataError."""
     if not (isinstance(sid, str) and _SAMPLE_ID.fullmatch(sid)):
         raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
     if sid in seen:
         raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
-
-
-def _checked_sample(where, sid, labels, views, text, seen, size):
-    """(labels as floats, report sentences, view size) of a sample keeping the contract above, else DataError."""
-    _checked_id(where, sid, seen)
     seen.add(sid)
-    try:
-        values = [float(v) for v in labels]
-    except (TypeError, ValueError):  # such as no labels, or a label that is not a number
-        values = []
-    if len(values) != N_OBS or not all(v in (0.0, 1.0) for v in values):
-        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {labels!r}")
-    where, size = f"{where}: sample {sid!r}", size or np.shape(views[0])
+
+
+def _checked_sample(where, sample, size):
+    """The view size of a sample keeping the contract above (its id checked already), else DataError."""
+    labels, views = _numbers(sample.obs_labels), (sample.frontal_image, sample.lateral_image)
+    if labels is None or labels.shape != (N_OBS,) or not ((labels == 0) | (labels == 1)).all():
+        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {sample.obs_labels!r}")
+    where, size = f"{where}: sample {sample.sample_id!r}", size or np.shape(views[0])
     if (len(size) != 3 or size[0] != 1 or not size[1] == size[2] > 0
-            or any(np.shape(v) != size or not np.isfinite(v).all() for v in views)):
-        raise DataError(f"{where} has views of {[np.shape(v) for v in views]}; both must be finite, "
+            or any(np.shape(v) != size or _numbers(v) is None or not np.isfinite(v).all() for v in views)):
+        raise DataError(f"{where} has views of {[np.shape(v) for v in views]}; both must be finite numbers, "
                         f"one square channel and sized like the first frontal, {size}")
     try:
-        sentences = tokenize(text)
+        sentences = sample.report
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
     if len(sentences) < MIN_SENTENCES:
         raise DataError(f"{where}: report has {len(sentences)} sentences, fewer than {MIN_SENTENCES}")
-    return values, sentences, size
+    return size
 
 
 def save_dataset(directory, samples):
@@ -466,9 +473,9 @@ def save_dataset(directory, samples):
     directory, samples = Path(directory), list(samples)  # an iterator is read once, for checks and writes
     seen, size, rows = set(), None, [_LABELS_HEADER]
     for i, s in enumerate(samples):
-        values, _, size = _checked_sample(f"{directory}: sample {i}", s.sample_id, s.obs_labels,
-                                          (s.frontal_image, s.lateral_image), s.report_text, seen, size)
-        rows.append([s.sample_id, *(str(int(v)) for v in values)])
+        _checked_id(f"{directory}: sample {i}", s.sample_id, seen)
+        size = _checked_sample(f"{directory}: sample {i}", s, size)
+        rows.append([s.sample_id, *(str(int(v)) for v in s.obs_labels)])
     for sub in ("images", "reports"):
         try:
             (directory / sub).mkdir(parents=True, exist_ok=True)
@@ -502,17 +509,14 @@ def load_dataset(directory):
         sid = row[0] if row else ""
         _checked_id(where, sid, seen)  # before the id names a file to read
         try:
+            labels = np.array([float(v) for v in row[1:]])
+        except ValueError:  # a label that is not a number, left for the contract to refuse
+            labels = row[1:]
+        try:
             text = read_text(directory / "reports" / f"{sid}.txt").strip()
             frontal, lateral = (read_pgm(directory / "images" / f"{sid}_{v}.pgm")[None] for v in "fl")
         except DataError as exc:
             raise DataError(f"{where}: sample {sid!r}: {exc}") from None
-        values, sentences, size = _checked_sample(where, sid, row[1:], (frontal, lateral), text, seen, size)
-        samples.append(MultiViewSample(
-            sample_id=sid,
-            frontal_image=frontal,
-            lateral_image=lateral,
-            obs_labels=np.array(values),
-            report=sentences,
-            report_text=text,
-        ))
+        samples.append(MultiViewSample(sid, frontal, lateral, labels, text))
+        size = _checked_sample(where, samples[-1], size)
     return samples

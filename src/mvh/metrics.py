@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _index
+from .autodiff import _index, _numbers
 from .corpus import SENTINELS
 from .errors import ValidationError
 
@@ -186,11 +186,14 @@ def _auc(scores, labels):
 def avg_auc(score_matrix, label_matrix, label_names):
     """Mean per-label AUC of two (n >= 1, len(label_names)) matrices, skipping single-class labels.
 
-    Returns (average, {name: auc, or nan where skipped}). A non-binary label or a
-    NaN score anywhere, skipped columns included, raises ValidationError.
+    Returns (average, {name: auc, or nan where skipped}). A value that is not a number
+    (a string counts as none), a non-binary label or a NaN score anywhere, skipped
+    columns included, raises ValidationError.
     """
-    score_matrix = np.asarray(score_matrix, dtype=np.float64)
-    label_matrix = np.asarray(label_matrix)
+    score_matrix, label_matrix = _numbers(score_matrix), _numbers(label_matrix)
+    if score_matrix is None or label_matrix is None:  # such as strings, None or ragged rows
+        raise ValidationError("avg_auc scores and labels must be matrices of numbers")
+    score_matrix = score_matrix.astype(np.float64, copy=False)
     if (score_matrix.ndim != 2 or score_matrix.shape[0] < 1 or score_matrix.shape[1] != len(label_names)
             or label_matrix.shape != score_matrix.shape):
         raise ValidationError(f"avg_auc needs score and label matrices of shape (n >= 1, {len(label_names)}), "

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,12 @@ def test_tokenize_empty_text_is_data_error():
         tokenize("   ")
     with pytest.raises(DataError):
         tokenize("... .. .")
+
+
+@pytest.mark.parametrize("text", [123, b"a. b. c.", None], ids=["int", "bytes", "none"])
+def test_tokenize_non_string_is_data_error(text):
+    with pytest.raises(DataError, match="report text must be a string"):
+        tokenize(text)
 
 
 @settings(max_examples=40, deadline=None)
@@ -308,6 +314,13 @@ def test_split_deterministic_per_seed():
     assert [s.sample_id for s in t1] != [s.sample_id for s in t3]
 
 
+def test_split_reads_an_iterator_once():
+    samples = generate_dataset(seed=2, n_samples=20, image_size=16)
+    from_list = split_dataset(samples, 0.2, seed=3)
+    from_iter = split_dataset(iter(samples), 0.2, seed=3)
+    assert [[s.sample_id for s in side] for side in from_iter] == [[s.sample_id for s in side] for side in from_list]
+
+
 def test_split_fraction_validated():
     samples = generate_dataset(seed=2, n_samples=10, image_size=16)
     with pytest.raises(ValidationError):
@@ -341,7 +354,9 @@ def test_dataset_round_trip(tmp_path, small_dataset):
 
 
 def _fields(sample):
-    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in vars(sample).items()}
+    """The sample's field values; its cached report is derived from report_text, not a field of its own."""
+    values = {f.name: getattr(sample, f.name) for f in fields(sample)}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in values.items()}
 
 
 def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dataset):
@@ -360,6 +375,23 @@ def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dat
 
 def _files(directory):
     return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_report_is_read_from_report_text_and_survives_save_and_load(tmp_path, small_dataset):
+    text = "there is no edema. no fracture is identified. the lungs are well expanded and clear."
+    sample = replace(small_dataset[0], report_text=text)
+    assert small_dataset[0].report != tokenize(text)
+    assert sample.report == tokenize(text)
+    save_dataset(tmp_path, [sample])
+    (loaded,) = load_dataset(tmp_path)
+    assert loaded.report_text == text and loaded.report == tokenize(text)
+
+
+@pytest.mark.parametrize("field", ["sample_id", "obs_labels", "report_text", "report"])
+def test_sample_fields_cannot_be_assigned(small_dataset, field):
+    sample = replace(small_dataset[0])  # a copy, so a sample that can be assigned leaves the fixture intact
+    with pytest.raises(FrozenInstanceError):
+        setattr(sample, field, None)
 
 
 def test_save_reads_an_iterator_once(tmp_path, small_dataset):
@@ -413,6 +445,17 @@ def _with_nan(image):
                  id="no_labels"),
     pytest.param(lambda s: [_with_views(s[0], None, s[0].lateral_image)], "sample 0: sample 's00000' has views",
                  id="no_frontal"),
+    pytest.param(lambda s: [replace(s[0], obs_labels="0" * N_OBS)], "sample 0: label values", id="labels_str"),
+    pytest.param(lambda s: [s[0], replace(s[1], obs_labels=[b"0"] * N_OBS)], "sample 1: label values",
+                 id="labels_bytes"),
+    pytest.param(lambda s: [_with_views(s[0], np.full((1, 32, 32), None), s[0].lateral_image)],
+                 "sample 0: sample 's00000' has views .* numbers", id="object_frontal"),
+    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image, s[1].lateral_image.astype(str))],
+                 "sample 1: sample 's00001' has views .* numbers", id="str_lateral"),
+    pytest.param(lambda s: [replace(s[0], report_text=123)],
+                 "sample 0: sample 's00000': report text must be a string", id="report_text_int"),
+    pytest.param(lambda s: [s[0], replace(s[1], report_text=s[1].report_text.encode())],
+                 "sample 1: sample 's00001': report text must be a string", id="report_text_bytes"),
 ])
 def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
     directory = tmp_path / "a" / "b" / "ds"

@@ -7,6 +7,7 @@ checked for such calls.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,12 @@ _CORPUS = tokenize("there is no edema. edema is present. edema.")
     pytest.param(lambda: Adam(lr=None), "learning rate must be", id="adam_lr_none"),
     pytest.param(lambda: clip_global_norm({}, "5"), "max_norm must be", id="clip_max_norm_str"),
     pytest.param(lambda: seeded_uniform("w", (2, 2), "3", 0), "fan_in must be", id="seeded_uniform_fan_in_str"),
+    pytest.param(lambda: seeded_uniform("w", (2, 2), True, 0), "fan_in must be", id="seeded_uniform_fan_in_bool"),
+    pytest.param(lambda: seeded_uniform("w", (2, 2), 1.5, 0), "fan_in must be", id="seeded_uniform_fan_in_float"),
+    pytest.param(lambda: seeded_uniform("w", (2, 2), math.inf, 0), "fan_in must be",
+                 id="seeded_uniform_fan_in_inf"),
+    pytest.param(lambda: Adam(lr=True), "learning rate must be", id="adam_lr_bool"),
+    pytest.param(lambda: clip_global_norm({}, True), "max_norm must be", id="clip_max_norm_bool"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):

@@ -349,6 +349,11 @@ def _with_nan_score_in_single_class_column(scores, labels):
     # constant columns that are not 0/1 must not be skipped as single-class
     pytest.param(lambda s, l: (s, np.where(np.arange(3) == 1, 2.0, l)), "binary", id="constant_2"),
     pytest.param(lambda s, l: (s, np.where(np.arange(3) == 1, 0.5, l)), "binary", id="constant_half"),
+    pytest.param(lambda s, l: (np.full(s.shape, "a"), l), "matrices of numbers", id="letter_scores"),
+    pytest.param(lambda s, l: (s.astype(str), l), "matrices of numbers", id="numeric_string_scores"),
+    pytest.param(lambda s, l: ([*s.tolist()[:-1], [0.5]], l), "matrices of numbers", id="ragged_scores"),
+    pytest.param(lambda s, l: (s, l.astype(str)), "matrices of numbers", id="string_labels"),
+    pytest.param(lambda s, l: (s, None), "matrices of numbers", id="no_labels"),
 ])
 def test_avg_auc_malformed_input_is_validation_error(damage, message):
     rng = np.random.default_rng(12)
