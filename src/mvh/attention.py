@@ -3,7 +3,8 @@
 Visual attention scores each local region i as W_a . tanh(W_v v_i + W_s h_prev),
 softmaxes over regions, and returns the attention-weighted region sum. Concept
 attention does the same over concept embeddings, with each embedding row
-scaled by its predicted concept probability before projection.
+scaled by its predicted concept probability before projection. Each attention
+is one `ad.attend` tape node.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 
 FUSION_SCHEMES = ("concat", "early", "late")
 
@@ -55,9 +56,7 @@ def visual_attend(v, h_prev, params):
     v: (k, d_v) Tensor, h_prev: (d_h_sent,) Tensor.
     Returns (v_att (d_v,), alpha (k,)).
     """
-    alpha = ad.additive_attention(v, h_prev, params.w_v, params.w_s, params.w_a)
-    v_att = ad.matmul(alpha, v)                                # (d_v,)
-    return v_att, alpha
+    return ad.attend(v, v, h_prev, params.w_v, params.w_s, params.w_a, None)
 
 
 def concept_attend(c, concept_probs, h_w_prev, params):
@@ -66,15 +65,7 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     c: (p, d_c) Tensor, concept_probs: (p,) Tensor, h_w_prev: (d_h_word,) Tensor.
     Returns (c_att (d_c,), alpha_c (p,)).
     """
-    if c.data.ndim != 2 or c.data.shape[0] < 1:
-        raise ShapeError(f"concept_attend needs at least one concept, got shape {c.data.shape}")
-    p = c.data.shape[0]
-    if concept_probs.data.shape != (p,):
-        raise ShapeError(f"concept_probs shape {concept_probs.data.shape} does not match {p} concepts")
-    scaled = ad.mul(ad.reshape(concept_probs, (p, 1)), c)      # (p, d_c)
-    alpha = ad.additive_attention(scaled, h_w_prev, params.w_c, params.w_w, params.w_ac)
-    c_att = ad.matmul(alpha, c)                                # (d_c,)
-    return c_att, alpha
+    return ad.attend(c, c, h_w_prev, params.w_c, params.w_w, params.w_ac, concept_probs)
 
 
 def fuse(scheme, front, lat, h_prev, params, late_combine="project"):

@@ -247,36 +247,47 @@ def softmax(x):
     return _result(out_data, (x,), bw)
 
 
-def additive_attention(keys, query, w_key, w_query, w_score):
-    """Weights softmax_i(w_score . tanh(w_key k_i + w_query q)) over the n rows k_i of keys.
+def attend(keys, values, query, w_key, w_query, w_score, key_scale):
+    """Additive attention (Xu et al., 2015) over the n rows k_i of keys, as one tape node.
 
-    keys (n, d_k), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q),
-    w_score (1, d_a); returns alpha (n,). One tape node for the whole score
-    and softmax chain.
+    alpha = softmax_i(w_score . tanh(w_key (s_i k_i) + w_query q)) and context = alpha @ values, for
+    keys (n, d_k), values (n, d_v), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q), w_score (1, d_a)
+    and key_scale s (n,), or None for none. Returns (context (d_v,), alpha (n,)): context is the tape
+    node; alpha is an untaped Tensor, so no gradient flows back through it.
     """
-    kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
-    if kd.ndim != 2 or kd.shape[0] < 1 or qd.ndim != 1 or wk.ndim != 2 or wq.ndim != 2:
-        raise ShapeError(f"additive_attention needs non-empty (n, d_k) keys and a (d_q,) query, "
-                         f"got {kd.shape} and {qd.shape}")
-    n = kd.shape[0]
-    d_a = wk.shape[0]
-    if wk.shape[1] != kd.shape[1] or wq.shape != (d_a, qd.shape[0]) or ws.shape != (1, d_a):
-        raise ShapeError(f"additive_attention weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
+    kd, vd, qd, wk, wq, ws = keys.data, values.data, query.data, w_key.data, w_query.data, w_score.data
+    n = kd.shape[0] if kd.ndim == 2 else 0
+    s = None if key_scale is None else key_scale.data
+    if n < 1 or vd.ndim != 2 or vd.shape[0] != n or qd.ndim != 1 or (s is not None and s.shape != (n,)):
+        raise ShapeError(f"attend needs non-empty (n, d_k) keys, (n, d_v) values, a (d_q,) query and an (n,) "
+                         f"key_scale, got {kd.shape}, {vd.shape}, {qd.shape} and {getattr(s, 'shape', None)}")
+    if (wk.ndim != 2 or wk.shape[1] != kd.shape[1] or wq.shape != (wk.shape[0], qd.shape[0])
+            or ws.shape != (1, wk.shape[0])):
+        raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
                          f"keys {kd.shape} and query {qd.shape}")
-    hidden = np.tanh(kd @ wk.T + wq @ qd)            # (n, d_a)
+    sk = kd if s is None else s[:, None] * kd        # (n, d_k) scaled keys
+    hidden = np.tanh(sk @ wk.T + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
     def bw(g):
-        g_scores = (alpha * (g - np.dot(g, alpha))).reshape(n, 1)
+        if values.requires_grad:
+            _accum(values, alpha[None].T @ g[None])
+        g_alpha = (g[None] @ vd.T).reshape(n)
+        g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(n, 1)
         _accum(w_score, (hidden.T @ g_scores).T)
         g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
-        if keys.requires_grad:
-            _accum(keys, g_pre @ wk)
-        _accum(w_key, (kd.T @ g_pre).T)
-        g_proj = g_pre.sum(axis=0).reshape(d_a, 1)
+        ds = s is not None and key_scale.requires_grad
+        if keys.requires_grad or ds:
+            g_sk = g_pre @ wk                        # gradient of the scaled keys
+            if ds:
+                _accum(key_scale, (g_sk * kd).sum(axis=1))
+            _accum(keys, g_sk if s is None else g_sk * s[:, None])
+        _accum(w_key, (sk.T @ g_pre).T)
+        g_proj = g_pre.sum(axis=0).reshape(wk.shape[0], 1)
         _accum(w_query, g_proj @ qd[None, :])
         if query.requires_grad:
             _accum(query, (wq.T @ g_proj).reshape(qd.shape))
-    return _result(alpha, (keys, query, w_key, w_query, w_score), bw)
+    parents = (keys, values, query, w_key, w_query, w_score) + (() if s is None else (key_scale,))
+    return _result(alpha @ vd, parents, bw), Tensor(alpha)
 
 
 def concat(parts):

@@ -145,7 +145,7 @@ FRONTAL_NOISE = 0.08
 LATERAL_NOISE = 0.15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: a field-wise == would compare the views as arrays
 class MultiViewSample:
     """One study: two views and 14 labels, all numbers, and a report read from report_text alone."""
 

@@ -213,11 +213,13 @@ def test_attention_tape_nodes_per_call():
     p = make_params()
     rng = np.random.default_rng(11)
     with Tape() as visual:
-        visual_attend(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4)), p)
+        _, alpha = visual_attend(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4)), p)
     with Tape() as concept:
-        concept_attend(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-                       Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True), Tensor(rng.normal(size=4)), p)
-    assert (len(visual), len(concept)) == (2, 4)
+        _, alpha_c = concept_attend(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                                    Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True),
+                                    Tensor(rng.normal(size=4)), p)
+    assert (len(visual), len(concept)) == (1, 1)
+    assert not alpha.requires_grad and not alpha_c.requires_grad
 
 
 def test_attention_gradients_match_finite_differences():

@@ -394,6 +394,14 @@ def test_sample_fields_cannot_be_assigned(small_dataset, field):
         setattr(sample, field, None)
 
 
+def test_samples_compare_by_identity(small_dataset):
+    sample = small_dataset[0]
+    copy = replace(sample, frontal_image=sample.frontal_image.copy())
+    assert (copy == sample) is False
+    assert sample == sample
+    assert {sample: 1}[sample] == 1
+
+
 def test_save_reads_an_iterator_once(tmp_path, small_dataset):
     save_dataset(tmp_path / "list", small_dataset[:3])
     save_dataset(tmp_path / "iter", iter(small_dataset[:3]))
