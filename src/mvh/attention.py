@@ -56,7 +56,7 @@ def visual_attend(v, h_prev, params):
     v: (k, d_v) Tensor, h_prev: (d_h_sent,) Tensor.
     Returns (v_att (d_v,), alpha (k,)).
     """
-    return ad.attend(v, v, h_prev, params.w_v, params.w_s, params.w_a, None)
+    return ad.attend(v, h_prev, params.w_v, params.w_s, params.w_a, None)
 
 
 def concept_attend(c, concept_probs, h_w_prev, params):
@@ -65,7 +65,7 @@ def concept_attend(c, concept_probs, h_w_prev, params):
     c: (p, d_c) Tensor, concept_probs: (p,) Tensor, h_w_prev: (d_h_word,) Tensor.
     Returns (c_att (d_c,), alpha_c (p,)).
     """
-    return ad.attend(c, c, h_w_prev, params.w_c, params.w_w, params.w_ac, concept_probs)
+    return ad.attend(c, h_w_prev, params.w_c, params.w_w, params.w_ac, concept_probs)
 
 
 def fuse(scheme, front, lat, h_prev, params, late_combine="project"):

@@ -247,20 +247,20 @@ def softmax(x):
     return _result(out_data, (x,), bw)
 
 
-def attend(keys, values, query, w_key, w_query, w_score, key_scale):
+def attend(keys, query, w_key, w_query, w_score, key_scale):
     """Additive attention (Xu et al., 2015) over the n rows k_i of keys, as one tape node.
 
-    alpha = softmax_i(w_score . tanh(w_key (s_i k_i) + w_query q)) and context = alpha @ values, for
-    keys (n, d_k), values (n, d_v), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q), w_score (1, d_a)
-    and key_scale s (n,), or None for none. Returns (context (d_v,), alpha (n,)): context is the tape
-    node; alpha is an untaped Tensor, so no gradient flows back through it.
+    alpha = softmax_i(w_score . tanh(w_key (s_i k_i) + w_query q)) and context = alpha @ keys, for
+    keys (n, d_k), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q), w_score (1, d_a) and key_scale
+    s (n,), or None for none; the scale enters the scores only. Returns (context (d_k,), alpha (n,)):
+    context is the tape node; alpha is an untaped Tensor, so no gradient flows back through it.
     """
-    kd, vd, qd, wk, wq, ws = keys.data, values.data, query.data, w_key.data, w_query.data, w_score.data
+    kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
     n = kd.shape[0] if kd.ndim == 2 else 0
     s = None if key_scale is None else key_scale.data
-    if n < 1 or vd.ndim != 2 or vd.shape[0] != n or qd.ndim != 1 or (s is not None and s.shape != (n,)):
-        raise ShapeError(f"attend needs non-empty (n, d_k) keys, (n, d_v) values, a (d_q,) query and an (n,) "
-                         f"key_scale, got {kd.shape}, {vd.shape}, {qd.shape} and {getattr(s, 'shape', None)}")
+    if n < 1 or qd.ndim != 1 or (s is not None and s.shape != (n,)):
+        raise ShapeError(f"attend needs non-empty (n, d_k) keys, a (d_q,) query and an (n,) key_scale, "
+                         f"got {kd.shape}, {qd.shape} and {getattr(s, 'shape', None)}")
     if (wk.ndim != 2 or wk.shape[1] != kd.shape[1] or wq.shape != (wk.shape[0], qd.shape[0])
             or ws.shape != (1, wk.shape[0])):
         raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
@@ -269,9 +269,9 @@ def attend(keys, values, query, w_key, w_query, w_score, key_scale):
     hidden = np.tanh(sk @ wk.T + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
     def bw(g):
-        if values.requires_grad:
-            _accum(values, alpha[None].T @ g[None])
-        g_alpha = (g[None] @ vd.T).reshape(n)
+        if keys.requires_grad:                       # through the context first, then through the scores
+            _accum(keys, alpha[None].T @ g[None])
+        g_alpha = (g[None] @ kd.T).reshape(n)
         g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(n, 1)
         _accum(w_score, (hidden.T @ g_scores).T)
         g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
@@ -286,8 +286,8 @@ def attend(keys, values, query, w_key, w_query, w_score, key_scale):
         _accum(w_query, g_proj @ qd[None, :])
         if query.requires_grad:
             _accum(query, (wq.T @ g_proj).reshape(qd.shape))
-    parents = (keys, values, query, w_key, w_query, w_score) + (() if s is None else (key_scale,))
-    return _result(alpha @ vd, parents, bw), Tensor(alpha)
+    parents = (keys, query, w_key, w_query, w_score) + (() if s is None else (key_scale,))
+    return _result(alpha @ kd, parents, bw), Tensor(alpha)
 
 
 def concat(parts):
