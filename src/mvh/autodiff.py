@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericsError, ShapeError, TapeError, ValidationError
+from .errors import NumericsError, ShapeError, TapeError, ValidationError, _index
 
 PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -163,7 +163,7 @@ def transpose(x):
 
 def reshape(x, shape):
     """x's data in a new shape; a view whenever numpy can make one."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(_index(s, math.inf, "reshape dim") for s in shape)
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} into {shape}")
     return _result(x.data.reshape(shape), (x,), lambda g: _accum(x, g.reshape(x.data.shape)))
@@ -390,24 +390,6 @@ def conv2d(x, w, b):
     return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
 
 
-def _index(i, n, what, low=0):
-    """i as an int in [low, n), n may be math.inf; bools, floats and other non-integers are rejected."""
-    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {i!r}")
-    if not low <= i < n:
-        raise ValidationError(f"{what} {i} out of range {low}..{n - 1}")
-    return int(i)
-
-
-def _numbers(x):
-    """x as an array if it holds only numbers (bool, int or float dtype), else None; no value is parsed."""
-    try:
-        x = np.asarray(x)
-    except ValueError:  # ragged rows
-        return None
-    return x if x.dtype.kind in "biuf" else None
-
-
 def embedding_lookup(table, index):
     """Select row `index` of a (v,d) embedding table."""
     if table.data.ndim != 2:
@@ -537,6 +519,9 @@ def seeded_uniform(name, shape, fan_in, seed):
     Keyed by (seed, sha256(name)) so initialization does not depend on
     creation order or on which other tensors a configuration instantiates.
     """
+    if not isinstance(name, str):
+        raise ValidationError(f"tensor name must be a string, got {name!r}")
+    shape = tuple(_index(s, math.inf, "shape dim") for s in (shape if np.iterable(shape) else (shape,)))
     fan_in = _index(fan_in, math.inf, "fan_in", low=1)
     seed = _index(seed, math.inf, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()

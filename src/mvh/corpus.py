@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _index, _numbers
-from .errors import DataError, ValidationError
-from .pgm import read_pgm, read_text, write_pgm, write_text
+from .errors import DataError, ValidationError, _index, _numbers
+from .pgm import _MAXVAL, read_pgm, read_text, write_pgm, write_text
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -277,7 +276,7 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
         mask = pattern_pixels(j, image_size, (jr, jc))
         canvas = np.maximum(canvas, mask * level)
-    return np.round(canvas * 255.0) / 255.0
+    return np.round(canvas * _MAXVAL) / _MAXVAL  # the levels write_pgm keeps, so a view survives a save
 
 
 def generate_dataset(seed, n_samples, image_size=32):

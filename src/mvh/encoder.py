@@ -12,6 +12,7 @@ BCE plus a cross-view consistency penalty on the prediction gap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .corpus import N_OBS
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _index
 from .pgm import write_pgm, write_text
 
 
@@ -32,9 +33,9 @@ class EncoderConfig:
     def __post_init__(self):
         if not isinstance(self.channels, (tuple, list)) or not self.channels:
             raise ValidationError(f"channels must list at least one conv layer, got {self.channels!r}")
-        self.image_size = ad._index(self.image_size, math.inf, "image_size", low=1)
-        self.channels = tuple(ad._index(c, math.inf, "channel count", low=1) for c in self.channels)
-        self.n_concepts = ad._index(self.n_concepts, math.inf, "n_concepts", low=1)
+        self.image_size = _index(self.image_size, math.inf, "image_size", low=1)
+        self.channels = tuple(_index(c, math.inf, "channel count", low=1) for c in self.channels)
+        self.n_concepts = _index(self.n_concepts, math.inf, "n_concepts", low=1)
         stride = 2 ** len(self.channels)
         if self.image_size % stride:  # else image_size >= stride, so the feature map is not empty
             raise ValidationError(
@@ -102,7 +103,9 @@ def encoder_loss_parts(front, lat, labels):
 
 
 def encoder_loss(front, lat, labels, lambda_cvc):
-    """Summed BCE of both views plus lambda * squared view disagreement."""
+    """Summed BCE of both views plus lambda * squared view disagreement; lambda 0 drops the CVC term."""
+    if isinstance(lambda_cvc, bool) or not (isinstance(lambda_cvc, numbers.Real) and 0 <= lambda_cvc < math.inf):
+        raise ValidationError(f"lambda_cvc must be a finite number >= 0, got {lambda_cvc!r}")
     bce_f, bce_l, cvc = encoder_loss_parts(front, lat, labels)
     return ad.add(ad.add(bce_f, bce_l), ad.mul(cvc, Tensor(lambda_cvc)))
 
@@ -121,7 +124,7 @@ def grad_cam(output, params, config, class_index):
     gradient at every map cell is obs.w[class] / k and Grad-CAM is CAM: relu
     of the local rows weighted by that, min-max normalized (all-zero stays zero).
     """
-    class_index = ad._index(class_index, N_OBS, "grad_cam class index")
+    class_index = _index(class_index, N_OBS, "grad_cam class index")
     if output.local_features.data.shape != (config.k, config.d_v):
         raise ShapeError(f"grad_cam needs ({config.k}, {config.d_v}) local features for this config, "
                          f"got {output.local_features.data.shape}")

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the shared argument checks that raise it."""
+
+import numpy as np
 
 
 class MvhError(Exception):
@@ -27,3 +29,21 @@ class TapeError(MvhError):
 
 class NumericsError(MvhError):
     """A value that must be finite is not: an op's output or a gradient about to be applied."""
+
+
+def _index(i, n, what, low=0):
+    """i as an int in [low, n), n may be math.inf; bools, floats and other non-integers are rejected."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {i!r}")
+    if not low <= i < n:
+        raise ValidationError(f"{what} {i} out of range {low}..{n - 1}")
+    return int(i)
+
+
+def _numbers(x):
+    """x as an array if it holds only numbers (bool, int or float dtype), else None; no value is parsed."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # ragged rows
+        return None
+    return x if x.dtype.kind in "biuf" else None

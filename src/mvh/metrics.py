@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _index, _numbers
 from .corpus import SENTINELS
-from .errors import ValidationError
+from .errors import ValidationError, _index, _numbers
 
 BLEU_ORDER = 4
 

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DataError
 
+_MAXVAL = 255  # write_pgm's maxval: a [0,1] value is kept as one of the levels 0..255
+
 
 def read_text(path):
     """A file's UTF-8 text, with its line ends read as "\\n"."""
@@ -38,9 +40,9 @@ def write_pgm(path, values01):
         raise DataError(f"{path}: PGM needs a non-empty 2-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"{path}: PGM values must be finite")
-    ints = np.clip(np.round(arr * 255.0), 0, 255).astype(int)
+    ints = np.clip(np.round(arr * _MAXVAL), 0, _MAXVAL).astype(int)
     h, w = ints.shape
-    write_text(path, f"P2\n{w} {h}\n255\n" + "".join(" ".join(str(v) for v in row) + "\n" for row in ints))
+    write_text(path, f"P2\n{w} {h}\n{_MAXVAL}\n" + "".join(" ".join(str(v) for v in row) + "\n" for row in ints))
 
 
 def read_pgm(path):

@@ -9,22 +9,6 @@ import numpy as np
 from mvh.autodiff import Tape
 
 
-def numeric_grad(f, x, eps=1e-5):
-    """Central differences of scalar-valued f() w.r.t. the array x, in place."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + eps
-        fp = f()
-        flat[i] = old - eps
-        fm = f()
-        flat[i] = old
-        gf[i] = (fp - fm) / (2.0 * eps)
-    return g
-
-
 def max_rel_err(analytic, numeric, floor=1e-2):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())

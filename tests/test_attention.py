@@ -147,7 +147,7 @@ def test_concept_attend_matches_scalar_oracle():
     np.testing.assert_allclose(alpha.data, oa, atol=1e-10)
 
 
-def test_concept_attend_no_concepts_is_config_error():
+def test_concept_attend_no_concepts_is_shape_error():
     p = make_params()
     with pytest.raises(ShapeError):
         concept_attend(Tensor(np.zeros((0, 3))), Tensor(np.zeros(0)), Tensor(np.zeros(4)), p)

@@ -930,3 +930,4 @@ def test_seeded_uniform_is_name_keyed_and_deterministic():
     assert p1.data.tobytes() == p2.data.tobytes()
     assert p1.data.tobytes() != q.data.tobytes()
     assert np.abs(p1.data).max() <= 0.5
+    assert ad.seeded_uniform("dec.w", 3, fan_in=4, seed=9).data.shape == (3,)  # one int is a 1-d shape

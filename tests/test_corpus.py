@@ -143,7 +143,7 @@ def test_mine_concepts_tie_broken_lexicographically():
     assert cs.tokens == ["edema", "fracture"]
 
 
-def test_mine_concepts_empty_is_config_error():
+def test_mine_concepts_empty_is_validation_error():
     with pytest.raises(ValidationError):
         mine_concepts(tokenize("nothing clinical here."), threshold=5)
 

@@ -3,24 +3,33 @@
 `mvh.pgm.read_text` and `write_text` turn every failure to open, decode or
 write a file into a DataError naming the path. A module that opens a file
 some other way would fail with a raw OSError instead, so the source is
-checked for such calls.
+checked for such calls. The argument checks live in `mvh.errors`, so the data
+and evaluation modules need nothing from the autodiff engine; the source is
+checked for that too.
 """
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mvh
-from mvh.autodiff import Adam, clip_global_norm, seeded_uniform
-from mvh.corpus import generate_dataset, mine_concepts, pattern_mask, pattern_pixels, split_dataset, tokenize
-from mvh.encoder import EncoderConfig
+from mvh.autodiff import Adam, Tensor, clip_global_norm, reshape, seeded_uniform
+from mvh.corpus import N_OBS, generate_dataset, mine_concepts, pattern_mask, pattern_pixels, split_dataset, tokenize
+from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
 from mvh.errors import ValidationError
 from mvh.metrics import bleu_n
 
 _HYP = [["the", "lungs", "are", "clear"]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
+_CONFIG16 = EncoderConfig(image_size=16, channels=(2, 3))
+_VIEW = encode(Tensor(np.full((1, 16, 16), 0.5)), init_encoder_params(_CONFIG16, 0), _CONFIG16)
+
+
+def _cvc_loss(lambda_cvc):
+    return encoder_loss(_VIEW, _VIEW, Tensor(np.ones(N_OBS)), lambda_cvc)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -57,6 +66,27 @@ _CORPUS = tokenize("there is no edema. edema is present. edema.")
                  id="seeded_uniform_fan_in_inf"),
     pytest.param(lambda: Adam(lr=True), "learning rate must be", id="adam_lr_bool"),
     pytest.param(lambda: clip_global_norm({}, True), "max_norm must be", id="clip_max_norm_bool"),
+    pytest.param(lambda: _cvc_loss("abc"), "lambda_cvc must be", id="lambda_cvc_str"),
+    pytest.param(lambda: _cvc_loss([1.0, 2.0]), "lambda_cvc must be", id="lambda_cvc_list"),
+    pytest.param(lambda: _cvc_loss(-1.0), "lambda_cvc must be", id="lambda_cvc_negative"),
+    pytest.param(lambda: _cvc_loss(True), "lambda_cvc must be", id="lambda_cvc_bool"),
+    pytest.param(lambda: _cvc_loss(None), "lambda_cvc must be", id="lambda_cvc_none"),
+    pytest.param(lambda: _cvc_loss(math.inf), "lambda_cvc must be", id="lambda_cvc_inf"),
+    pytest.param(lambda: _cvc_loss(math.nan), "lambda_cvc must be", id="lambda_cvc_nan"),
+    pytest.param(lambda: seeded_uniform(3, (2, 2), 1, 0), "tensor name must be a string",
+                 id="seeded_uniform_name_int"),
+    pytest.param(lambda: seeded_uniform("w", (2, -2), 1, 0), "shape dim -2 out of range",
+                 id="seeded_uniform_shape_negative"),
+    pytest.param(lambda: seeded_uniform("w", "ab", 1, 0), "shape dim must be an integer",
+                 id="seeded_uniform_shape_str"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), (1.5, 4)), "reshape dim must be an integer",
+                 id="reshape_float_dim"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), (True, 4)), "reshape dim must be an integer",
+                 id="reshape_bool_dim"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), ("a", 4)), "reshape dim must be an integer",
+                 id="reshape_str_dim"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), (-1, -4)), "reshape dim -1 out of range",
+                 id="reshape_negative_dims"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):
@@ -91,3 +121,30 @@ def test_file_access_check_sees_each_kind_of_call():
     source = ("open(p)\nio.open(p)\npath.read_text()\npath.write_text(t)\npath.read_bytes()\n"
               "path.write_bytes(b)\npgm.read_text(p)\nread_text(p)\n")
     assert sorted(_file_access_calls(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
+
+
+def _autodiff_imports(tree):
+    """Line numbers of imports that name the autodiff module, relatively or as mvh.autodiff."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m.strip(".") in ("autodiff", "mvh.autodiff") for m in modules):
+            yield node.lineno
+
+
+def test_data_and_metrics_do_not_import_autodiff():
+    package = Path(mvh.__file__).parent
+    found = [f"{name}:{line}" for name in ("corpus.py", "metrics.py", "pgm.py", "errors.py")
+             for line in _autodiff_imports(ast.parse((package / name).read_text(encoding="utf-8")))]
+    assert found == [], "take argument checks from mvh.errors, not from mvh.autodiff"
+
+
+def test_autodiff_import_check_sees_each_kind_of_import():
+    source = ("from .autodiff import _index\nfrom . import autodiff as ad\nimport mvh.autodiff\n"
+              "from mvh.autodiff import Tensor\nfrom mvh import autodiff\nfrom .errors import _index\n"
+              "import numpy\nfrom . import errors\n")
+    assert sorted(_autodiff_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
