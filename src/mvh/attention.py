@@ -16,6 +16,10 @@ from .autodiff import Tensor, seeded_uniform
 from .errors import ValidationError
 
 FUSION_SCHEMES = ("concat", "early", "late")
+# Field -> parameter name, in `named`'s order (clip_global_norm sums gradients in dict order).
+_NAMES = {"w_v": "att.visual.w_v", "w_s": "att.visual.w_s", "w_a": "att.visual.w_a",
+          "w_c": "att.concept.w_c", "w_w": "att.concept.w_w", "w_ac": "att.concept.w_ac",
+          "w_late": "att.late.w_late"}
 
 
 @dataclass
@@ -32,22 +36,13 @@ class AttentionParams:
 
     @classmethod
     def init(cls, d_v, d_h_sent, d_h_word, d_a, d_c, d_ac, seed):
-        return cls(
-            w_v=seeded_uniform("att.visual.w_v", (d_a, d_v), d_v, seed),
-            w_s=seeded_uniform("att.visual.w_s", (d_a, d_h_sent), d_h_sent, seed),
-            w_a=seeded_uniform("att.visual.w_a", (1, d_a), d_a, seed),
-            w_c=seeded_uniform("att.concept.w_c", (d_ac, d_c), d_c, seed),
-            w_w=seeded_uniform("att.concept.w_w", (d_ac, d_h_word), d_h_word, seed),
-            w_ac=seeded_uniform("att.concept.w_ac", (1, d_ac), d_ac, seed),
-            w_late=seeded_uniform("att.late.w_late", (d_v, 2 * d_v), 2 * d_v, seed),
-        )
+        """Seeded weights; each one's fan-in is its shape[1], the width of the input it projects."""
+        shapes = {"w_v": (d_a, d_v), "w_s": (d_a, d_h_sent), "w_a": (1, d_a), "w_c": (d_ac, d_c),
+                  "w_w": (d_ac, d_h_word), "w_ac": (1, d_ac), "w_late": (d_v, 2 * d_v)}
+        return cls(**{f: seeded_uniform(name, shapes[f], shapes[f][1], seed) for f, name in _NAMES.items()})
 
     def named(self):
-        return {
-            "att.visual.w_v": self.w_v, "att.visual.w_s": self.w_s, "att.visual.w_a": self.w_a,
-            "att.concept.w_c": self.w_c, "att.concept.w_w": self.w_w, "att.concept.w_ac": self.w_ac,
-            "att.late.w_late": self.w_late,
-        }
+        return {name: getattr(self, f) for f, name in _NAMES.items()}
 
 
 def visual_attend(v, h_prev, params):

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericsError, ShapeError, TapeError, ValidationError, _index
+from .errors import NumericsError, ShapeError, TapeError, ValidationError, _index, _shape
 
 PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -163,7 +163,7 @@ def transpose(x):
 
 def reshape(x, shape):
     """x's data in a new shape; a view whenever numpy can make one."""
-    shape = tuple(_index(s, math.inf, "reshape dim") for s in shape)
+    shape = _shape(shape, "reshape dim")
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} into {shape}")
     return _result(x.data.reshape(shape), (x,), lambda g: _accum(x, g.reshape(x.data.shape)))
@@ -457,7 +457,7 @@ def cross_entropy(logits, target_index):
 
 
 class Adam:
-    """Adam optimizer with per-parameter moment state, serializable into checkpoints."""
+    """Adam optimizer; its state is the step count t and the first and second moments m and v, keyed by name."""
 
     def __init__(self, lr=1e-3):
         if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
@@ -521,7 +521,7 @@ def seeded_uniform(name, shape, fan_in, seed):
     """
     if not isinstance(name, str):
         raise ValidationError(f"tensor name must be a string, got {name!r}")
-    shape = tuple(_index(s, math.inf, "shape dim") for s in (shape if np.iterable(shape) else (shape,)))
+    shape = _shape(shape, "shape dim")
     fan_in = _index(fan_in, math.inf, "fan_in", low=1)
     seed = _index(seed, math.inf, "seed")
     digest = hashlib.sha256(name.encode("utf-8")).digest()

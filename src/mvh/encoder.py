@@ -63,20 +63,14 @@ class EncoderOutput:
 
 
 def init_encoder_params(config, seed):
-    """Seeded parameter dict for the conv stack and both heads."""
-    params = {}
-    cin = 1
+    """Seeded parameter dict for the conv stack and both heads, each declared once as (name, shape, fan_in)."""
+    specs, cin = [], 1
     for i, cout in enumerate(config.channels):
-        fan_in = cin * 9
-        params[f"enc.conv{i}.w"] = seeded_uniform(f"enc.conv{i}.w", (cout, cin, 3, 3), fan_in, seed)
-        params[f"enc.conv{i}.b"] = seeded_uniform(f"enc.conv{i}.b", (cout,), fan_in, seed)
+        specs += [(f"enc.conv{i}.w", (cout, cin, 3, 3), cin * 9), (f"enc.conv{i}.b", (cout,), cin * 9)]
         cin = cout
-    d_v = config.d_v
-    params["enc.obs.w"] = seeded_uniform("enc.obs.w", (N_OBS, d_v), d_v, seed)
-    params["enc.obs.b"] = seeded_uniform("enc.obs.b", (N_OBS,), d_v, seed)
-    params["enc.concept.w"] = seeded_uniform("enc.concept.w", (config.n_concepts, d_v), d_v, seed)
-    params["enc.concept.b"] = seeded_uniform("enc.concept.b", (config.n_concepts,), d_v, seed)
-    return params
+    for head, n_out in (("obs", N_OBS), ("concept", config.n_concepts)):
+        specs += [(f"enc.{head}.w", (n_out, config.d_v), config.d_v), (f"enc.{head}.b", (n_out,), config.d_v)]
+    return {name: seeded_uniform(name, shape, fan_in, seed) for name, shape, fan_in in specs}
 
 
 def encode(image, params, config):

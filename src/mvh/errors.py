@@ -40,6 +40,11 @@ def _index(i, n, what, low=0):
     return int(i)
 
 
+def _shape(shape, what):
+    """shape as a tuple of ints >= 0, each checked by _index as a `what`; a lone int is a 1-d shape, as in numpy."""
+    return tuple(_index(s, np.inf, what) for s in (shape if np.iterable(shape) else (shape,)))
+
+
 def _numbers(x):
     """x as an array if it holds only numbers (bool, int or float dtype), else None; no value is parsed."""
     try:

@@ -1,13 +1,15 @@
 """Corpus-level text-generation metrics and ROC-AUC for the observation heads.
 
 All text metrics operate on token sequences (any hashable tokens); sentence
-sentinels are stripped before scoring, and multi-sentence reports are scored
-as one flattened sequence per report. Every text metric matches tokens as dict
-keys (equal hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens
-are the same. `score_generation` checks and flattens its reports once for the
-private cores (`_bleu`, `_mean`); `bleu`, `rouge_l` and `meteor_lite` are
-checked entry points over the same cores. `avg_auc` is the one AUC entry point:
-it checks its matrices whole, then scores each two-class column with `_auc`.
+sentinels are stripped before scoring, and a report whose first element is a
+list is a list of sentences, scored as one flattened sequence. A list is never
+a token (it is unhashable), so a tuple token is never split. Every text metric
+matches tokens as dict keys (equal hash and ==), so BLEU, ROUGE-L and METEOR
+agree on which tokens are the same. `score_generation` checks and flattens its
+reports once for the private cores (`_bleu`, `_mean`); `bleu`, `rouge_l` and
+`meteor_lite` are checked entry points over the same cores. `avg_auc` is the
+one AUC entry point: it checks its matrices whole, then scores each two-class
+column with `_auc`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ BLEU_ORDER = 4
 
 
 def _flatten(report):
-    """Flatten a report (sequence of sentences, or one flat sequence) to tokens."""
-    if report and isinstance(report[0], (list, tuple)):
+    """Flatten a report (a sequence of list sentences, or one flat token sequence) to tokens."""
+    if report and isinstance(report[0], list):
         flat = [tok for sent in report for tok in sent]
     else:
         flat = list(report)

@@ -8,13 +8,40 @@ from hypothesis import strategies as st
 import mvh.autodiff as ad
 from gradcheck import check_grads
 from mvh.attention import FUSION_SCHEMES, AttentionParams, concept_attend, context_dim, fuse, visual_attend
-from mvh.autodiff import Tape, Tensor
-from mvh.encoder import EncoderOutput
+from mvh.autodiff import Tape, Tensor, seeded_uniform
+from mvh.encoder import EncoderConfig, EncoderOutput, init_encoder_params
 from mvh.errors import ShapeError, ValidationError
 
 
 def make_params(d_v=3, d_h_sent=4, d_h_word=4, d_a=5, d_c=3, d_ac=5, seed=0):
     return AttentionParams.init(d_v, d_h_sent, d_h_word, d_a, d_c, d_ac, seed)
+
+
+# (name, shape, fan_in) of every parameter, in dict order, written out independently of the inits' spec tables,
+# for EncoderConfig(channels=(8, 16, 32), n_concepts=15) and AttentionParams.init(32, 16, 24, 8, 12, 20, seed).
+_ENCODER_TABLE = [
+    ("enc.conv0.w", (8, 1, 3, 3), 9), ("enc.conv0.b", (8,), 9),
+    ("enc.conv1.w", (16, 8, 3, 3), 72), ("enc.conv1.b", (16,), 72),
+    ("enc.conv2.w", (32, 16, 3, 3), 144), ("enc.conv2.b", (32,), 144),
+    ("enc.obs.w", (14, 32), 32), ("enc.obs.b", (14,), 32),
+    ("enc.concept.w", (15, 32), 32), ("enc.concept.b", (15,), 32),
+]
+_ATTENTION_TABLE = [
+    ("att.visual.w_v", (8, 32), 32), ("att.visual.w_s", (8, 16), 16), ("att.visual.w_a", (1, 8), 8),
+    ("att.concept.w_c", (20, 12), 12), ("att.concept.w_w", (20, 24), 24), ("att.concept.w_ac", (1, 20), 20),
+    ("att.late.w_late", (32, 64), 64),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 13301])
+def test_parameter_tables_keep_names_order_shapes_and_init(seed):
+    encoder = init_encoder_params(EncoderConfig(channels=(8, 16, 32), n_concepts=15), seed)
+    attention = AttentionParams.init(32, 16, 24, 8, 12, 20, seed).named()  # six distinct dims
+    for params, table in ((encoder, _ENCODER_TABLE), (attention, _ATTENTION_TABLE)):
+        assert list(params) == [name for name, _, _ in table]  # clip_global_norm sums in this order
+        for name, shape, fan_in in table:
+            assert params[name].data.tobytes() == seeded_uniform(name, shape, fan_in, seed).data.tobytes(), name
+            assert params[name].data.shape == shape and params[name].requires_grad, name
 
 
 def scalar_oracle_visual(v, h, p):

@@ -931,3 +931,13 @@ def test_seeded_uniform_is_name_keyed_and_deterministic():
     assert p1.data.tobytes() != q.data.tobytes()
     assert np.abs(p1.data).max() <= 0.5
     assert ad.seeded_uniform("dec.w", 3, fan_in=4, seed=9).data.shape == (3,)  # one int is a 1-d shape
+
+
+def test_reshape_reads_a_lone_int_as_a_1d_shape_like_seeded_uniform():
+    x = t(np.arange(4.0).reshape(2, 2), grad=True)
+    with Tape() as tape:
+        y = ad.reshape(x, 4)
+        loss = ad.tensor_sum(ad.mul(y, t([1.0, 2.0, 3.0, 4.0])))
+    tape.backward(loss)
+    assert y.data.shape == (4,) == ad.seeded_uniform("dec.w", 4, fan_in=1, seed=0).data.shape
+    np.testing.assert_array_equal(x.grad, [[1.0, 2.0], [3.0, 4.0]])

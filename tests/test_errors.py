@@ -1,4 +1,4 @@
-"""One way to fail: argument values raise ValidationError, and only mvh.pgm opens files.
+"""One way to fail: every raise names an MvhError, argument values raise ValidationError, and only mvh.pgm opens files.
 
 `mvh.pgm.read_text` and `write_text` turn every failure to open, decode or
 write a file into a DataError naming the path. A module that opens a file
@@ -16,11 +16,37 @@ import numpy as np
 import pytest
 
 import mvh
-from mvh.autodiff import Adam, Tensor, clip_global_norm, reshape, seeded_uniform
-from mvh.corpus import N_OBS, generate_dataset, mine_concepts, pattern_mask, pattern_pixels, split_dataset, tokenize
+from mvh import corpus, errors
+from mvh.attention import context_dim
+from mvh.autodiff import (
+    Adam,
+    Tensor,
+    clip_global_norm,
+    concat,
+    conv2d,
+    cross_entropy,
+    embedding_lookup,
+    matmul,
+    max_pool2d,
+    mean_pool,
+    reshape,
+    seeded_uniform,
+    transpose,
+)
+from mvh.corpus import (
+    N_OBS,
+    Vocabulary,
+    generate_dataset,
+    mine_concepts,
+    pattern_mask,
+    pattern_pixels,
+    split_dataset,
+    tokenize,
+)
 from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
-from mvh.errors import ValidationError
-from mvh.metrics import bleu_n
+from mvh.errors import DataError, MvhError, ShapeError, ValidationError
+from mvh.metrics import bleu, bleu_n
+from mvh.pgm import read_pgm, write_text
 
 _HYP = [["the", "lungs", "are", "clear"]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
@@ -87,10 +113,89 @@ def _cvc_loss(lambda_cvc):
                  id="reshape_str_dim"),
     pytest.param(lambda: reshape(Tensor(np.zeros(4)), (-1, -4)), "reshape dim -1 out of range",
                  id="reshape_negative_dims"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), 4.0), "reshape dim must be an integer", id="reshape_float"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), True), "reshape dim must be an integer", id="reshape_bool"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), -4), "reshape dim -4 out of range", id="reshape_negative"),
+    pytest.param(lambda: reshape(Tensor(np.zeros(4)), (2, "a")), "reshape dim must be an integer",
+                 id="reshape_str_second_dim"),
+    pytest.param(lambda: bleu(_HYP, _HYP * 2), "equal counts, got 1 hypotheses and 2 references",
+                 id="bleu_unequal_counts"),
+    pytest.param(lambda: context_dim("mean", 4), "unknown fusion scheme 'mean'", id="context_dim_unknown_scheme"),
+    pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _zeros(2).item(), r"item\(\) needs a one-element tensor", id="item_two_elements"),
+    pytest.param(lambda: matmul(_zeros(2, 2, 2), _zeros(2)), "matmul needs 1-d or 2-d operands", id="matmul_3d"),
+    pytest.param(lambda: transpose(_zeros(3)), "transpose needs a 2-d tensor", id="transpose_1d"),
+    pytest.param(lambda: reshape(_zeros(4), (3,)), r"cannot reshape \(4,\) into \(3,\)", id="reshape_size"),
+    pytest.param(lambda: concat([]), "concat of zero tensors", id="concat_empty"),
+    pytest.param(lambda: mean_pool(_zeros(3)), "mean_pool needs a 2-d tensor", id="mean_pool_1d"),
+    pytest.param(lambda: max_pool2d(_zeros(1, 3, 4)), "max_pool2d needs", id="max_pool2d_odd_side"),
+    pytest.param(lambda: conv2d(_zeros(4, 4), _zeros(1, 1, 3, 3), _zeros(1)), r"conv2d needs \(cin,h,w\)",
+                 id="conv2d_rank"),
+    pytest.param(lambda: conv2d(_zeros(2, 4, 4), _zeros(1, 1, 3, 3), _zeros(1)), "conv2d channel mismatch",
+                 id="conv2d_channels"),
+    pytest.param(lambda: conv2d(_zeros(1, 4, 4), _zeros(1, 1, 2, 2), _zeros(1)), "odd kernels only, got 2x2",
+                 id="conv2d_even_kernel"),
+    pytest.param(lambda: embedding_lookup(_zeros(3), 0), "embedding_lookup needs a 2-d table",
+                 id="embedding_lookup_1d"),
+    pytest.param(lambda: cross_entropy(_zeros(2, 2), 0), "cross_entropy needs a non-empty 1-d tensor",
+                 id="cross_entropy_2d"),
+])
+def test_tensor_shapes_that_do_not_fit_are_shape_errors(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
+
+
+def _read_pgm_of(text):
+    def call(path):
+        write_text(path, text)
+        return read_pgm(path)
+    return call
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(_read_pgm_of("P5\n2 2\n255\n0 0 0 0\n"), "is not an ASCII P2 graymap", id="pgm_not_p2"),
+    pytest.param(_read_pgm_of("P2\n2 2\n255\n0 0 0\n"), "expected 4 pixels, found 3", id="pgm_pixel_count"),
+    pytest.param(lambda path: Vocabulary.build([]), "empty corpus", id="vocabulary_empty"),
+])
+def test_malformed_data_is_a_data_error(tmp_path, call, message):
+    with pytest.raises(DataError, match=message):
+        call(tmp_path / "in.pgm")
+
+
+_MVH_ERRORS = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, MvhError)}
+
+
+def _raw_raises(tree):
+    """Line numbers of raise statements that name no MvhError subclass; a bare re-raise names none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) not in _MVH_ERRORS:
+                yield node.lineno
+
+
+def test_every_raise_names_an_mvh_error():
+    package = Path(mvh.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _raw_raises(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [], "raise an MvhError subclass from mvh.errors, not a builtin exception"
+
+
+def test_raise_check_sees_each_kind_of_raise():
+    source = ("raise ValidationError('x')\nraise ValueError('x')\nraise\nraise DataError('x') from None\n"
+              "raise KeyError\nraise ShapeError\nraise exc\nraise errors.TapeError('x')\nraise np.AxisError(1)\n")
+    assert sorted(_raw_raises(ast.parse(source))) == [2, 3, 5, 7, 9]
 
 
 _FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}

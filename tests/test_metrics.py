@@ -139,6 +139,12 @@ def test_bleu_strips_sentinels_and_flattens_sentences():
     assert bleu_n([hyp], [ref], 2) == 1.0
 
 
+def test_tuple_tokens_are_not_split_into_sentences():
+    # only a list is a sentence, so a report of one tuple token is one token, not the sentence ["a", "b"]
+    assert bleu([[("a", "b")]], [["a", "b"]]) == [0.0] * BLEU_ORDER
+    assert bleu([[("a", "b"), "c"]], [[("a", "b"), "c"]]) == [1.0, 1.0, 0.0, 0.0]
+
+
 # few distinct tokens and short reports, so every order has matches, misses and reports too short for it
 _short_report = st.lists(st.integers(0, 3), max_size=9)
 
