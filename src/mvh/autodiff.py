@@ -14,6 +14,7 @@ be a view, read-only or shared, and no rule, optimizer or utility writes into on
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
 from contextvars import ContextVar
@@ -64,9 +65,9 @@ _ACTIVE_TAPE: ContextVar["Tape | None"] = ContextVar("mvh_active_tape", default=
 class Tape:
     """Append-only record of backward rules for one forward pass.
 
-    Construction order is execution order, so the node list is already
-    topologically sorted; backward walks it once in reverse. A tape is
-    consumed by backward and cannot be replayed.
+    Construction order is execution order, so the node list is already topologically sorted; backward
+    pops it once in reverse, and a consumed tape cannot be replayed. It keeps no node: each output refers
+    back to its tape, so kept nodes would hold a step's whole graph until a cyclic garbage collection.
     """
 
     def __init__(self):
@@ -97,7 +98,8 @@ class Tape:
             raise TapeError("loss was not produced on this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, fn in reversed(self._nodes):
+        while self._nodes:
+            out, fn = self._nodes.pop()
             if out.grad is not None:
                 fn(out.grad)
 
@@ -105,10 +107,11 @@ class Tape:
 def _result(data, parents, backward):
     """Wrap an op's output `data` in a Tensor.
 
-    When a tape is active and any parent has requires_grad, the output joins
-    that tape: `backward(g)` is recorded to push the output's gradient `g`
-    into the parents. A non-finite `data` raises NumericsError naming the op
-    (from `backward.__qualname__`) and the tape node it would have become.
+    When a tape is active and any parent has requires_grad, the output joins that tape: `backward(g)` is
+    recorded to push the output's gradient `g` into the parents. A non-finite `data` raises NumericsError
+    naming the op (from `backward.__qualname__`) and the tape node it would have become. A 0-d output is
+    checked by `math.isfinite`, any other elementwise; not by its sum, which warns when finite values
+    overflow or inf meets -inf, and under a strict warnings filter raises that warning instead.
     """
     out = Tensor(data)
     tape = _ACTIVE_TAPE.get()
@@ -118,7 +121,8 @@ def _result(data, parents, backward):
                 break
         else:
             tape = None
-    if not np.isfinite(out.data).all():
+    d = out.data
+    if not (math.isfinite(d) if d.ndim == 0 else np.logical_and.reduce(np.isfinite(d), axis=None)):
         at = "" if tape is None else f" at tape node {len(tape._nodes)}"
         raise NumericsError(f"{backward.__qualname__.split('.')[0]} produced non-finite values{at}")
     if tape is not None:
@@ -233,8 +237,8 @@ def relu(x):
 
 
 def _softmax_np(x):
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    e = np.exp(x - np.maximum.reduce(x))
+    return e / np.add.reduce(e)
 
 
 def softmax(x):
@@ -282,7 +286,7 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
                 _accum(key_scale, (g_sk * kd).sum(axis=1))
             _accum(keys, g_sk if s is None else g_sk * s[:, None])
         _accum(w_key, (sk.T @ g_pre).T)
-        g_proj = g_pre.sum(axis=0).reshape(wk.shape[0], 1)
+        g_proj = np.add.reduce(g_pre, axis=0).reshape(wk.shape[0], 1)
         _accum(w_query, g_proj @ qd[None, :])
         if query.requires_grad:
             _accum(query, (wq.T @ g_proj).reshape(qd.shape))
@@ -321,8 +325,16 @@ def mean_pool(x):
     """Mean over the rows of a (k,d) tensor."""
     if x.data.ndim != 2:
         raise ShapeError(f"mean_pool needs a 2-d tensor, got shape {x.data.shape}")
-    k = x.data.shape[0]
-    return _result(x.data.mean(axis=0), (x,), lambda g: _accum(x, np.broadcast_to(g / k, x.data.shape)))
+    k = x.data.shape[0]  # the sum over k, then / k, is what np.mean computes
+    return _result(np.add.reduce(x.data, axis=0) / k, (x,), lambda g: _accum(x, np.full(x.data.shape, g / k)))
+
+
+@cache
+def _pool_base(c, h, w):
+    """Read-only flat index in a C-ordered (c, h, w) array of each 2x2 window's top-left cell."""
+    base = np.arange(c * h * w).reshape(c, h, w)[:, 0::2, 0::2].copy()
+    base.flags.writeable = False
+    return base
 
 
 def max_pool2d(x):
@@ -340,7 +352,7 @@ def max_pool2d(x):
         first = np.where(xd[:, 1::2, 0::2] == out, w, w + 1)
         first = np.where(xd[:, 0::2, 1::2] == out, 1, first)
         first = np.where(xd[:, 0::2, 0::2] == out, 0, first)
-        first += np.arange(xd.size).reshape(xd.shape)[:, 0::2, 0::2]
+        first += _pool_base(*xd.shape)
         dx = np.zeros(xd.size)
         dx[first] = g
         _accum(x, dx.reshape(xd.shape))
@@ -404,8 +416,7 @@ def embedding_lookup(table, index):
 
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
-    out_data = x.data.sum()
-    return _result(out_data, (x,), lambda g: _accum(x, np.broadcast_to(g, x.data.shape)))
+    return _result(np.add.reduce(x.data, axis=None), (x,), lambda g: _accum(x, np.full(x.data.shape, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,38 +468,52 @@ def cross_entropy(logits, target_index):
 
 
 class Adam:
-    """Adam optimizer; its state is the step count t and the first and second moments m and v, keyed by name."""
+    """Adam (Kingma & Ba, 2015). Moments m and v are one flat array each, laid out over sorted(params) at the
+    first step; m[name] and v[name] are views into them, and a later step over other names or shapes is a
+    ValidationError. Nothing moves unless every gradient is finite; a parameter without one keeps its moments."""
 
     def __init__(self, lr=1e-3):
         if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
             raise ValidationError(f"learning rate must be positive and finite, got {lr!r}")
         self.lr = lr
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m, self.v = {}, {}
+        self._layout = self._bounds = self._m = self._v = None  # set at the first step
 
     def step(self, params):
+        layout = [(name, params[name].data.shape) for name in sorted(params)]
+        if self._layout is None:  # [(name, shape)] over sorted(params), each one's (start, stop), flat m and v
+            ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
+            self._layout, self._bounds = layout, list(zip(ends, ends[1:]))
+            self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
+            for (name, shape), (lo, hi) in zip(layout, self._bounds):
+                self.m[name], self.v[name] = self._m[lo:hi].reshape(shape), self._v[lo:hi].reshape(shape)
+        elif layout != self._layout:
+            raise ValidationError("Adam's state was laid out at its first step for other parameter names or shapes")
+        runs = []  # [(name, start, stop)] per run of consecutive parameters with a gradient
+        for (name, shape), (lo, hi) in zip(layout, self._bounds):
+            if (g := params[name].grad) is not None:
+                if np.shape(g) != shape:
+                    raise ShapeError(f"gradient of '{name}' has shape {np.shape(g)}, its parameter {shape}")
+                if not runs or runs[-1][-1][2] != lo:
+                    runs.append([])
+                runs[-1].append((name, lo, hi))
+        g = np.concatenate([params[n].grad for run in runs for n, _, _ in run], axis=None) if runs else np.zeros(0)
+        if not np.isfinite(g).all():  # name the first parameter at fault, before any has moved
+            bad = next(name for run in runs for name, _, _ in run if not np.isfinite(params[name].grad).all())
+            raise NumericsError(f"non-finite gradient for parameter '{bad}'")
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1 ** self.t
-        b2c = 1.0 - ADAM_BETA2 ** self.t
-        for name in sorted(params):
-            p = params[name]
-            if p.grad is None:
-                continue
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter '{name}'")
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.m[name] = m
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
+        b1c, b2c = 1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t
+        for run in runs:
+            lo, hi = run[0][1], run[-1][2]
+            m, v, gr, g = self._m[lo:hi], self._v[lo:hi], g[:hi - lo], g[hi - lo:]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += (1.0 - ADAM_BETA1) * gr
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            v += (1.0 - ADAM_BETA2) * gr * gr
+            update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            for name, a, b in run:
+                params[name].data -= update[a - lo:b - lo].reshape(params[name].data.shape)
 
 
 def zero_grads(params):

@@ -203,30 +203,34 @@ def _image_size(image_size):
 
 
 def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
-    """Boolean (s,s) mask of observation obs_index's pattern at a given jitter."""
-    spec = OBSERVATIONS[_index(obs_index, N_OBS, "observation index")]
-    image_size = _image_size(image_size)
+    """Boolean (s,s) mask of observation obs_index's pattern at a (row, column) jitter of at most JITTER each."""
+    if not np.iterable(jitter) or len(jitter) != 2:
+        raise ValidationError(f"jitter must be a (row, column) pair, got {jitter!r}")
+    return _pattern_pixels(_index(obs_index, N_OBS, "observation index"), _image_size(image_size),
+                           [_index(d, JITTER + 1, "jitter", low=-JITTER) for d in jitter])
+
+
+def _pattern_pixels(obs_index, image_size, jitter):
+    """pattern_pixels of arguments it has checked: the pattern stays inside the image."""
+    spec = OBSERVATIONS[obs_index]
     mask = np.zeros((image_size, image_size), dtype=bool)
     if spec.cell is None:  # whole-image border frame
         w = max(1, image_size // 16)
-        mask[:w, :] = mask[-w:, :] = True
-        mask[:, :w] = mask[:, -w:] = True
+        mask[:w, :] = mask[-w:, :] = mask[:, :w] = mask[:, -w:] = True
         return mask
     cs = image_size // GRID
     b = cs - 2
-    sm = _shape_mask(spec.shape, b)
     r0 = spec.cell[0] * cs + 1 + jitter[0]
     c0 = spec.cell[1] * cs + 1 + jitter[1]
-    r0 = min(max(r0, 0), image_size - b)
-    c0 = min(max(c0, 0), image_size - b)
-    mask[r0:r0 + b, c0:c0 + b] = sm
+    mask[r0:r0 + b, c0:c0 + b] = _shape_mask(spec.shape, b)
     return mask
 
 
 def pattern_mask(obs_index, image_size):
     """Union of the pattern over all jitters, i.e. where it can appear."""
+    obs_index, image_size = _index(obs_index, N_OBS, "observation index"), _image_size(image_size)
     shifts = range(-JITTER, JITTER + 1)
-    return np.logical_or.reduce([pattern_pixels(obs_index, image_size, (dr, dc))
+    return np.logical_or.reduce([_pattern_pixels(obs_index, image_size, (dr, dc))
                                  for dr in shifts for dc in shifts])
 
 
@@ -250,6 +254,8 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
     pathologies, then a deterministic impression. All-zero labels therefore
     yield only normal-finding sentences.
     """
+    if (labels := _numbers(obs_labels)) is None or labels.shape != (N_OBS,):
+        raise ValidationError(f"report labels must be {N_OBS} numbers, got {obs_labels!r}")
     sentences = []
     for j in range(N_OBS):
         if obs_labels[j] >= 1:
@@ -274,8 +280,7 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
     for j in active:
         jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
-        mask = pattern_pixels(j, image_size, (jr, jc))
-        canvas = np.maximum(canvas, mask * level)
+        canvas = np.maximum(canvas, _pattern_pixels(j, image_size, (jr, jc)) * level)
     return np.round(canvas * _MAXVAL) / _MAXVAL  # the levels write_pgm keeps, so a view survives a save
 
 

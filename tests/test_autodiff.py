@@ -1,8 +1,11 @@
+import gc
 import inspect
 import math
 import warnings
+import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from numpy.lib.stride_tricks import as_strided
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
+from mvh.attention import AttentionParams
 from mvh.autodiff import Adam, Tape, Tensor
+from mvh.encoder import EncoderConfig, init_encoder_params
 from mvh.errors import (
     NumericsError,
     ShapeError,
@@ -119,6 +124,17 @@ def test_nonfinite_forward_raises():
     big = t([1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         ad.add(big, big)
+
+
+def test_finite_check_does_not_sum_the_output():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be raised in place of the result
+        out = ad.concat([t([1e308]), t([1e308])])  # finite elements whose sum overflows
+        assert out.data.tolist() == [1e308, 1e308]
+        with pytest.raises(NumericsError, match=r"^concat produced non-finite values$"):
+            ad.concat([t([math.inf]), t([-math.inf])])  # a sum would meet inf - inf
+        with pytest.raises(NumericsError, match=r"^tensor_sum produced non-finite values$"):
+            ad.tensor_sum(t([1.0, math.nan]))  # a 0-d output
 
 
 @pytest.mark.parametrize("view", [
@@ -237,6 +253,22 @@ def test_first_gradient_is_an_owned_buffer():
     tape.backward(loss)
     np.testing.assert_array_equal(y.grad, 2.0 * y.data)
     np.testing.assert_array_equal(x.grad, 4.0 * x.data)
+
+
+def test_backward_releases_the_graph():
+    x = t([1.0, 2.0], grad=True)
+    gc.disable()  # freed by reference counting alone, not by a cyclic collection
+    try:
+        with Tape() as tape:
+            h = ad.tanh(x)
+            loss = ad.tensor_sum(ad.mul(h, h))
+        h_ref = weakref.ref(h.data)  # a Tensor has __slots__ and takes no weak reference; its array does
+        del h
+        tape.backward(loss)
+        assert h_ref() is None and len(tape) == 0
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, 2.0 * np.tanh([1.0, 2.0]) * (1.0 - np.tanh([1.0, 2.0]) ** 2), rtol=1e-15)
 
 
 def test_tape_consumed_twice_errors():
@@ -519,6 +551,18 @@ def test_conv2d_bit_for_bit_equals_strided_kernel(cin, h, width, cout, kh, kw, a
         assert x.grad.tobytes() == ref_dx.tobytes()
     else:
         assert x.grad is None
+
+
+def test_max_pool2d_index_cache_is_read_only():
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.max_pool2d(t(np.ones((2, 4, 6)), grad=True)))
+    tape.backward(loss)
+    base = ad._pool_base(2, 4, 6)
+    assert ad._pool_base(2, 4, 6) is base  # built once per shape
+    np.testing.assert_array_equal(base, np.arange(2 * 4 * 6).reshape(2, 4, 6)[:, 0::2, 0::2])
+    assert not base.flags.writeable
+    with pytest.raises(ValueError):
+        base[0, 0, 0] = 0
 
 
 def test_conv2d_index_cache_is_read_only():
@@ -869,6 +913,118 @@ def test_nan_gradient_names_parameter():
     w.grad = np.array([np.nan])
     with pytest.raises(NumericsError, match="enc.w0"):
         Adam().step({"enc.w0": w})
+
+
+def _per_parameter_adam_step(opt, params):
+    """The oracle: Adam.step as one update per parameter on moments kept per name, before they went flat."""
+    opt.t += 1
+    b1c = 1.0 - ad.ADAM_BETA1 ** opt.t
+    b2c = 1.0 - ad.ADAM_BETA2 ** opt.t
+    for name in sorted(params):
+        p = params[name]
+        if p.grad is None:
+            continue
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise NumericsError(f"non-finite gradient for parameter '{name}'")
+        m = opt.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            opt.m[name] = m
+            opt.v[name] = np.zeros_like(p.data)
+        v = opt.v[name]
+        m *= ad.ADAM_BETA1
+        m += (1.0 - ad.ADAM_BETA1) * g
+        v *= ad.ADAM_BETA2
+        v += (1.0 - ad.ADAM_BETA2) * g * g
+        p.data -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + ad.ADAM_EPS)
+
+
+def _encoder_params():
+    return init_encoder_params(EncoderConfig(), 3)
+
+
+def _attention_params():
+    att = AttentionParams.init(32, 32, 32, 32, 32, 32, 5)
+    return {**att.named(), "concept.embeddings": ad.seeded_uniform("concept.embeddings", (12, 32), 32, 5)}
+
+
+_VISUAL = ("att.visual.w_v", "att.visual.w_s", "att.visual.w_a")
+# parameters without a gradient at each step, in turn: none for the encoder; for the attention, the
+# concat, early and late fusion schemes leave out the visual weights and w_late, w_late, and nothing
+_NO_GRAD = {"encoder": [()], "attention": [(*_VISUAL, "att.late.w_late"), ("att.late.w_late",), ()]}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_GRAD))
+def test_flat_adam_equals_per_parameter_oracle(case):
+    params = _encoder_params() if case == "encoder" else _attention_params()
+    assert len(params) == {"encoder": 10, "attention": 8}[case]
+    twins = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    opt, oracle = Adam(lr=5e-3), SimpleNamespace(lr=5e-3, t=0, m={}, v={})
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    for step in range(24):
+        missing = _NO_GRAD[case][step % len(_NO_GRAD[case])]
+        for name, p in params.items():  # a gradient of two or more dims comes as a transposed view
+            g = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=p.data.shape[::-1]).T
+            p.grad = twins[name].grad = None if name in missing else g
+        opt.step(params)
+        _per_parameter_adam_step(oracle, twins)
+        for name in params:
+            assert params[name].data.tobytes() == twins[name].data.tobytes(), (step, name)
+    assert opt.t == oracle.t == 24 and sorted(oracle.m) == sorted(params)
+    for name in params:
+        assert opt.m[name].tobytes() == oracle.m[name].tobytes(), name
+        assert opt.v[name].tobytes() == oracle.v[name].tobytes(), name
+
+
+def test_flat_adam_moments_are_views_of_one_buffer():
+    params = _attention_params()
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt = Adam()
+    opt.step(params)
+    assert sorted(opt.m) == sorted(opt.v) == sorted(params)
+    offset = 0
+    for name in sorted(params):
+        for state, flat in ((opt.m, opt._m), (opt.v, opt._v)):
+            assert state[name].shape == params[name].data.shape
+            assert np.shares_memory(state[name], flat)
+            assert state[name].ctypes.data == flat.ctypes.data + 8 * offset  # laid out in sorted order
+        offset += params[name].data.size
+    assert offset == opt._m.size == opt._v.size
+
+
+def test_nan_gradient_in_a_run_names_it_and_moves_nothing():
+    params = _encoder_params()
+    names = sorted(params)
+    rng = np.random.default_rng(31)
+    opt = Adam(lr=5e-3)
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    opt.step(params)
+    bad = names[len(names) // 2]
+    params[bad].grad = params[bad].grad.copy()
+    params[bad].grad.flat[1] = np.nan
+    before = {name: (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes()) for name, p in params.items()}
+    with pytest.raises(NumericsError, match=rf"^non-finite gradient for parameter '{bad}'$"):
+        opt.step(params)
+    assert opt.t == 1
+    for name, p in params.items():
+        assert (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes()) == before[name], name
+
+
+@pytest.mark.parametrize("later", [
+    pytest.param(lambda a, b: {"a": a}, id="a_name_dropped"),
+    pytest.param(lambda a, b: {"a": a, "b": b, "c": t([1.0], grad=True)}, id="a_name_added"),
+    pytest.param(lambda a, b: {"a": a, "c": b}, id="a_name_changed"),
+    pytest.param(lambda a, b: {"a": a, "b": t(np.zeros((1, 2)), grad=True)}, id="a_shape_changed"),
+])
+def test_flat_adam_refuses_another_layout(later):
+    a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
+    opt = Adam()
+    opt.step({"a": a, "b": b})
+    with pytest.raises(ValidationError, match="laid out"):
+        opt.step(later(a, b))
 
 
 def test_clip_global_norm():

@@ -40,6 +40,7 @@ from mvh.corpus import (
     mine_concepts,
     pattern_mask,
     pattern_pixels,
+    render_report,
     split_dataset,
     tokenize,
 )
@@ -58,6 +59,19 @@ def _cvc_loss(lambda_cvc):
     return encoder_loss(_VIEW, _VIEW, Tensor(np.ones(N_OBS)), lambda_cvc)
 
 
+def _adam_twice(later):
+    """An Adam step over one parameter 'v', then a step over `later`."""
+    opt = Adam()
+    opt.step({"v": Tensor(np.zeros(2), requires_grad=True)})
+    opt.step(later)
+
+
+def _adam_step_with_grad(grad):
+    w = Tensor(np.zeros(2), requires_grad=True)
+    w.grad = grad
+    Adam().step({"w": w})
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: EncoderConfig(channels=8), "at least one conv layer", id="channels_int"),
     pytest.param(lambda: EncoderConfig(channels="8"), "at least one conv layer", id="channels_str"),
@@ -67,6 +81,18 @@ def _cvc_loss(lambda_cvc):
     pytest.param(lambda: pattern_pixels(0, 20), "image_size 20", id="pattern_pixels_20"),
     pytest.param(lambda: pattern_pixels(0, 0), "image_size 0", id="pattern_pixels_0"),
     pytest.param(lambda: pattern_pixels(0, 32.0), "image_size must be an integer", id="pattern_pixels_float"),
+    pytest.param(lambda: pattern_pixels(3, 32, (0.5, 0)), "jitter must be an integer, got 0.5", id="jitter_float"),
+    pytest.param(lambda: pattern_pixels(3, 32, "ab"), "jitter must be an integer, got 'a'", id="jitter_str"),
+    pytest.param(lambda: pattern_pixels(3, 32, (100, 0)), "jitter 100 out of range -1..1", id="jitter_too_far"),
+    pytest.param(lambda: pattern_pixels(3, 32, 1), r"jitter must be a \(row, column\) pair", id="jitter_int"),
+    pytest.param(lambda: pattern_pixels(3, 32, (0, 0, 0)), r"jitter must be a \(row, column\) pair",
+                 id="jitter_triple"),
+    pytest.param(lambda: render_report([0] * 5, {}, {}, set()), "report labels must be 14 numbers",
+                 id="render_report_short_labels"),
+    pytest.param(lambda: render_report("0" * 14, {}, {}, set()), "report labels must be 14 numbers",
+                 id="render_report_str_labels"),
+    pytest.param(lambda: _adam_twice({"w": Tensor(np.zeros(2), requires_grad=True)}), "laid out",
+                 id="adam_other_names"),
     pytest.param(lambda: pattern_mask(0, 4), "image_size 4", id="pattern_mask_4"),
     pytest.param(lambda: pattern_mask(0, -1), "image_size -1", id="pattern_mask_negative"),
     pytest.param(lambda: mine_concepts(_CORPUS, float("nan")), "concept threshold must be an integer",
@@ -150,6 +176,10 @@ def _zeros(*shape):
                  id="embedding_lookup_1d"),
     pytest.param(lambda: cross_entropy(_zeros(2, 2), 0), "cross_entropy needs a non-empty 1-d tensor",
                  id="cross_entropy_2d"),
+    pytest.param(lambda: _adam_step_with_grad(np.zeros(3)),
+                 r"gradient of 'w' has shape \(3,\), its parameter \(2,\)", id="adam_gradient_shape"),
+    pytest.param(lambda: _adam_step_with_grad(np.zeros((2, 1))), r"gradient of 'w' has shape \(2, 1\)",
+                 id="adam_gradient_broadcastable_shape"),
 ])
 def test_tensor_shapes_that_do_not_fit_are_shape_errors(call, message):
     with pytest.raises(ShapeError, match=message):
