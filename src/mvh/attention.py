@@ -3,8 +3,9 @@
 Visual attention scores each local region i as W_a . tanh(W_v v_i + W_s h_prev),
 softmaxes over regions, and returns the attention-weighted region sum. Concept
 attention does the same over concept embeddings, with each embedding row
-scaled by its predicted concept probability before projection. Each attention
-is one `ad.attend` tape node.
+scaled by its predicted concept probability before projection. Both go through
+`ad.attend`: one tape node per attention step, plus one per key bank for its
+projection, which every step on that bank shares within a tape.
 """
 
 from __future__ import annotations

@@ -68,10 +68,15 @@ class Tape:
     Construction order is execution order, so the node list is already topologically sorted; backward
     pops it once in reverse, and a consumed tape cannot be replayed. It keeps no node: each output refers
     back to its tape, so kept nodes would hold a step's whole graph until a cyclic garbage collection.
+    For the same reason its memo of `attend`'s key projections, which later calls on the same key bank
+    reuse, lives only while the tape is open and unconsumed: leaving the `with` block or starting
+    backward clears it. The memo trusts that no op input's data is written while its tape is open
+    (`Adam` writes only after backward).
     """
 
     def __init__(self):
         self._nodes = []  # (output tensor, backward closure)
+        self._projections = {}  # attend's key projections: (id(keys), id(key_scale), id(w_key)) -> (those three, node)
         self._consumed = False
 
     def __enter__(self):
@@ -82,6 +87,7 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         _ACTIVE_TAPE.set(None)
+        self._projections.clear()
         return False
 
     def __len__(self):
@@ -97,6 +103,7 @@ class Tape:
         if loss._tape is not self:
             raise TapeError("loss was not produced on this tape")
         self._consumed = True
+        self._projections.clear()
         loss.grad = np.ones((), dtype=np.float64)
         while self._nodes:
             out, fn = self._nodes.pop()
@@ -252,12 +259,15 @@ def softmax(x):
 
 
 def attend(keys, query, w_key, w_query, w_score, key_scale):
-    """Additive attention (Xu et al., 2015) over the n rows k_i of keys, as one tape node.
+    """Additive attention (Xu et al., 2015) over the n rows k_i of keys: one tape node per step, one per key bank.
 
     alpha = softmax_i(w_score . tanh(w_key (s_i k_i) + w_query q)) and context = alpha @ keys, for
     keys (n, d_k), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q), w_score (1, d_a) and key_scale
     s (n,), or None for none; the scale enters the scores only. Returns (context (d_k,), alpha (n,)):
-    context is the tape node; alpha is an untaped Tensor, so no gradient flows back through it.
+    context is the step's tape node; alpha is an untaped Tensor, so no gradient flows back through it.
+    The key projection (s * keys) w_key^T does not depend on the query (Bahdanau et al., 2015, A.1.2): on
+    an active tape it is recorded once per (keys, key_scale, w_key) objects and reused by later calls, and
+    its node turns the summed score gradient of every step into the gradients of those three.
     """
     kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
     n = kd.shape[0] if kd.ndim == 2 else 0
@@ -269,29 +279,38 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
             or ws.shape != (1, wk.shape[0])):
         raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
                          f"keys {kd.shape} and query {qd.shape}")
-    sk = kd if s is None else s[:, None] * kd        # (n, d_k) scaled keys
-    hidden = np.tanh(sk @ wk.T + wq @ qd)            # (n, d_a)
+    tape, ids = _ACTIVE_TAPE.get(), (id(keys), id(key_scale), id(w_key))
+    bank = None if tape is None else tape._projections.get(ids)
+    if bank is None:
+        sk = kd if s is None else s[:, None] * kd    # (n, d_k) scaled keys
+        def bw_keys(G):                              # G: the summed g_pre of every step on this bank
+            _accum(w_key, (sk.T @ G).T)
+            ds = s is not None and key_scale.requires_grad
+            if keys.requires_grad or ds:
+                g_sk = G @ wk                        # gradient of the scaled keys
+                if ds:
+                    _accum(key_scale, (g_sk * kd).sum(axis=1))
+                _accum(keys, g_sk if s is None else g_sk * s[:, None])
+        proj = _result(sk @ wk.T, (keys, w_key) + (() if s is None else (key_scale,)), bw_keys)
+        if tape is not None:                         # holding the tensors keeps their ids from being reused
+            tape._projections[ids] = (keys, key_scale, w_key, proj)
+    else:
+        proj = bank[-1]
+    hidden = np.tanh(proj.data + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
     def bw(g):
-        if keys.requires_grad:                       # through the context first, then through the scores
+        if keys.requires_grad:                       # through the context; the bank's node adds the scores' part
             _accum(keys, alpha[None].T @ g[None])
         g_alpha = (g[None] @ kd.T).reshape(n)
         g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(n, 1)
         _accum(w_score, (hidden.T @ g_scores).T)
         g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
-        ds = s is not None and key_scale.requires_grad
-        if keys.requires_grad or ds:
-            g_sk = g_pre @ wk                        # gradient of the scaled keys
-            if ds:
-                _accum(key_scale, (g_sk * kd).sum(axis=1))
-            _accum(keys, g_sk if s is None else g_sk * s[:, None])
-        _accum(w_key, (sk.T @ g_pre).T)
+        _accum(proj, g_pre)
         g_proj = np.add.reduce(g_pre, axis=0).reshape(wk.shape[0], 1)
         _accum(w_query, g_proj @ qd[None, :])
         if query.requires_grad:
             _accum(query, (wq.T @ g_proj).reshape(qd.shape))
-    parents = (keys, query, w_key, w_query, w_score) + (() if s is None else (key_scale,))
-    return _result(alpha @ kd, parents, bw), Tensor(alpha)
+    return _result(alpha @ kd, (keys, query, w_query, w_score, proj), bw), Tensor(alpha)
 
 
 def concat(parts):
@@ -323,8 +342,8 @@ def scale(x, c):
 
 def mean_pool(x):
     """Mean over the rows of a (k,d) tensor."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_pool needs a 2-d tensor, got shape {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[0] < 1:
+        raise ShapeError(f"mean_pool needs a 2-d tensor with at least one row, got shape {x.data.shape}")
     k = x.data.shape[0]  # the sum over k, then / k, is what np.mean computes
     return _result(np.add.reduce(x.data, axis=0) / k, (x,), lambda g: _accum(x, np.full(x.data.shape, g / k)))
 
@@ -387,6 +406,8 @@ def conv2d(x, w, b):
         raise ShapeError(f"conv2d channel mismatch: input {xd.shape}, kernel {wd.shape}, bias {bd.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d supports odd kernels only, got {kh}x{kw}")
+    if h < 1 or width < 1:
+        raise ShapeError(f"conv2d needs an image of at least 1x1, got shape {xd.shape}")
     gather, scatter = _im2col_index(cin, h, width, kh, kw)
     cols = np.append(xd, 0.0).take(gather)  # im2col: one (cin, kh, kw) patch per pixel
     wmat = wd.reshape(cout, cin * kh * kw)

@@ -237,16 +237,19 @@ def test_fuse_unknown_scheme_rejected():
 # gradients through attention -----------------------------------------------------
 
 def test_attention_tape_nodes_per_call():
+    # T steps on one key bank record T + 1 nodes: one per step, and the bank's projection once
     p = make_params()
     rng = np.random.default_rng(11)
-    with Tape() as visual:
-        _, alpha = visual_attend(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4)), p)
-    with Tape() as concept:
-        _, alpha_c = concept_attend(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-                                    Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True),
-                                    Tensor(rng.normal(size=4)), p)
-    assert (len(visual), len(concept)) == (1, 1)
-    assert not alpha.requires_grad and not alpha_c.requires_grad
+    v = Tensor(rng.normal(size=(4, 3)))
+    c = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    probs = Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True)
+    for steps in (1, 3):
+        with Tape() as visual:
+            alphas = [visual_attend(v, Tensor(rng.normal(size=4)), p)[1] for _ in range(steps)]
+        with Tape() as concept:
+            alphas += [concept_attend(c, probs, Tensor(rng.normal(size=4)), p)[1] for _ in range(steps)]
+        assert (len(visual), len(concept)) == (steps + 1, steps + 1)
+        assert not any(alpha.requires_grad for alpha in alphas)
 
 
 def test_attention_gradients_match_finite_differences():

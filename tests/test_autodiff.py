@@ -271,6 +271,23 @@ def test_backward_releases_the_graph():
     np.testing.assert_allclose(x.grad, 2.0 * np.tanh([1.0, 2.0]) * (1.0 - np.tanh([1.0, 2.0]) ** 2), rtol=1e-15)
 
 
+def test_backward_and_failure_release_the_shared_key_projection():
+    args = _attend_args(np.random.default_rng(27))
+    gc.disable()  # freed by reference counting alone, not by a cyclic collection
+    try:
+        with Tape() as tape:
+            loss = ad.tensor_sum(ad.add(ad.attend(**args)[0], ad.attend(**args)[0]))
+            proj_ref = weakref.ref(tape._nodes[0][0].data)  # the projection is the bank's first node
+            tape.backward(loss)  # inside the block: backward, not leaving it, lets the memo go
+            assert proj_ref() is None and len(tape) == 0 and not tape._projections
+        with pytest.raises(ShapeError), Tape() as failed:
+            ad.attend(**args)
+            ad.attend(**{**args, "query": t(np.zeros(3))})
+        assert len(failed) == 2 and not failed._projections
+    finally:
+        gc.enable()
+
+
 def test_tape_consumed_twice_errors():
     x = t([1.0], grad=True)
     with Tape() as tape:
@@ -765,12 +782,17 @@ def test_backward_writes_into_no_gradient(name, monkeypatch):
     monkeypatch.setitem(globals(), "_ones", leaf)
     with Tape() as tape:
         out = NAN_CALLS[name]()
-    [(node_out, backward)] = tape._nodes
-    assert node_out is out
-    g = np.array(rng.normal(size=out.data.shape))
-    g_bytes = g.tobytes()
-    g.flags.writeable = False  # from here on a write into g raises
+    nodes = tape._nodes[::-1]  # every node the op records, in the order backward walks them
+    assert nodes[0][0] is out
+    gs = [np.array(rng.normal(size=node_out.data.shape)) for node_out, _ in nodes]  # one per node
+    g_bytes = [g.tobytes() for g in gs]
+    for g in gs:
+        g.flags.writeable = False  # from here on a write into g raises
     added, accum = [], ad._accum  # every gradient the first pass hands over, in order
+
+    def walk():
+        for (_, backward), g in zip(nodes, gs):
+            backward(g)
 
     def logged(x, grad):
         added.append((x, np.copy(grad)))
@@ -778,16 +800,16 @@ def test_backward_writes_into_no_gradient(name, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(ad, "_accum", logged)
-        backward(g)  # first gradients, handed over as they come
+        walk()  # first gradients, handed over as they come
     first = [x.grad for x in leaves]
     for grad in first:
         assert type(grad) is np.ndarray
         grad.flags.writeable = False
     first_bytes = [grad.tobytes() for grad in first]
-    backward(g)  # the same gradients again, added to the first ones
-    assert g.tobytes() == g_bytes
+    walk()  # the same gradients again, added to the first ones
+    assert [g.tobytes() for g in gs] == g_bytes
     expected = {id(x): grad for x, grad in zip(leaves, first)}
-    for x, grad in added:  # 2 * first for a leaf handed one gradient; attend hands its keys two
+    for x, grad in added:  # 2 * first for a leaf handed one gradient; attend hands its keys two, one per node
         if id(x) in expected:
             expected[id(x)] = expected[id(x)] + grad
     for x, grad, before in zip(leaves, first, first_bytes):
@@ -818,8 +840,8 @@ def test_attend_shape_errors(keys, query, w_score, key_scale):
                   t(np.zeros(w_score)), t(np.zeros(key_scale)))
 
 
-def _unfused_attend(keys, query, w_key, w_query, w_score, key_scale):
-    """The attention as four tape nodes: reshape and mul of the key scale, the score-and-softmax chain, matmul."""
+def _per_step_attend(keys, query, w_key, w_query, w_score, key_scale):
+    """The attention as four tape nodes per step: reshape and mul of the key scale, score-and-softmax, matmul."""
     scaled = keys if key_scale is None else ad.mul(ad.reshape(key_scale, (keys.data.shape[0], 1)), keys)
     kd, qd, wk, wq, ws = scaled.data, query.data, w_key.data, w_query.data, w_score.data
     n, d_a = kd.shape[0], wk.shape[0]
@@ -841,30 +863,130 @@ def _unfused_attend(keys, query, w_key, w_query, w_score, key_scale):
     return ad.matmul(alpha, keys), alpha
 
 
-@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
-def test_attend_bit_for_bit_equals_unfused_chain(scaled):
+def _shared_attend(proj, keys, query, w_query, w_score):
+    """One attention step over a key projection it is handed, as two tape nodes: the score-and-softmax chain, matmul."""
+    pd, qd, wq, ws = proj.data, query.data, w_query.data, w_score.data
+    n, d_a = pd.shape
+    hidden = np.tanh(pd + wq @ qd)
+    alpha_data = ad._softmax_np((hidden @ ws.T).reshape(n))
+
+    def bw(g):
+        g_scores = (alpha_data * (g - np.dot(g, alpha_data))).reshape(n, 1)
+        ad._accum(w_score, (hidden.T @ g_scores).T)
+        g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
+        ad._accum(proj, g_pre)
+        g_proj = g_pre.sum(axis=0).reshape(d_a, 1)
+        ad._accum(w_query, g_proj @ qd[None, :])
+        if query.requires_grad:
+            ad._accum(query, (wq.T @ g_proj).reshape(qd.shape))
+    alpha = ad._result(alpha_data, (proj, query, w_query, w_score), bw)
+    return ad.matmul(alpha, keys), alpha
+
+
+def _shared_bank(keys, w_key, w_query, w_score, key_scale):
+    """A step op over a key projection taped once as reshape, mul, transpose and matmul nodes."""
+    scaled = keys if key_scale is None else ad.mul(ad.reshape(key_scale, (keys.data.shape[0], 1)), keys)
+    proj = ad.matmul(scaled, ad.transpose(w_key))
+    return lambda query: _shared_attend(proj, keys, query, w_query, w_score)
+
+
+# bank(keys, w_key, w_query, w_score, key_scale) -> the step op query -> (context, alpha) over that key bank
+BANKS = {
+    "fused": lambda keys, *rest: lambda query: ad.attend(keys, query, *rest),
+    "per_step": lambda keys, *rest: lambda query: _per_step_attend(keys, query, *rest),
+    "shared": _shared_bank,
+}
+
+
+def _three_steps(bank, scaled):
+    """Outputs and leaf gradients of three steps on one key bank that share every weight, as the decoder's word
+    steps do, through BANKS[bank]."""
     rng = np.random.default_rng(21)
-    data = [rng.normal(size=shape) for shape in ((5, 3), (5, 3), (5, 4), (1, 5))]
+    keys, w_key, w_query, w_score = (t(rng.normal(size=shape), grad=True) for shape in ((5, 3), (5, 3), (5, 4), (1, 5)))
     queries = [rng.normal(size=4) for _ in range(3)]
     scale, readout = rng.uniform(0.1, 0.9, size=5), rng.normal(size=3)
-    runs = []
-    for op in (_unfused_attend, ad.attend):
-        keys, w_key, w_query, w_score = (t(d, grad=True) for d in data)
-        key_scale = t(scale, grad=True) if scaled else None
-        leaves = [keys, w_key, w_query, w_score] + ([key_scale] if scaled else [])
-        outs = []
+    key_scale = t(scale, grad=True) if scaled else None
+    leaves = [keys, w_key, w_query, w_score] + ([key_scale] if scaled else [])
+    outs = []
+    with Tape() as tape:
+        step_op = BANKS[bank](keys, w_key, w_query, w_score, key_scale)
+        loss = None
+        for q in queries:
+            query = t(q, grad=True)
+            leaves.append(query)
+            context, alpha = step_op(query)
+            outs += [context.data, alpha.data]
+            step = ad.tensor_sum(ad.mul(context, t(readout)))
+            loss = step if loss is None else ad.add(loss, step)
+    tape.backward(loss)
+    return outs, [x.grad for x in leaves]
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_bit_for_bit_equals_unfused_chain(scaled):
+    fused, shared = _three_steps("fused", scaled), _three_steps("shared", scaled)
+    assert [x.tobytes() for x in fused[0] + fused[1]] == [x.tobytes() for x in shared[0] + shared[1]]
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_matches_the_per_step_chain(scaled):
+    # a projection per step sums the key side's gradients in another order: outputs byte-equal, gradients close
+    (outs, grads), (ref_outs, ref_grads) = _three_steps("fused", scaled), _three_steps("per_step", scaled)
+    assert [x.tobytes() for x in outs] == [x.tobytes() for x in ref_outs]
+    assert len(grads) == len(ref_grads)
+    for grad, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0)
+
+
+def _attend_args(rng, scaled=True):
+    args = {"keys": t(rng.normal(size=(4, 3)), grad=True), "query": t(rng.normal(size=2), grad=True),
+            "w_key": t(rng.normal(size=(5, 3)), grad=True), "w_query": t(rng.normal(size=(5, 2)), grad=True),
+            "w_score": t(rng.normal(size=(1, 5)), grad=True)}
+    return {**args, "key_scale": t(rng.uniform(0.2, 0.9, 4), grad=True) if scaled else None}
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_shared_bank_matches_finite_differences(scaled):
+    rng = np.random.default_rng(23)
+    args = _attend_args(rng, scaled)
+    queries = {f"q{i}": t(rng.normal(size=2), grad=True) for i in range(3)}
+
+    def build():  # three queries on one bank
+        loss = None
+        for i, query in enumerate(queries.values()):
+            step = _weighted(ad.attend(**{**args, "query": query})[0], np.random.default_rng(i))
+            loss = step if loss is None else ad.add(loss, step)
+        return loss
+
+    params = {name: x for name, x in {**args, **queries}.items() if x is not None and name != "query"}
+    check_grads(build, params, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("other", ["keys", "key_scale", "w_key"])
+def test_attend_shares_a_projection_only_on_the_same_bank(other):
+    # a bank is its three tensor objects: another one with equal data gets its own projection
+    args = _attend_args(np.random.default_rng(25))
+    twin = {**args, other: t(args[other].data.copy(), grad=True)}
+    with Tape() as tape:
+        first = ad.attend(**args)[0]
+        again = ad.attend(**args)[0]
+        assert len(tape) == 3  # two steps and one projection
+        apart = ad.attend(**twin)[0]
+        assert len(tape) == 5  # a step and a projection of its own
+    assert first.data.tobytes() == again.data.tobytes() == apart.data.tobytes()
+
+
+def test_attend_shares_no_projection_across_tapes():
+    args = _attend_args(np.random.default_rng(26))
+    grads = []
+    for _ in range(2):  # the same bank on a second tape: a projection of its own, so w_key gets its gradient again
         with Tape() as tape:
-            loss = None
-            for q in queries:  # three steps sharing every weight, as the decoder's word steps do
-                query = t(q, grad=True)
-                leaves.append(query)
-                context, alpha = op(keys, query, w_key, w_query, w_score, key_scale)
-                outs += [context.data, alpha.data]
-                step = ad.tensor_sum(ad.mul(context, t(readout)))
-                loss = step if loss is None else ad.add(loss, step)
+            loss = ad.tensor_sum(ad.add(ad.attend(**args)[0], ad.attend(**args)[0]))
+        assert len(tape) == 5  # two steps, one projection, add and tensor_sum
         tape.backward(loss)
-        runs.append([x.tobytes() for x in outs] + [x.grad.tobytes() for x in leaves])
-    assert runs[0] == runs[1]
+        grads.append(args["w_key"].grad)
+        args["w_key"].grad = None
+    assert grads[0] is not None and grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_composite_graph_gradcheck():

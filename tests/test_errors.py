@@ -165,6 +165,7 @@ def _zeros(*shape):
     pytest.param(lambda: reshape(_zeros(4), (3,)), r"cannot reshape \(4,\) into \(3,\)", id="reshape_size"),
     pytest.param(lambda: concat([]), "concat of zero tensors", id="concat_empty"),
     pytest.param(lambda: mean_pool(_zeros(3)), "mean_pool needs a 2-d tensor", id="mean_pool_1d"),
+    pytest.param(lambda: mean_pool(_zeros(0, 3)), r"at least one row, got shape \(0, 3\)", id="mean_pool_no_rows"),
     pytest.param(lambda: max_pool2d(_zeros(1, 3, 4)), "max_pool2d needs", id="max_pool2d_odd_side"),
     pytest.param(lambda: conv2d(_zeros(4, 4), _zeros(1, 1, 3, 3), _zeros(1)), r"conv2d needs \(cin,h,w\)",
                  id="conv2d_rank"),
@@ -172,6 +173,8 @@ def _zeros(*shape):
                  id="conv2d_channels"),
     pytest.param(lambda: conv2d(_zeros(1, 4, 4), _zeros(1, 1, 2, 2), _zeros(1)), "odd kernels only, got 2x2",
                  id="conv2d_even_kernel"),
+    pytest.param(lambda: conv2d(_zeros(1, 0, 4), _zeros(1, 1, 3, 3), _zeros(1)),
+                 r"conv2d needs an image of at least 1x1, got shape \(1, 0, 4\)", id="conv2d_empty_image"),
     pytest.param(lambda: embedding_lookup(_zeros(3), 0), "embedding_lookup needs a 2-d table",
                  id="embedding_lookup_1d"),
     pytest.param(lambda: cross_entropy(_zeros(2, 2), 0), "cross_entropy needs a non-empty 1-d tensor",
