@@ -67,16 +67,16 @@ class Tape:
 
     Construction order is execution order, so the node list is already topologically sorted; backward
     pops it once in reverse, and a consumed tape cannot be replayed. It keeps no node: each output refers
-    back to its tape, so kept nodes would hold a step's whole graph until a cyclic garbage collection.
-    For the same reason its memo of `attend`'s key projections, which later calls on the same key bank
-    reuse, lives only while the tape is open and unconsumed: leaving the `with` block or starting
-    backward clears it. The memo trusts that no op input's data is written while its tape is open
-    (`Adam` writes only after backward).
+    back to its tape, so kept nodes would hold a step's whole graph until a cyclic garbage collection; an
+    exception leaving the `with` block drops them and consumes the tape. Its memo of `attend`'s key
+    projections, reused by later calls on the same key bank, is cleared on leaving the block or starting
+    backward, and trusts that no op input's data is written while its tape is open (`Adam` writes only
+    after backward).
     """
 
     def __init__(self):
         self._nodes = []  # (output tensor, backward closure)
-        self._projections = {}  # attend's key projections: (id(keys), id(key_scale), id(w_key)) -> (those three, node)
+        self._projections = {}  # attend's key projections: (keys, key_scale, w_key) -> node, keyed by identity
         self._consumed = False
 
     def __enter__(self):
@@ -88,6 +88,9 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _ACTIVE_TAPE.set(None)
         self._projections.clear()
+        if exc_type is not None:  # a failed step's graph is freed now, not by a cyclic collection
+            self._nodes.clear()
+            self._consumed = True
         return False
 
     def __len__(self):
@@ -96,7 +99,7 @@ class Tape:
     def backward(self, loss):
         """Populate .grad of every participating tensor reachable from loss."""
         if self._consumed:
-            raise TapeError("tape already consumed by a previous backward pass")
+            raise TapeError("tape already consumed by a backward pass or by an exception in its block")
         if not isinstance(loss, Tensor) or loss.data.shape != ():
             shape = getattr(loss, "shape", None)
             raise ShapeError(f"backward needs a scalar loss, got shape {shape}")
@@ -279,9 +282,9 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
             or ws.shape != (1, wk.shape[0])):
         raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
                          f"keys {kd.shape} and query {qd.shape}")
-    tape, ids = _ACTIVE_TAPE.get(), (id(keys), id(key_scale), id(w_key))
-    bank = None if tape is None else tape._projections.get(ids)
-    if bank is None:
+    tape, bank = _ACTIVE_TAPE.get(), (keys, key_scale, w_key)
+    proj = None if tape is None else tape._projections.get(bank)
+    if proj is None:
         sk = kd if s is None else s[:, None] * kd    # (n, d_k) scaled keys
         def bw_keys(G):                              # G: the summed g_pre of every step on this bank
             _accum(w_key, (sk.T @ G).T)
@@ -292,10 +295,8 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
                     _accum(key_scale, (g_sk * kd).sum(axis=1))
                 _accum(keys, g_sk if s is None else g_sk * s[:, None])
         proj = _result(sk @ wk.T, (keys, w_key) + (() if s is None else (key_scale,)), bw_keys)
-        if tape is not None:                         # holding the tensors keeps their ids from being reused
-            tape._projections[ids] = (keys, key_scale, w_key, proj)
-    else:
-        proj = bank[-1]
+        if tape is not None:
+            tape._projections[bank] = proj
     hidden = np.tanh(proj.data + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
     def bw(g):

@@ -10,20 +10,17 @@ is recoverable from the labels plus the sampled template choices.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ValidationError, _index, _numbers
-from .pgm import _MAXVAL, read_pgm, read_text, write_pgm, write_text
+from .pgm import _MAXVAL, read_arrays, write_arrays
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -281,7 +278,7 @@ def _render_view(rng, image_size, active, intensities, factor, noise_level):
         jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
         canvas = np.maximum(canvas, _pattern_pixels(j, image_size, (jr, jc)) * level)
-    return np.round(canvas * _MAXVAL) / _MAXVAL  # the levels write_pgm keeps, so a view survives a save
+    return np.round(canvas * _MAXVAL) / _MAXVAL  # write_pgm's 8-bit levels; every seeded output depends on them
 
 
 def generate_dataset(seed, n_samples, image_size=32):
@@ -433,19 +430,19 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# dataset persistence: images/{id}_{f|l}.pgm, reports/{id}.txt, labels.csv. A sample, saved or loaded,
-# has an id that names its files and repeats no other, N_OBS labels of 0 or 1, finite views of one square
-# channel sized like the first frontal, and a report_text of MIN_SENTENCES or more sentences, from which
-# its report is read. Labels and views must hold numbers: the contract checks values and converts none,
-# and load_dataset parses the csv labels as floats first. The vocabulary, the concepts and each sample's
-# concept targets are not stored: they are derived from the training reports.
+# dataset persistence: one .npz archive, one member per MultiViewSample field and one row per sample, each
+# field kept byte for byte (bar a report_text's trailing NULs, which numpy's str arrays drop). A sample, saved
+# or loaded, has an id that can name a file and repeats no other, N_OBS labels of 0 or 1, finite views of one
+# square channel sized like the first frontal, and a report_text of MIN_SENTENCES or more sentences, from which
+# its report is read. Labels and views must hold numbers: the contract checks values and converts none. The
+# vocabulary, the concepts and each sample's concept targets are derived from the training reports, not stored.
 
-_SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # also names the sample's files, so no path separators
-_LABELS_HEADER = ["sample_id", *LABEL_NAMES]
+_SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # can name a file, so no path separators
+_MEMBERS = tuple(f.name for f in fields(MultiViewSample))
 
 
 def _checked_id(where, sid, seen):
-    """Record sid in seen if it can name a sample's files and repeats no earlier id, else DataError."""
+    """Record sid in seen if it can name a file and repeats no earlier id, else DataError."""
     if not (isinstance(sid, str) and _SAMPLE_ID.fullmatch(sid)):
         raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
     if sid in seen:
@@ -472,55 +469,27 @@ def _checked_sample(where, sample, size):
     return size
 
 
-def save_dataset(directory, samples):
-    """Write the samples; one that breaks the contract above raises DataError before anything is written."""
-    directory, samples = Path(directory), list(samples)  # an iterator is read once, for checks and writes
-    seen, size, rows = set(), None, [_LABELS_HEADER]
+def save_dataset(path, samples):
+    """Write the samples as one archive; one that breaks the contract above raises DataError and nothing is written."""
+    samples, seen, size = list(samples), set(), None  # an iterator is read once, for checks and writes
     for i, s in enumerate(samples):
-        _checked_id(f"{directory}: sample {i}", s.sample_id, seen)
-        size = _checked_sample(f"{directory}: sample {i}", s, size)
-        rows.append([s.sample_id, *(str(int(v)) for v in s.obs_labels)])
-    for sub in ("images", "reports"):
-        try:
-            (directory / sub).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # such as a plain file in the way
-            raise DataError(f"cannot create {directory / sub}: {exc.strerror}") from None
-    for s in samples:
-        write_pgm(directory / "images" / f"{s.sample_id}_f.pgm", s.frontal_image[0])
-        write_pgm(directory / "images" / f"{s.sample_id}_l.pgm", s.lateral_image[0])
-        write_text(directory / "reports" / f"{s.sample_id}.txt", s.report_text + "\n")
-    labels_csv = io.StringIO()
-    csv.writer(labels_csv).writerows(rows)
-    write_text(directory / "labels.csv", labels_csv.getvalue())
+        _checked_id(f"{path}: sample {i}", s.sample_id, seen)
+        size = _checked_sample(f"{path}: sample {i}", s, size)
+    write_arrays(path, {name: np.array([getattr(s, name) for s in samples]) for name in _MEMBERS})
 
 
-def load_dataset(directory):
-    """Load a persisted dataset's samples; one that breaks the contract above raises DataError."""
-    directory = Path(directory)
-    labels_path = directory / "labels.csv"
+def load_dataset(path):
+    """A saved dataset's samples; other members than the five, unequal row counts or a sample that breaks
+    the contract above raise DataError."""
+    arrays = read_arrays(path)
+    rows = {a.shape[:1] for a in arrays.values()}
+    if sorted(arrays) != sorted(_MEMBERS) or len(rows) != 1 or rows == {()}:
+        raise DataError(f"{path}: needs the members {', '.join(_MEMBERS)} with one row per sample each, "
+                        f"got {dict((name, a.shape) for name, a in arrays.items())}")
     samples, seen, size = [], set(), None
-    reader = csv.reader(read_text(labels_path).splitlines())
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise DataError(f"{labels_path}:{reader.line_num}: {exc}") from None
-    header = rows[0][1] if rows else None
-    if header != _LABELS_HEADER:
-        raise DataError(f"{labels_path}: header must be sample_id and the {N_OBS} label names in order, "
-                        f"got {header}")
-    for line, row in rows[1:]:
-        where = f"{labels_path}:{line}"
-        sid = row[0] if row else ""
-        _checked_id(where, sid, seen)  # before the id names a file to read
-        try:
-            labels = np.array([float(v) for v in row[1:]])
-        except ValueError:  # a label that is not a number, left for the contract to refuse
-            labels = row[1:]
-        try:
-            text = read_text(directory / "reports" / f"{sid}.txt").strip()
-            frontal, lateral = (read_pgm(directory / "images" / f"{sid}_{v}.pgm")[None] for v in "fl")
-        except DataError as exc:
-            raise DataError(f"{where}: sample {sid!r}: {exc}") from None
-        samples.append(MultiViewSample(sid, frontal, lateral, labels, text))
-        size = _checked_sample(where, samples[-1], size)
+    columns = [a.tolist() if a.dtype.kind == "U" else a for a in map(arrays.get, _MEMBERS)]  # ids, texts as str
+    for i, row in enumerate(zip(*columns)):
+        _checked_id(f"{path}: sample {i}", row[0], seen)
+        samples.append(MultiViewSample(*row))
+        size = _checked_sample(f"{path}: sample {i}", samples[-1], size)
     return samples

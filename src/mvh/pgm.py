@@ -1,8 +1,11 @@
-"""The package's file reads and writes: UTF-8 text, and ASCII portable graymaps (P2) made of it.
+"""The package's file I/O: UTF-8 text, ASCII portable graymaps (P2) written as text, and .npz archives of arrays.
 
-`read_text` and `write_text` are the only code that opens a file, so a failure
-to open, decode or write one is always a DataError naming the path.
+Only this module opens a file, so a failure to open, read or write one is always a DataError naming the
+path. An archive is parsed from its bytes with pickles refused, so reading one runs no code it holds.
 """
+
+import io
+import zipfile
 
 import numpy as np
 
@@ -11,30 +14,25 @@ from .errors import DataError
 _MAXVAL = 255  # write_pgm's maxval: a [0,1] value is kept as one of the levels 0..255
 
 
-def read_text(path):
-    """A file's UTF-8 text, with its line ends read as "\\n"."""
+def _write(path, encode):
+    """Write the bytes that encode() returns to path; a failure to make or write them is a DataError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:  # such as a missing file, a directory, or bytes that are not UTF-8
-        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        data = encode()
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, ValueError, TypeError) as exc:  # such as a missing directory or a lone surrogate
+        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def write_text(path, text):
     """Write text to a file as UTF-8, byte for byte: no line end is translated."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except (OSError, ValueError) as exc:  # such as a missing directory or a lone surrogate
-        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    _write(path, lambda: text.encode("utf-8"))
 
 
 def write_pgm(path, values01):
-    """Write a [0,1] 2-d array as a P2 graymap with maxval 255.
+    """Write a [0,1] 2-d array as a P2 graymap with maxval 255, clipping values outside [0,1].
 
-    Values outside [0,1] are clipped. An array `read_pgm` would refuse (an
-    empty side, or a NaN or infinite value) raises DataError and writes nothing.
-    """
+    An empty side, or a NaN or infinite value, raises DataError and writes nothing."""
     arr = np.asarray(values01, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise DataError(f"{path}: PGM needs a non-empty 2-d array, got shape {arr.shape}")
@@ -45,26 +43,25 @@ def write_pgm(path, values01):
     write_text(path, f"P2\n{w} {h}\n{_MAXVAL}\n" + "".join(" ".join(str(v) for v in row) + "\n" for row in ints))
 
 
-def read_pgm(path):
-    """Read a P2 graymap back into a [0,1] float array; a '#' comments out the rest of its line."""
-    tokens = []
-    for line in read_text(path).split("\n"):
-        tokens.extend(line.split("#", 1)[0].split())
-    if not tokens or tokens[0] != "P2":
-        raise DataError(f"{path} is not an ASCII P2 graymap")
-    if len(tokens) < 4:
-        raise DataError(f"{path}: truncated P2 header")
+def write_arrays(path, arrays):
+    """Write a {name: array} dict as one uncompressed .npz archive; an array only a pickle could hold, or a
+    name that np.savez takes for its own argument ('file', 'allow_pickle'), raises DataError."""
+    def encode():
+        buf = io.BytesIO()
+        np.savez(buf, allow_pickle=False, **arrays)
+        return buf.getvalue()
+    _write(path, encode)
+
+
+def read_arrays(path):
+    """The {name: array} dict of an .npz archive, byte for byte as write_arrays wrote it. A file that is not
+    one (missing, empty, cut short or no zip, such as a bare .npy), or has a bad CRC, a pickled member or a
+    member that is no .npy, raises DataError naming the path."""
     try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        pixels = np.array([int(v) for v in tokens[4:]], dtype=np.float64)
-    except ValueError:
-        raise DataError(f"{path}: non-integer header or pixel value") from None
-    if w < 1 or h < 1:
-        raise DataError(f"{path}: image size {w}x{h} is not positive")
-    if not 1 <= maxval <= 65535:
-        raise DataError(f"{path}: maxval {maxval} is outside 1..65535")
-    if pixels.size != w * h:
-        raise DataError(f"{path}: expected {w * h} pixels, found {pixels.size}")
-    if pixels.min() < 0 or pixels.max() > maxval:
-        raise DataError(f"{path}: pixel values must lie in 0..{maxval}")
-    return (pixels / maxval).reshape(h, w)
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(io.BytesIO(fh.read()), allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if all(isinstance(a, np.ndarray) for a in arrays.values()):  # a member that is no .npy reads as bytes
+            return arrays
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    raise DataError(f"cannot read {path}: a member is not an .npy array")

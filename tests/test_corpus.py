@@ -1,3 +1,5 @@
+import io
+import zipfile
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -21,6 +23,7 @@ from mvh.corpus import (
     START_ID,
     UNK_ID,
     ConceptSet,
+    MultiViewSample,
     Vocabulary,
     detokenize,
     generate_dataset,
@@ -34,7 +37,7 @@ from mvh.corpus import (
     tokenize,
 )
 from mvh.errors import DataError, ValidationError
-from mvh.pgm import read_pgm, write_pgm
+from mvh.pgm import read_arrays, write_arrays, write_pgm, write_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -336,54 +339,47 @@ def test_split_leaving_a_side_empty_is_validation_error(fraction):
 
 # persistence -------------------------------------------------------------------------
 
-def test_dataset_round_trip(tmp_path, small_dataset):
-    save_dataset(tmp_path, small_dataset)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "labels.csv", "reports"]
-
-    # files an older layout kept beside the samples are ignored
-    (tmp_path / "vocab.txt").write_text("junk\n", encoding="utf-8")
-    (tmp_path / "concepts.txt").write_text("", encoding="utf-8")
-    loaded = load_dataset(tmp_path)
-    assert [s.sample_id for s in loaded] == [s.sample_id for s in small_dataset]
-    for a, b in zip(small_dataset, loaded):
-        np.testing.assert_array_equal(a.obs_labels, b.obs_labels)
-        np.testing.assert_allclose(a.frontal_image, b.frontal_image, atol=1e-12)
-        np.testing.assert_allclose(a.lateral_image, b.lateral_image, atol=1e-12)
-        assert a.report == b.report
-        assert a.report_text == b.report_text
-
-
 def _fields(sample):
     """The sample's field values; its cached report is derived from report_text, not a field of its own."""
     values = {f.name: getattr(sample, f.name) for f in fields(sample)}
-    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in values.items()}
+    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
+            for k, v in values.items()}
+
+
+def test_dataset_round_trip(tmp_path, small_dataset):
+    path = tmp_path / "ds.npz"
+    save_dataset(path, small_dataset)
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.npz"]
+    with zipfile.ZipFile(path) as archive:  # uncompressed, one member per field
+        members = archive.infolist()
+    assert sorted(m.filename for m in members) == sorted(f"{f.name}.npy" for f in fields(MultiViewSample))
+    assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+    loaded = load_dataset(path)
+    assert [_fields(s) for s in loaded] == [_fields(s) for s in small_dataset]  # ids and texts as str
+    assert [s.report for s in loaded] == [s.report for s in small_dataset]
 
 
 def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dataset):
     before = [_fields(s) for s in small_dataset]
-    save_dataset(tmp_path, small_dataset)
+    save_dataset(tmp_path / "ds.npz", small_dataset)
     assert [_fields(s) for s in small_dataset] == before
 
     # the loaded samples derive the same vocabulary and concepts, at any threshold
     corpus = [sent for s in small_dataset for sent in s.report]
-    loaded = [sent for s in load_dataset(tmp_path) for sent in s.report]
+    loaded = [sent for s in load_dataset(tmp_path / "ds.npz") for sent in s.report]
     assert Vocabulary.build(loaded).id_to_token == Vocabulary.build(corpus).id_to_token
     assert mine_concepts(corpus, threshold=1).p > mine_concepts(corpus, threshold=10).p
     for threshold in (1, 10):
         assert mine_concepts(loaded, threshold).tokens == mine_concepts(corpus, threshold).tokens
 
 
-def _files(directory):
-    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
-
-
 def test_report_is_read_from_report_text_and_survives_save_and_load(tmp_path, small_dataset):
-    text = "there is no edema. no fracture is identified. the lungs are well expanded and clear."
+    text = " there is no edema.\n no fracture is identified.\tthe lungs are well expanded and clear.  "
     sample = replace(small_dataset[0], report_text=text)
     assert small_dataset[0].report != tokenize(text)
     assert sample.report == tokenize(text)
-    save_dataset(tmp_path, [sample])
-    (loaded,) = load_dataset(tmp_path)
+    save_dataset(tmp_path / "ds.npz", [sample])
+    (loaded,) = load_dataset(tmp_path / "ds.npz")
     assert loaded.report_text == text and loaded.report == tokenize(text)
 
 
@@ -403,15 +399,20 @@ def test_samples_compare_by_identity(small_dataset):
 
 
 def test_save_reads_an_iterator_once(tmp_path, small_dataset):
-    save_dataset(tmp_path / "list", small_dataset[:3])
-    save_dataset(tmp_path / "iter", iter(small_dataset[:3]))
-    assert _files(tmp_path / "iter") == _files(tmp_path / "list")
-    assert len(_files(tmp_path / "list")) == 1 + 3 * 3
+    save_dataset(tmp_path / "list.npz", small_dataset[:3])
+    save_dataset(tmp_path / "iter.npz", iter(small_dataset[:3]))
+    assert (tmp_path / "iter.npz").read_bytes() == (tmp_path / "list.npz").read_bytes()
+    assert [s.sample_id for s in load_dataset(tmp_path / "iter.npz")] == ["s00000", "s00001", "s00002"]
+
+
+def test_empty_dataset_round_trips(tmp_path):
+    save_dataset(tmp_path / "ds.npz", [])
+    assert load_dataset(tmp_path / "ds.npz") == []
 
 
 def test_load_missing_dataset_raises(tmp_path):
-    with pytest.raises(DataError):
-        load_dataset(tmp_path / "nope")
+    with pytest.raises(DataError, match="nope.npz"):
+        load_dataset(tmp_path / "nope.npz")
 
 
 def _with_labels(sample, labels):
@@ -466,107 +467,80 @@ def _with_nan(image):
                  "sample 1: sample 's00001': report text must be a string", id="report_text_bytes"),
 ])
 def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
-    directory = tmp_path / "a" / "b" / "ds"
-    with pytest.raises(DataError, match=message):
-        save_dataset(directory, damage(small_dataset[:3]))
+    with pytest.raises(DataError, match=f"ds.npz: {message}"):
+        save_dataset(tmp_path / "ds.npz", damage(small_dataset[:3]))
     assert list(tmp_path.rglob("*")) == []
 
 
-@pytest.mark.parametrize("target, make, named", [
-    pytest.param("plain", lambda d: d.write_text("x", encoding="utf-8"), "plain", id="into_a_file"),
-    pytest.param("plain/ds", lambda d: d.parent.write_text("x", encoding="utf-8"), "plain/ds",
-                 id="below_a_file"),
-    pytest.param("ds", lambda d: (d / "reports" / "s00001.txt").mkdir(parents=True), "s00001.txt",
-                 id="report_path_is_a_directory"),
+@pytest.mark.parametrize("target, make", [
+    pytest.param("plain/ds.npz", lambda path: path.parent.write_text("x", encoding="utf-8"), id="below_a_file"),
+    pytest.param("ds.npz", lambda path: path.mkdir(), id="path_is_a_directory"),
+    pytest.param("absent/ds.npz", lambda path: None, id="missing_directory"),
 ])
-def test_save_unwritable_path_is_data_error_naming_it(tmp_path, small_dataset, target, make, named):
+def test_save_unwritable_path_is_data_error_naming_it(tmp_path, small_dataset, target, make):
     make(tmp_path / target)
-    with pytest.raises(DataError, match=named):
+    with pytest.raises(DataError, match=f"cannot write .*{target}"):
         save_dataset(tmp_path / target, small_dataset[:3])
 
 
-def _append_line(path, line):
-    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+def _damaged(change):
+    """A damage that rewrites the archive's {member: array} dict through change(arrays)."""
+    def damage(path):
+        arrays = read_arrays(path)
+        change(arrays)
+        write_arrays(path, arrays)
+    return damage
 
 
-def _swap_header_fields(path, i, j):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    fields = lines[0].split(",")
-    fields[i], fields[j] = fields[j], fields[i]
-    lines[0] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _set_row(name, value, row=0):
+    """A damage that sets one row of one member; np.array widens the member's dtype to hold the value."""
+    def change(arrays):
+        rows = list(arrays[name])
+        rows[row] = value
+        arrays[name] = np.array(rows)
+    return _damaged(change)
 
 
-def _set_first_row_field(path, index, value):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    fields = lines[1].split(",")
-    fields[index] = value
-    lines[1] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _repeat_line(path, index):
-    _append_line(path, path.read_text(encoding="utf-8").splitlines()[index])
-
-
-def _add_concept_columns(d):
-    """Rewrite labels.csv in the older layout that also stored each concept's 0/1 target per sample."""
-    lines = (d / "labels.csv").read_text(encoding="utf-8").splitlines()
-    reports = [tokenize((d / "reports" / f"{line.split(',')[0]}.txt").read_text(encoding="utf-8"))
-               for line in lines[1:]]
-    tokens = mine_concepts([sent for report in reports for sent in report], threshold=1).tokens
-    rows = [",".join([lines[0], *tokens])]
-    for line, report in zip(lines[1:], reports):
-        present = {tok for sent in report for tok in sent}
-        rows.append(",".join([line, *("1" if t in present else "0" for t in tokens)]))
-    (d / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def _move_first_sample(d, sid):
-    """Rename sample s00000 to `sid` in labels.csv and move its files to where that id points."""
-    _set_first_row_field(d / "labels.csv", 0, sid)
-    for old, new in ((d / "reports" / "s00000.txt", d / "reports" / f"{sid}.txt"),
-                     (d / "images" / "s00000_f.pgm", d / "images" / f"{sid}_f.pgm"),
-                     (d / "images" / "s00000_l.pgm", d / "images" / f"{sid}_l.pgm")):
-        new.parent.mkdir(parents=True, exist_ok=True)
-        old.rename(new)
+def _replace(name, make):
+    """A damage that replaces one member by make(member)."""
+    return _damaged(lambda arrays: arrays.update({name: make(arrays[name])}))
 
 
 @pytest.mark.parametrize("damage", [
-    pytest.param(lambda d: _append_line(d / "labels.csv", ""), id="blank_row"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "yes"), id="non_numeric_label"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0.5"), id="fractional_label"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 2, "2"), id="label_above_one"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 3, "nan"), id="nan_label"),
-    pytest.param(lambda d: _move_first_sample(d, "../x/r"), id="sample_id_escapes_directory"),
-    pytest.param(lambda d: _move_first_sample(d, "s 0"), id="sample_id_with_space"),
-    pytest.param(lambda d: _repeat_line(d / "labels.csv", 1), id="repeated_sample_id"),
-    pytest.param(lambda d: write_pgm(d / "images" / "s00000_l.pgm", np.zeros((16, 16))),
-                 id="lateral_smaller_than_frontal"),
-    pytest.param(lambda d: [write_pgm(d / "images" / f"s00000_{v}.pgm", np.zeros((32, 16))) for v in "fl"],
+    pytest.param(_set_row("sample_id", ""), id="blank_row"),
+    pytest.param(_set_row("obs_labels", ["yes"] * N_OBS), id="non_numeric_label"),
+    pytest.param(_set_row("obs_labels", [0.5] + [0.0] * (N_OBS - 1)), id="fractional_label"),
+    pytest.param(_set_row("obs_labels", [2.0] * N_OBS), id="label_above_one"),
+    pytest.param(_set_row("obs_labels", [np.nan] * N_OBS), id="nan_label"),
+    pytest.param(_set_row("sample_id", "../x/r"), id="sample_id_escapes_directory"),
+    pytest.param(_set_row("sample_id", "s 0"), id="sample_id_with_space"),
+    pytest.param(_set_row("sample_id", "s00000", row=1), id="repeated_sample_id"),
+    pytest.param(_replace("sample_id", lambda ids: np.arange(len(ids))), id="numeric_sample_ids"),
+    pytest.param(_replace("report_text", lambda texts: np.zeros(len(texts))), id="numeric_reports"),
+    pytest.param(_replace("lateral_image", lambda views: views[:, :, :16, :16]), id="lateral_smaller_than_frontal"),
+    pytest.param(_damaged(lambda a: a.update({v: a[v][..., :16] for v in ("frontal_image", "lateral_image")})),
                  id="non_square_views"),
-    pytest.param(lambda d: [write_pgm(d / "images" / f"s00001_{v}.pgm", np.zeros((16, 16))) for v in "fl"],
-                 id="second_sample_other_size"),
-    pytest.param(lambda d: (d / "labels.csv").write_text("", encoding="utf-8"), id="empty_labels"),
-    pytest.param(lambda d: _append_line(d / "labels.csv", "s00001,1"), id="short_row"),
-    pytest.param(lambda d: (d / "reports" / "s00000.txt").unlink(), id="missing_report"),
-    pytest.param(lambda d: (d / "images" / "s00000_l.pgm").unlink(), id="missing_lateral_image"),
-    pytest.param(lambda d: _swap_header_fields(d / "labels.csv", 1, 2), id="swapped_label_columns"),
-    pytest.param(_add_concept_columns, id="concept_columns_in_header"),
-    pytest.param(lambda d: _set_first_row_field(d / "labels.csv", 1, "0" * 200_000), id="field_over_csv_limit"),
+    pytest.param(_replace("obs_labels", lambda labels: labels[:0]), id="empty_labels"),
+    pytest.param(_replace("obs_labels", lambda labels: labels[:, :1]), id="short_row"),
+    pytest.param(_replace("report_text", lambda texts: texts[:2]), id="unequal_row_counts"),
+    pytest.param(_damaged(lambda a: a.update({name: np.array(0) for name in a})), id="members_without_rows"),
+    pytest.param(_damaged(lambda a: a.pop("report_text")), id="missing_report"),
+    pytest.param(_damaged(lambda a: a.pop("lateral_image")), id="missing_lateral_image"),
+    pytest.param(_damaged(lambda a: a.update(concepts=np.ones((len(a["sample_id"]), 4)))),
+                 id="concept_columns_in_header"),
 ])
 def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
-    save_dataset(tmp_path, small_dataset[:3])
-    damage(tmp_path)
-    with pytest.raises(DataError):
-        load_dataset(tmp_path)
+    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
+    damage(tmp_path / "ds.npz")
+    with pytest.raises(DataError, match=r"ds\.npz"):
+        load_dataset(tmp_path / "ds.npz")
 
 
 def test_load_refuses_an_unsafe_id_before_reading_its_files(tmp_path, small_dataset):
-    save_dataset(tmp_path, small_dataset[:3])
-    _set_first_row_field(tmp_path / "labels.csv", 0, "../../elsewhere")
-    with pytest.raises(DataError, match=r"labels\.csv:2: sample id '\.\./\.\./elsewhere' must match"):
-        load_dataset(tmp_path)
+    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
+    _set_row("sample_id", "../../elsewhere")(tmp_path / "ds.npz")
+    with pytest.raises(DataError, match=r"ds\.npz: sample 0: sample id '\.\./\.\./elsewhere' must match"):
+        load_dataset(tmp_path / "ds.npz")
 
 
 @pytest.mark.parametrize("text", [
@@ -574,39 +548,81 @@ def test_load_refuses_an_unsafe_id_before_reading_its_files(tmp_path, small_data
     pytest.param("there is no edema. no fracture is identified.", id="two_sentence_report"),
 ])
 def test_load_unusable_report_is_data_error_naming_the_sample(tmp_path, small_dataset, text):
-    save_dataset(tmp_path, small_dataset[:3])
-    (tmp_path / "reports" / "s00000.txt").write_text(text, encoding="utf-8")
-    with pytest.raises(DataError, match=r"labels\.csv:2: sample 's00000'"):
-        load_dataset(tmp_path)
+    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
+    _set_row("report_text", text)(tmp_path / "ds.npz")
+    with pytest.raises(DataError, match=r"ds\.npz: sample 0: sample 's00000'"):
+        load_dataset(tmp_path / "ds.npz")
 
 
-@pytest.mark.parametrize("old, new", [
-    pytest.param(b"sample_id", b"sample_\xe9d", id="header"),
-    pytest.param(b"s00001", b"s0000\xe9", id="second_row"),
-])
-def test_load_non_utf8_labels_is_data_error_naming_the_file(tmp_path, small_dataset, old, new):
-    save_dataset(tmp_path, small_dataset[:3])
-    path = tmp_path / "labels.csv"
-    path.write_bytes(path.read_bytes().replace(old, new, 1))
-    with pytest.raises(DataError, match="labels.csv"):
-        load_dataset(tmp_path)
+# file reads and writes -------------------------------------------------------------------------
+
+def _npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)  # pickles an object array, as write_arrays does not
+    return buf.getvalue()
 
 
-def test_read_pgm_non_utf8_bytes_is_data_error_naming_the_path(tmp_path):
-    path = tmp_path / "binary.pgm"
-    path.write_bytes(b"P5\n2 2\n255\n\xff\xfe\x00\x01")
-    with pytest.raises(DataError, match="binary.pgm"):
-        read_pgm(path)
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _flip_byte(data, at):
+    data = bytearray(data)
+    data[at] ^= 0xFF
+    return bytes(data)
+
+
+def _zip_bytes(**members):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buf.getvalue()
+
+
+_ARCHIVE = _npz_bytes(a=np.arange(6.0))
+
+
+def test_arrays_round_trip_byte_for_byte(tmp_path):
+    arrays = {"f": np.arange(12.0).reshape(3, 1, 4), "u8": np.arange(5, dtype=np.uint8), "b": np.array(True),
+              "s": np.array(["s00001", "é\nx"]), "empty": np.zeros((0, 14))}
+    write_arrays(tmp_path / "a.npz", arrays)
+    back = read_arrays(tmp_path / "a.npz")
+    assert list(back) == list(arrays)
+    for name, a in arrays.items():
+        assert (back[name].dtype, back[name].shape, back[name].tobytes()) == (a.dtype, a.shape, a.tobytes()), name
 
 
 @pytest.mark.parametrize("name, make", [
-    pytest.param("absent.pgm", lambda path: None, id="missing"),
-    pytest.param("folder.pgm", lambda path: path.mkdir(), id="directory"),
+    pytest.param("absent.npz", lambda path: None, id="missing"),
+    pytest.param("folder.npz", lambda path: path.mkdir(), id="directory"),
+    pytest.param("empty.npz", lambda path: path.write_bytes(b""), id="empty"),
+    pytest.param("p2.npz", lambda path: path.write_text("P2\n2 2\n255\n0 0 0 0\n", encoding="utf-8"), id="not_a_zip"),
+    pytest.param("cut.npz", lambda path: path.write_bytes(_ARCHIVE[:len(_ARCHIVE) // 2]), id="cut"),
+    pytest.param("crc.npz", lambda path: path.write_bytes(_flip_byte(_ARCHIVE, _ARCHIVE.index(b"\x93NUMPY") + 130)),
+                 id="bad_crc"),
+    pytest.param("pickle.npz", lambda path: path.write_bytes(_npz_bytes(o=np.array([None, "x"], dtype=object))),
+                 id="pickled_member"),
+    pytest.param("junk.npz", lambda path: path.write_bytes(_zip_bytes(**{"a.npy": b"not an array"})),
+                 id="member_not_npy"),
+    pytest.param("bare.npz", lambda path: path.write_bytes(_npy_bytes(np.arange(3.0))), id="bare_npy"),
 ])
-def test_read_pgm_unopenable_path_is_data_error_naming_the_path(tmp_path, name, make):
+def test_read_arrays_unreadable_file_is_data_error_naming_the_path(tmp_path, name, make):
     make(tmp_path / name)
-    with pytest.raises(DataError, match=name):
-        read_pgm(tmp_path / name)
+    with pytest.raises(DataError, match=f"cannot read .*{name}"):
+        read_arrays(tmp_path / name)
+
+
+@pytest.mark.parametrize("arrays", [
+    pytest.param({"o": np.array([None], dtype=object)}, id="object_array"),
+    pytest.param({"file": np.zeros(2)}, id="name_of_a_savez_argument"),
+])
+def test_write_arrays_refuses_what_it_cannot_write_and_writes_nothing(tmp_path, arrays):
+    with pytest.raises(DataError, match="cannot write .*out.npz"):
+        write_arrays(tmp_path / "out.npz", arrays)
+    assert not (tmp_path / "out.npz").exists()
 
 
 @pytest.mark.parametrize("name, make", [
@@ -633,31 +649,7 @@ def test_write_pgm_refuses_what_read_pgm_rejects_and_writes_nothing(tmp_path, va
     assert not path.exists()
 
 
-def test_read_pgm_truncated_header_is_data_error(tmp_path):
-    path = tmp_path / "short.pgm"
-    path.write_text("P2\n4 4\n", encoding="utf-8")
-    with pytest.raises(DataError, match="truncated"):
-        read_pgm(path)
-
-
-def test_read_pgm_non_integer_header_is_data_error(tmp_path):
-    path = tmp_path / "bad.pgm"
-    write_pgm(path, np.zeros((2, 2)))
-    path.write_text(path.read_text(encoding="utf-8").replace("2 2", "2 two", 1), encoding="utf-8")
-    with pytest.raises(DataError, match="non-integer"):
-        read_pgm(path)
-
-
-@pytest.mark.parametrize("text", [
-    pytest.param("P2\n-2 -2\n255\n0 0 0 0\n", id="negative_size"),
-    pytest.param("P2\n0 2\n255\n", id="zero_width"),
-    pytest.param("P2\n2 2\n0\n0 0 0 0\n", id="maxval_zero"),
-    pytest.param("P2\n2 2\n65536\n0 0 0 0\n", id="maxval_too_large"),
-    pytest.param("P2\n2 2\n255\n0 300 0 0\n", id="pixel_above_maxval"),
-    pytest.param("P2\n2 2\n255\n0 -1 0 0\n", id="negative_pixel"),
-])
-def test_read_pgm_invalid_header_or_pixel_is_data_error(tmp_path, text):
-    path = tmp_path / "bad.pgm"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataError):
-        read_pgm(path)
+def test_write_text_refuses_a_lone_surrogate_and_writes_nothing(tmp_path):
+    with pytest.raises(DataError, match="out.txt"):
+        write_text(tmp_path / "out.txt", "a\ud800b")
+    assert not (tmp_path / "out.txt").exists()

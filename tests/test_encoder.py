@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mvh.autodiff as ad
 from gradcheck import check_grads
 from mvh.autodiff import Adam, Tape, Tensor
-from mvh.corpus import N_OBS, generate_dataset
+from mvh.corpus import N_OBS, generate_dataset, load_dataset, save_dataset
 from mvh.encoder import (
     EncoderConfig,
     encode,
@@ -20,7 +20,6 @@ from mvh.encoder import (
     init_encoder_params,
 )
 from mvh.errors import DataError, ShapeError, ValidationError
-from mvh.pgm import read_pgm
 
 TINY = EncoderConfig(image_size=8, channels=(2, 3), n_concepts=2)
 
@@ -236,8 +235,9 @@ def test_grad_cam_output_of_another_config_is_shape_error():
 def test_export_heatmap_round_trip(tmp_path):
     cam = np.array([[0.0, 0.5], [1.0, 0.25]])
     export_heatmap(tmp_path / "h", cam)
-    back = read_pgm(tmp_path / "h.pgm")
-    np.testing.assert_allclose(back, cam, atol=1 / 255)
+    magic, width, height, maxval, *pixels = (tmp_path / "h.pgm").read_text(encoding="utf-8").split()
+    assert (magic, width, height, maxval) == ("P2", "2", "2", "255")
+    np.testing.assert_allclose(np.array(pixels, dtype=float).reshape(2, 2) / 255, cam, atol=1 / 255)
     csv_text = (tmp_path / "h.csv").read_text()
     assert csv_text.splitlines()[0] == "0.0,0.5"
 
@@ -269,9 +269,8 @@ def test_full_encoder_gradcheck_tiny_config():
 
 # bit-reproducible training ---------------------------------------------------------------
 
-def _train_encoder(seed, steps=6):
-    """A few clipped Adam steps of the default encoder from its seeded init."""
-    samples = generate_dataset(seed, 10)  # the smallest corpus the generator makes
+def _train_encoder(samples, seed=3, steps=6):
+    """A few clipped Adam steps of the default encoder from its seeded init, one per sample."""
     config = EncoderConfig()
     params = init_encoder_params(config, seed)
     opt = Adam(lr=5e-3)
@@ -288,8 +287,9 @@ def _train_encoder(seed, steps=6):
     return params, opt, losses
 
 
-def test_training_is_bit_reproducible_from_a_seed():
-    (p1, opt1, losses1), (p2, opt2, losses2) = _train_encoder(3), _train_encoder(3)
+def _assert_same_training(run1, run2):
+    """Equal losses, and params and Adam moments equal byte for byte, after six steps that moved the params."""
+    (p1, opt1, losses1), (p2, opt2, losses2) = run1, run2
     assert losses1 == losses2
     assert p1["enc.conv0.w"].data.tobytes() != init_encoder_params(EncoderConfig(), 3)["enc.conv0.w"].data.tobytes()
     assert sorted(p1) == sorted(p2) and sorted(opt1.m) == sorted(opt2.m) and opt1.t == opt2.t == 6
@@ -298,3 +298,14 @@ def test_training_is_bit_reproducible_from_a_seed():
     for name in opt1.m:
         assert opt1.m[name].tobytes() == opt2.m[name].tobytes(), name
         assert opt1.v[name].tobytes() == opt2.v[name].tobytes(), name
+
+
+def test_training_is_bit_reproducible_from_a_seed():
+    # the smallest corpus the generator makes, generated anew for each run
+    _assert_same_training(_train_encoder(generate_dataset(3, 10)), _train_encoder(generate_dataset(3, 10)))
+
+
+def test_training_on_a_saved_and_loaded_corpus_matches_the_samples_in_memory(tmp_path):
+    samples = generate_dataset(3, 10)
+    save_dataset(tmp_path / "ds.npz", samples)
+    _assert_same_training(_train_encoder(samples), _train_encoder(load_dataset(tmp_path / "ds.npz")))
