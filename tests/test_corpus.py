@@ -516,6 +516,8 @@ def _replace(name, make):
     pytest.param(_set_row("sample_id", "s 0"), id="sample_id_with_space"),
     pytest.param(_set_row("sample_id", "s00000", row=1), id="repeated_sample_id"),
     pytest.param(_replace("sample_id", lambda ids: np.arange(len(ids))), id="numeric_sample_ids"),
+    pytest.param(_replace("sample_id", lambda ids: np.array([s.encode().replace(b"s", b"\xe9") for s in ids])),
+                 id="non_utf8_sample_ids"),
     pytest.param(_replace("report_text", lambda texts: np.zeros(len(texts))), id="numeric_reports"),
     pytest.param(_replace("lateral_image", lambda views: views[:, :, :16, :16]), id="lateral_smaller_than_frontal"),
     pytest.param(_damaged(lambda a: a.update({v: a[v][..., :16] for v in ("frontal_image", "lateral_image")})),
