@@ -4,8 +4,11 @@ Visual attention scores each local region i as W_a . tanh(W_v v_i + W_s h_prev),
 softmaxes over regions, and returns the attention-weighted region sum. Concept
 attention does the same over concept embeddings, with each embedding row
 scaled by its predicted concept probability before projection. Both go through
-`ad.attend`: one tape node per attention step, plus one per key bank for its
-projection, which every step on that bank shares within a tape.
+`ad.attend`: one tape node per attention step, plus one per key bank (its keys,
+scale and three weights), which every step on that bank shares within a tape.
+A step's node records its context gradient with the bank and computes only the
+query's gradient; the bank's node runs after all its steps' and computes the
+keys', scale's and weights' gradients for every step in one stacked pass.
 """
 
 from __future__ import annotations

@@ -68,15 +68,17 @@ class Tape:
     Construction order is execution order, so the node list is already topologically sorted; backward
     pops it once in reverse, and a consumed tape cannot be replayed. It keeps no node: each output refers
     back to its tape, so kept nodes would hold a step's whole graph until a cyclic garbage collection; an
-    exception leaving the `with` block drops them and consumes the tape. Its memo of `attend`'s key
-    projections, reused by later calls on the same key bank, is cleared on leaving the block or starting
+    exception leaving the `with` block drops them and consumes the tape. Its memo of `attend`'s key banks,
+    each the tensors (keys, key_scale, w_key, w_query, w_score) and mapped to the bank's node and the records
+    of its steps, is reused by later calls on the same bank, cleared on leaving the block or starting
     backward, and trusts that no op input's data is written while its tape is open (`Adam` writes only
-    after backward).
+    after backward). A step's node wakes its bank's node by giving the bank's projection, a tensor internal
+    to `attend`, a stand-in gradient: the read-only 0-d zero `_WAKE`, which carries nothing.
     """
 
     def __init__(self):
         self._nodes = []  # (output tensor, backward closure)
-        self._projections = {}  # attend's key projections: (keys, key_scale, w_key) -> node, keyed by identity
+        self._projections = {}  # attend's banks: (keys, key_scale, w_key, w_query, w_score) -> (node, step records)
         self._consumed = False
 
     def __enter__(self):
@@ -261,6 +263,10 @@ def softmax(x):
     return _result(out_data, (x,), bw)
 
 
+_WAKE = np.zeros(())  # the stand-in gradient with which an attend step wakes its bank's node
+_WAKE.flags.writeable = False
+
+
 def attend(keys, query, w_key, w_query, w_score, key_scale):
     """Additive attention (Xu et al., 2015) over the n rows k_i of keys: one tape node per step, one per key bank.
 
@@ -268,9 +274,12 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
     keys (n, d_k), query (d_q,), w_key (d_a, d_k), w_query (d_a, d_q), w_score (1, d_a) and key_scale
     s (n,), or None for none; the scale enters the scores only. Returns (context (d_k,), alpha (n,)):
     context is the step's tape node; alpha is an untaped Tensor, so no gradient flows back through it.
-    The key projection (s * keys) w_key^T does not depend on the query (Bahdanau et al., 2015, A.1.2): on
-    an active tape it is recorded once per (keys, key_scale, w_key) objects and reused by later calls, and
-    its node turns the summed score gradient of every step into the gradients of those three.
+    On an active tape a bank, the objects (keys, key_scale, w_key, w_query, w_score), gets one node at its
+    first step, shared by later ones: the key projection (s * keys) w_key^T, which does not depend on the
+    query (Bahdanau et al., 2015, A.1.2). A step's node records its context gradient g with the bank and
+    computes only the query's gradient, when the query takes one. The bank's node runs after every step's:
+    it stacks its T recorded steps, in the order backward reached them, and computes the gradients of the
+    five bank tensors through the contexts and the scores with one matmul or reduction each.
     """
     kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
     n = kd.shape[0] if kd.ndim == 2 else 0
@@ -282,36 +291,46 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
             or ws.shape != (1, wk.shape[0])):
         raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
                          f"keys {kd.shape} and query {qd.shape}")
-    tape, bank = _ACTIVE_TAPE.get(), (keys, key_scale, w_key)
-    proj = None if tape is None else tape._projections.get(bank)
-    if proj is None:
+    tape, bank = _ACTIVE_TAPE.get(), (keys, key_scale, w_key, w_query, w_score)
+    memo = None if tape is None else tape._projections.get(bank)
+    if memo is None:
         sk = kd if s is None else s[:, None] * kd    # (n, d_k) scaled keys
-        def bw_keys(G):                              # G: the summed g_pre of every step on this bank
-            _accum(w_key, (sk.T @ G).T)
+        steps = []                                   # (g, alpha, hidden, query) per step that got a gradient
+        def bw_bank(_):                              # woken by its steps' stand-in gradient, _WAKE
+            G, A, H, Q = map(np.stack, zip(*steps))  # (T, d_k), (T, n), (T, n, d_a), (T, d_q)
+            steps.clear()
+            G_alpha = G @ kd.T
+            G_scores = A * (G_alpha - np.add.reduce(G_alpha * A, axis=1, keepdims=True))
+            _accum(w_score, G_scores.reshape(1, -1) @ H.reshape(-1, wk.shape[0]))
+            G_pre = G_scores[:, :, None] * ws * (1.0 - H * H)
+            _accum(w_query, np.add.reduce(G_pre, axis=1).T @ Q)
+            G_proj = np.add.reduce(G_pre, axis=0)    # (n, d_a): the projection's gradient
+            _accum(w_key, G_proj.T @ sk)
             ds = s is not None and key_scale.requires_grad
             if keys.requires_grad or ds:
-                g_sk = G @ wk                        # gradient of the scaled keys
+                g_sk = G_proj @ wk                   # gradient of the scaled keys
                 if ds:
                     _accum(key_scale, (g_sk * kd).sum(axis=1))
-                _accum(keys, g_sk if s is None else g_sk * s[:, None])
-        proj = _result(sk @ wk.T, (keys, w_key) + (() if s is None else (key_scale,)), bw_keys)
+                _accum(keys, A.T @ G + (g_sk if s is None else g_sk * s[:, None]))
+        memo = _result(sk @ wk.T, [x for x in bank if x is not None], bw_bank), steps
         if tape is not None:
-            tape._projections[bank] = proj
+            tape._projections[bank] = memo
+    proj, steps = memo
     hidden = np.tanh(proj.data + wq @ qd)            # (n, d_a)
     alpha = _softmax_np((hidden @ ws.T).reshape(n))
     def bw(g):
-        if keys.requires_grad:                       # through the context; the bank's node adds the scores' part
-            _accum(keys, alpha[None].T @ g[None])
-        g_alpha = (g[None] @ kd.T).reshape(n)
-        g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(n, 1)
-        _accum(w_score, (hidden.T @ g_scores).T)
-        g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
-        _accum(proj, g_pre)
-        g_proj = np.add.reduce(g_pre, axis=0).reshape(wk.shape[0], 1)
-        _accum(w_query, g_proj @ qd[None, :])
+        if proj.requires_grad:
+            steps.append((g, alpha, hidden, qd))
+            proj.grad = _WAKE
+        # the query's gradient is due now, not in the bank's node: backward reaches the node of a query made
+        # after the bank's (a decoder state) before the bank's
         if query.requires_grad:
+            g_alpha = (g[None] @ kd.T).reshape(n)
+            g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(n, 1)
+            g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
+            g_proj = np.add.reduce(g_pre, axis=0).reshape(wk.shape[0], 1)
             _accum(query, (wq.T @ g_proj).reshape(qd.shape))
-    return _result(alpha @ kd, (keys, query, w_query, w_score, proj), bw), Tensor(alpha)
+    return _result(alpha @ kd, (query, proj), bw), Tensor(alpha)
 
 
 def concat(parts):

@@ -431,11 +431,12 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
 
 # ---------------------------------------------------------------------------
 # dataset persistence: one .npz archive, one member per MultiViewSample field and one row per sample, each
-# field kept byte for byte (bar a report_text's trailing NULs, which numpy's str arrays drop). A sample, saved
-# or loaded, has an id that can name a file and repeats no other, N_OBS labels of 0 or 1, finite views of one
-# square channel sized like the first frontal, and a report_text of MIN_SENTENCES or more sentences, from which
-# its report is read. Labels and views must hold numbers: the contract checks values and converts none. The
-# vocabulary, the concepts and each sample's concept targets are derived from the training reports, not stored.
+# field kept byte for byte. A sample, saved or loaded, has an id that can name a file and repeats no other,
+# N_OBS labels of 0 or 1, finite views of one square channel sized like the first frontal, and a report_text
+# of MIN_SENTENCES or more sentences, from which its report is read, that does not end in a NUL (numpy's str
+# arrays drop trailing NULs, so such a text would not load as saved). Labels and views must hold numbers: the
+# contract checks values and converts none. The vocabulary, the concepts and each sample's concept targets
+# are derived from the training reports, not stored.
 
 _SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # can name a file, so no path separators
 _MEMBERS = tuple(f.name for f in fields(MultiViewSample))
@@ -466,6 +467,8 @@ def _checked_sample(where, sample, size):
         raise DataError(f"{where}: {exc}") from None
     if len(sentences) < MIN_SENTENCES:
         raise DataError(f"{where}: report has {len(sentences)} sentences, fewer than {MIN_SENTENCES}")
+    if sample.report_text.endswith("\x00"):
+        raise DataError(f"{where}: report text ends in a NUL, which an archive does not keep")
     return size
 
 

@@ -9,7 +9,7 @@ import zipfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 
 _MAXVAL = 255  # write_pgm's maxval: a [0,1] value is kept as one of the levels 0..255
 
@@ -25,7 +25,10 @@ def _write(path, encode):
 
 
 def write_text(path, text):
-    """Write text to a file as UTF-8, byte for byte: no line end is translated."""
+    """Write text to a file as UTF-8, byte for byte: no line end is translated. A text that is not a str raises
+    ValidationError and writes nothing."""
+    if not isinstance(text, str):
+        raise ValidationError(f"text to write must be a str, got {type(text).__name__}")
     _write(path, lambda: text.encode("utf-8"))
 
 

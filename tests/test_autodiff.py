@@ -266,6 +266,15 @@ def test_backward_releases_the_graph():
         del h
         tape.backward(loss)
         assert h_ref() is None and len(tape) == 0
+        # and the records an attention bank keeps of its steps, which hold each step's alpha as returned
+        args = _attend_args(np.random.default_rng(28))
+        with Tape() as tape:
+            steps = [ad.attend(**args) for _ in range(2)]
+            loss = ad.tensor_sum(ad.add(steps[0][0], steps[1][0]))
+        alpha_refs = [weakref.ref(alpha.data) for _, alpha in steps]
+        del steps
+        tape.backward(loss)
+        assert [ref() for ref in alpha_refs] == [None, None] and len(tape) == 0
     finally:
         gc.enable()
     np.testing.assert_allclose(x.grad, 2.0 * np.tanh([1.0, 2.0]) * (1.0 - np.tanh([1.0, 2.0]) ** 2), rtol=1e-15)
@@ -827,7 +836,7 @@ def test_backward_writes_into_no_gradient(name, monkeypatch):
     walk()  # the same gradients again, added to the first ones
     assert [g.tobytes() for g in gs] == g_bytes
     expected = {id(x): grad for x, grad in zip(leaves, first)}
-    for x, grad in added:  # 2 * first for a leaf handed one gradient; attend hands its keys two, one per node
+    for x, grad in added:  # 2 * first for a leaf handed one gradient, the sum of those it was handed for another
         if id(x) in expected:
             expected[id(x)] = expected[id(x)] + grad
     for x, grad, before in zip(leaves, first, first_bytes):
@@ -881,44 +890,17 @@ def _per_step_attend(keys, query, w_key, w_query, w_score, key_scale):
     return ad.matmul(alpha, keys), alpha
 
 
-def _shared_attend(proj, keys, query, w_query, w_score):
-    """One attention step over a key projection it is handed, as two tape nodes: the score-and-softmax chain, matmul."""
-    pd, qd, wq, ws = proj.data, query.data, w_query.data, w_score.data
-    n, d_a = pd.shape
-    hidden = np.tanh(pd + wq @ qd)
-    alpha_data = ad._softmax_np((hidden @ ws.T).reshape(n))
-
-    def bw(g):
-        g_scores = (alpha_data * (g - np.dot(g, alpha_data))).reshape(n, 1)
-        ad._accum(w_score, (hidden.T @ g_scores).T)
-        g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
-        ad._accum(proj, g_pre)
-        g_proj = g_pre.sum(axis=0).reshape(d_a, 1)
-        ad._accum(w_query, g_proj @ qd[None, :])
-        if query.requires_grad:
-            ad._accum(query, (wq.T @ g_proj).reshape(qd.shape))
-    alpha = ad._result(alpha_data, (proj, query, w_query, w_score), bw)
-    return ad.matmul(alpha, keys), alpha
-
-
-def _shared_bank(keys, w_key, w_query, w_score, key_scale):
-    """A step op over a key projection taped once as reshape, mul, transpose and matmul nodes."""
-    scaled = keys if key_scale is None else ad.mul(ad.reshape(key_scale, (keys.data.shape[0], 1)), keys)
-    proj = ad.matmul(scaled, ad.transpose(w_key))
-    return lambda query: _shared_attend(proj, keys, query, w_query, w_score)
-
-
 # bank(keys, w_key, w_query, w_score, key_scale) -> the step op query -> (context, alpha) over that key bank
 BANKS = {
     "fused": lambda keys, *rest: lambda query: ad.attend(keys, query, *rest),
     "per_step": lambda keys, *rest: lambda query: _per_step_attend(keys, query, *rest),
-    "shared": _shared_bank,
 }
 
 
-def _three_steps(bank, scaled):
+def _three_steps(bank, scaled, used=(0, 1, 2)):
     """Outputs and leaf gradients of three steps on one key bank that share every weight, as the decoder's word
-    steps do, through BANKS[bank]."""
+    steps do, through BANKS[bank]. The contexts of the steps in `used` reach the loss, each through the same
+    readout; when none does, the loss is the sum of w_score's squares."""
     rng = np.random.default_rng(21)
     keys, w_key, w_query, w_score = (t(rng.normal(size=shape), grad=True) for shape in ((5, 3), (5, 3), (5, 4), (1, 5)))
     queries = [rng.normal(size=4) for _ in range(3)]
@@ -928,32 +910,80 @@ def _three_steps(bank, scaled):
     outs = []
     with Tape() as tape:
         step_op = BANKS[bank](keys, w_key, w_query, w_score, key_scale)
-        loss = None
-        for q in queries:
+        loss = None if used else ad.tensor_sum(ad.mul(w_score, w_score))
+        for i, q in enumerate(queries):
             query = t(q, grad=True)
             leaves.append(query)
             context, alpha = step_op(query)
             outs += [context.data, alpha.data]
-            step = ad.tensor_sum(ad.mul(context, t(readout)))
-            loss = step if loss is None else ad.add(loss, step)
+            if i in used:
+                step = ad.tensor_sum(ad.mul(context, t(readout)))
+                loss = step if loss is None else ad.add(loss, step)
     tape.backward(loss)
     return outs, [x.grad for x in leaves]
 
 
+def _stacked_oracle(scaled):
+    """_three_steps("fused", scaled) in plain numpy, summed as attend's bank node sums: each step's context
+    gradient is the readout, and the steps are stacked in the order backward reaches them, the last first. Each
+    query's gradient is the per-step chain's."""
+    rng = np.random.default_rng(21)
+    kd, wk, wq, ws = (rng.normal(size=shape) for shape in ((5, 3), (5, 3), (5, 4), (1, 5)))
+    queries = [rng.normal(size=4) for _ in range(3)]
+    s, g = rng.uniform(0.1, 0.9, size=5), rng.normal(size=3)
+    sk = s[:, None] * kd if scaled else kd
+    outs, steps, query_grads = [], [], []
+    for qd in queries:
+        hidden = np.tanh(sk @ wk.T + wq @ qd)
+        alpha = ad._softmax_np((hidden @ ws.T).reshape(5))
+        outs += [alpha @ kd, alpha]
+        steps.insert(0, (g, alpha, hidden, qd))
+        g_alpha = (g[None] @ kd.T).reshape(5)
+        g_scores = (alpha * (g_alpha - np.dot(g_alpha, alpha))).reshape(5, 1)
+        g_pre = (g_scores @ ws) * (1.0 - hidden * hidden)
+        query_grads.append((wq.T @ np.add.reduce(g_pre, axis=0).reshape(5, 1)).reshape(4))
+    G, A, H, Q = map(np.stack, zip(*steps))
+    G_alpha = G @ kd.T
+    G_scores = A * (G_alpha - np.add.reduce(G_alpha * A, axis=1, keepdims=True))
+    G_pre = G_scores[:, :, None] * ws * (1.0 - H * H)
+    G_proj = np.add.reduce(G_pre, axis=0)
+    g_sk = G_proj @ wk
+    grads = [A.T @ G + (g_sk * s[:, None] if scaled else g_sk), G_proj.T @ sk,
+             np.add.reduce(G_pre, axis=1).T @ Q, G_scores.reshape(1, -1) @ H.reshape(-1, 5)]
+    return outs, grads + ([(g_sk * kd).sum(axis=1)] if scaled else []) + query_grads
+
+
 @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
 def test_attend_bit_for_bit_equals_unfused_chain(scaled):
-    fused, shared = _three_steps("fused", scaled), _three_steps("shared", scaled)
-    assert [x.tobytes() for x in fused[0] + fused[1]] == [x.tobytes() for x in shared[0] + shared[1]]
+    fused, oracle = _three_steps("fused", scaled), _stacked_oracle(scaled)
+    assert [x.tobytes() for x in fused[0] + fused[1]] == [x.tobytes() for x in oracle[0] + oracle[1]]
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
 def test_attend_matches_the_per_step_chain(scaled):
-    # a projection per step sums the key side's gradients in another order: outputs byte-equal, gradients close
+    # the bank sums the key side's gradients over stacked steps: outputs and query gradients byte-equal, others close
     (outs, grads), (ref_outs, ref_grads) = _three_steps("fused", scaled), _three_steps("per_step", scaled)
     assert [x.tobytes() for x in outs] == [x.tobytes() for x in ref_outs]
     assert len(grads) == len(ref_grads)
+    assert [x.tobytes() for x in grads[-3:]] == [x.tobytes() for x in ref_grads[-3:]]
     for grad, ref in zip(grads, ref_grads):
         np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("used", [(0, 2), ()], ids=["middle_step_unused", "no_step_used"])
+def test_attend_steps_whose_context_misses_the_loss(used, scaled):
+    # a step whose context gets no gradient records nothing with its bank; with no such step the bank's node never runs
+    (outs, grads), (ref_outs, ref_grads) = _three_steps("fused", scaled, used), _three_steps("per_step", scaled, used)
+    assert [x.tobytes() for x in outs] == [x.tobytes() for x in ref_outs]
+    assert [x is None for x in grads] == [x is None for x in ref_grads]
+    assert grads[4 + scaled + 1] is None  # the middle query
+    for grad, ref in zip(grads, ref_grads):
+        if grad is not None:
+            np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0)
+    if not used:  # only w_score has a gradient: its square's, which the bank adds nothing to
+        assert [x is None for x in grads] == [i != 3 for i in range(len(grads))]
+        assert grads[3].tobytes() == ref_grads[3].tobytes()
 
 
 def _attend_args(rng, scaled=True):
@@ -980,9 +1010,9 @@ def test_attend_shared_bank_matches_finite_differences(scaled):
     check_grads(build, params, rel_tol=1e-4)
 
 
-@pytest.mark.parametrize("other", ["keys", "key_scale", "w_key"])
+@pytest.mark.parametrize("other", ["keys", "key_scale", "w_key", "w_query", "w_score"])
 def test_attend_shares_a_projection_only_on_the_same_bank(other):
-    # a bank is its three tensor objects: another one with equal data gets its own projection
+    # a bank is its five tensor objects: another one with equal data gets its own projection
     args = _attend_args(np.random.default_rng(25))
     twin = {**args, other: t(args[other].data.copy(), grad=True)}
     with Tape() as tape:
@@ -992,6 +1022,27 @@ def test_attend_shares_a_projection_only_on_the_same_bank(other):
         apart = ad.attend(**twin)[0]
         assert len(tape) == 5  # a step and a projection of its own
     assert first.data.tobytes() == again.data.tobytes() == apart.data.tobytes()
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_decoder_shaped_chain_matches_finite_differences(scaled):
+    # step t's query is made on the tape from step t-1's context, after the bank's node: backward reaches that
+    # query's node before the bank's, so its gradient must be complete when the step's node runs
+    rng = np.random.default_rng(29)
+    args = _attend_args(rng, scaled)
+    w_state = t(rng.normal(size=(2, 3)), grad=True)  # the next state from a context: tanh(w_state @ context)
+
+    def build():
+        query, loss = args["query"], None  # the initial state
+        for i in range(3):
+            context = ad.attend(**{**args, "query": query})[0]
+            step = _weighted(context, np.random.default_rng(i))
+            loss = step if loss is None else ad.add(loss, step)
+            query = ad.tanh(ad.matmul(w_state, context))
+        return loss
+
+    params = {name: x for name, x in {**args, "w_state": w_state}.items() if x is not None}
+    check_grads(build, params, rel_tol=1e-4)
 
 
 def test_attend_shares_no_projection_across_tapes():

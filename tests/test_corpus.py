@@ -383,6 +383,17 @@ def test_report_is_read_from_report_text_and_survives_save_and_load(tmp_path, sm
     assert loaded.report_text == text and loaded.report == tokenize(text)
 
 
+def test_save_refuses_a_report_text_ending_in_nul_and_writes_nothing(tmp_path, small_dataset):
+    # numpy's str arrays drop trailing NULs, so such a text would load changed; a NUL inside one is kept
+    inner = replace(small_dataset[0], report_text=small_dataset[0].report_text.replace(" ", " \x00", 1))
+    save_dataset(tmp_path / "inner.npz", [inner])
+    assert load_dataset(tmp_path / "inner.npz")[0].report_text == inner.report_text
+    trailing = replace(small_dataset[1], report_text=small_dataset[1].report_text + "\x00")
+    with pytest.raises(DataError, match=r"ds\.npz: sample 1: sample 's00001': report text ends in a NUL"):
+        save_dataset(tmp_path / "ds.npz", [small_dataset[0], trailing])
+    assert not (tmp_path / "ds.npz").exists()
+
+
 @pytest.mark.parametrize("field", ["sample_id", "obs_labels", "report_text", "report"])
 def test_sample_fields_cannot_be_assigned(small_dataset, field):
     sample = replace(small_dataset[0])  # a copy, so a sample that can be assigned leaves the fixture intact

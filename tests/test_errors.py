@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mvh
-from mvh import corpus, errors
+from mvh import corpus, errors, pgm
 from mvh.attention import context_dim
 from mvh.autodiff import (
     Adam,
@@ -147,6 +147,9 @@ def _adam_step_with_grad(grad):
                  id="bleu_unequal_counts"),
     pytest.param(lambda: context_dim("mean", 4), "unknown fusion scheme 'mean'", id="context_dim_unknown_scheme"),
     pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
+    # into a missing directory: had the file been opened before the text was checked, this would be a DataError
+    pytest.param(lambda: pgm.write_text(Path(__file__).parent / "absent" / "t.txt", 5),
+                 "text to write must be a str, got int", id="write_text_int"),
 ])
 def test_argument_values_are_validation_errors(call, message):
     with pytest.raises(ValidationError, match=message):
