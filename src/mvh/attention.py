@@ -88,11 +88,3 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
         return ad.matmul(params.w_late, ad.concat([va_f, va_l]))
     raise ValidationError(f"unknown fusion scheme '{scheme}' (expected one of {FUSION_SCHEMES})")
 
-
-def context_dim(scheme, d_v):
-    """Dimension of the vector fuse() produces under each scheme."""
-    if scheme == "concat":
-        return 2 * d_v
-    if scheme in ("early", "late"):
-        return d_v
-    raise ValidationError(f"unknown fusion scheme '{scheme}' (expected one of {FUSION_SCHEMES})")

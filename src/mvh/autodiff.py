@@ -443,18 +443,6 @@ def conv2d(x, w, b):
     return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
 
 
-def embedding_lookup(table, index):
-    """Select row `index` of a (v,d) embedding table."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup needs a 2-d table, got shape {table.data.shape}")
-    index = _index(index, table.data.shape[0], "embedding_lookup index")
-    def bw(g):
-        d = np.zeros_like(table.data)
-        d[index] = g
-        _accum(table, d)
-    return _result(table.data[index].copy(), (table,), bw)
-
-
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
     return _result(np.add.reduce(x.data, axis=None), (x,), lambda g: _accum(x, np.full(x.data.shape, g)))
@@ -488,30 +476,14 @@ def mse_loss(a, b):
     return _result(out_data, (a, b), bw)
 
 
-def cross_entropy(logits, target_index):
-    """-log softmax(logits)[target_index], computed with log-sum-exp."""
-    if logits.data.ndim != 1 or logits.data.shape[0] < 1:
-        raise ShapeError(f"cross_entropy needs a non-empty 1-d tensor, got shape {logits.data.shape}")
-    target_index = _index(target_index, logits.data.shape[0], "cross_entropy target")
-    z = logits.data - logits.data.max()
-    lse = np.log(np.exp(z).sum())
-    out_data = lse - z[target_index]
-    def bw(g):
-        soft = np.exp(z)
-        soft /= soft.sum()
-        soft[target_index] -= 1.0
-        _accum(logits, g * soft)
-    return _result(out_data, (logits,), bw)
-
-
 # ---------------------------------------------------------------------------
 # optimizers and parameter utilities
 
 
 class Adam:
     """Adam (Kingma & Ba, 2015). Moments m and v are one flat array each, laid out over sorted(params) at the
-    first step; m[name] and v[name] are views into them, and a later step over other names or shapes is a
-    ValidationError. Nothing moves unless every gradient is finite; a parameter without one keeps its moments."""
+    first step or `state`; m[name] and v[name] are views into them, and a later call over other names or shapes
+    is a ValidationError. Nothing moves unless every gradient is finite; a parameter without one keeps its moments."""
 
     def __init__(self, lr=1e-3):
         if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
@@ -521,7 +493,8 @@ class Adam:
         self.m, self.v = {}, {}
         self._layout = self._bounds = self._m = self._v = None  # set at the first step
 
-    def step(self, params):
+    def state(self, params):
+        """The flat m and v over sorted(params), laid out if need be, and t; write into them and set t to resume."""
         layout = [(name, params[name].data.shape) for name in sorted(params)]
         if self._layout is None:  # [(name, shape)] over sorted(params), each one's (start, stop), flat m and v
             ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
@@ -531,8 +504,12 @@ class Adam:
                 self.m[name], self.v[name] = self._m[lo:hi].reshape(shape), self._v[lo:hi].reshape(shape)
         elif layout != self._layout:
             raise ValidationError("Adam's state was laid out at its first step for other parameter names or shapes")
+        return self._m, self._v, self.t
+
+    def step(self, params):
+        self.state(params)
         runs = []  # [(name, start, stop)] per run of consecutive parameters with a gradient
-        for (name, shape), (lo, hi) in zip(layout, self._bounds):
+        for (name, shape), (lo, hi) in zip(self._layout, self._bounds):
             if (g := params[name].grad) is not None:
                 if np.shape(g) != shape:
                     raise ShapeError(f"gradient of '{name}' has shape {np.shape(g)}, its parameter {shape}")

@@ -199,16 +199,8 @@ def _image_size(image_size):
     return int(image_size)
 
 
-def pattern_pixels(obs_index, image_size, jitter=(0, 0)):
-    """Boolean (s,s) mask of observation obs_index's pattern at a (row, column) jitter of at most JITTER each."""
-    if not np.iterable(jitter) or len(jitter) != 2:
-        raise ValidationError(f"jitter must be a (row, column) pair, got {jitter!r}")
-    return _pattern_pixels(_index(obs_index, N_OBS, "observation index"), _image_size(image_size),
-                           [_index(d, JITTER + 1, "jitter", low=-JITTER) for d in jitter])
-
-
 def _pattern_pixels(obs_index, image_size, jitter):
-    """pattern_pixels of arguments it has checked: the pattern stays inside the image."""
+    """Boolean (s,s) mask of observation obs_index's pattern at a (row, column) jitter of at most JITTER each."""
     spec = OBSERVATIONS[obs_index]
     mask = np.zeros((image_size, image_size), dtype=bool)
     if spec.cell is None:  # whole-image border frame
@@ -221,14 +213,6 @@ def _pattern_pixels(obs_index, image_size, jitter):
     c0 = spec.cell[1] * cs + 1 + jitter[1]
     mask[r0:r0 + b, c0:c0 + b] = _shape_mask(spec.shape, b)
     return mask
-
-
-def pattern_mask(obs_index, image_size):
-    """Union of the pattern over all jitters, i.e. where it can appear."""
-    obs_index, image_size = _index(obs_index, N_OBS, "observation index"), _image_size(image_size)
-    shifts = range(-JITTER, JITTER + 1)
-    return np.logical_or.reduce([_pattern_pixels(obs_index, image_size, (dr, dc))
-                                 for dr in shifts for dc in shifts])
 
 
 # ---------------------------------------------------------------------------

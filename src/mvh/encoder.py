@@ -96,12 +96,16 @@ def encoder_loss_parts(front, lat, labels):
             ad.mse_loss(front.obs_probs, lat.obs_probs))
 
 
-def encoder_loss(front, lat, labels, lambda_cvc):
-    """Summed BCE of both views plus lambda * squared view disagreement; lambda 0 drops the CVC term."""
+def weighted_loss(bce_f, bce_l, cvc, lambda_cvc):
+    """The training loss bce_f + bce_l + lambda * cvc of encoder_loss_parts' terms; lambda 0 drops the CVC term."""
     if isinstance(lambda_cvc, bool) or not (isinstance(lambda_cvc, numbers.Real) and 0 <= lambda_cvc < math.inf):
         raise ValidationError(f"lambda_cvc must be a finite number >= 0, got {lambda_cvc!r}")
-    bce_f, bce_l, cvc = encoder_loss_parts(front, lat, labels)
     return ad.add(ad.add(bce_f, bce_l), ad.mul(cvc, Tensor(lambda_cvc)))
+
+
+def encoder_loss(front, lat, labels, lambda_cvc):
+    """Summed BCE of both views plus lambda * squared view disagreement."""
+    return weighted_loss(*encoder_loss_parts(front, lat, labels), lambda_cvc)
 
 
 def fuse_view_predictions(front, lat):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
-from mvh.attention import FUSION_SCHEMES, AttentionParams, concept_attend, context_dim, fuse, visual_attend
+from mvh.attention import FUSION_SCHEMES, AttentionParams, concept_attend, fuse, visual_attend
 from mvh.autodiff import Tape, Tensor, seeded_uniform
 from mvh.encoder import EncoderConfig, EncoderOutput, init_encoder_params
 from mvh.errors import ShapeError, ValidationError
@@ -198,7 +198,6 @@ def test_fuse_concat_is_feature_concatenation():
     p = make_params(d_v=2)
     ctx = fuse("concat", front, lat, Tensor(np.zeros(4)), p)
     np.testing.assert_array_equal(ctx.data, [1.0, 2.0, 3.0, 4.0])
-    assert context_dim("concat", 2) == 4
 
 
 def test_fuse_early_identical_views_equals_duplicated_bank():

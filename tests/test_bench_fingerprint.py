@@ -3,7 +3,8 @@
 Each workload's round value, and the sha256 of the parameters it trains, are pinned at a
 small size. A change that claims to keep every trained bit (a faster kernel, a flat
 optimizer state) is checked here instead of by figures quoted by hand. A change that
-moves the numerics on purpose re-pins them and says so.
+moves the numerics on purpose re-pins them and says so. `mvh.train`'s trainer is pinned to
+`encoder_train`'s values as well, so the benchmark can run its loop with no re-pin.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ if str(BENCH) not in sys.path:
 
 import workloads  # noqa: E402
 from mvh import autodiff as ad  # noqa: E402
+from mvh import train  # noqa: E402
 
 SEED, N_SAMPLES = 7, 20
 
@@ -31,6 +33,18 @@ def test_encoder_train_fingerprint():
     wl = workloads.EncoderTrain(SEED, N_SAMPLES)
     assert wl.round(workloads.Meter()) == 7.45462039523801
     assert _sha256(wl.params) == "a5e5220b781a081ec22dd35547f97762748463b63f8899d2168b433b0ab58604"
+
+
+def test_the_trainer_gives_the_encoder_train_pin():
+    # the benchmark's encoder loop and mvh.train's are one loop, so bench can call the trainer with no re-pin
+    assert train.LR == workloads.ENC_LR and train.CLIP_NORM == workloads.CLIP_NORM
+    assert train.LAMBDA_CVC == workloads.LAMBDA_CVC
+    data = workloads.build_corpus(SEED, N_SAMPLES)
+    trainer = train.EncoderTrainer(data.config, data.concepts, SEED)
+    losses = [r.bce_frontal + r.bce_lateral + train.LAMBDA_CVC * r.cvc for r in trainer.train(data.train, 3)]
+    tenth = len(losses) // 10  # the benchmark's train_loss: the mean loss over the last tenth of the steps
+    assert len(losses) == 48 and sum(losses[-tenth:]) / tenth == 7.45462039523801
+    assert _sha256(trainer.params) == "a5e5220b781a081ec22dd35547f97762748463b63f8899d2168b433b0ab58604"
 
 
 def test_attention_train_fingerprint(monkeypatch):

@@ -1,0 +1,71 @@
+"""Every public function, class and method of `mvh` has a caller, or names the ROADMAP item that gives it one.
+
+A definition counts as called when a module of `src/mvh` or `bench/` refers to its name, as a name or as an
+attribute, or when `bench/layertrace.py` spells it in a string, since it looks functions up by name. Its own
+definition and the tests do not count. Names are matched alone, not by owner, so a method that shares its name
+with a name in use (`Vocabulary.encode` with `encoder.encode`, `EncoderTrainer.train` with `Corpus.train`)
+counts as called.
+"""
+
+import ast
+from pathlib import Path
+
+import mvh
+
+SRC = Path(mvh.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# definition -> the ROADMAP item that wires it
+WIRED_LATER = {
+    "corpus.save_dataset": "item 1b", "corpus.load_dataset": "item 1b", "encoder.grad_cam": "item 1b",
+    "encoder.export_heatmap": "item 1b", "metrics.ScoreReport.csv_header": "item 1b",
+    "metrics.ScoreReport.csv_row": "item 1b",
+    "corpus.Vocabulary": "item 2a", "corpus.Vocabulary.build": "item 2a", "corpus.detokenize": "item 2a",
+    "corpus.ConceptSet.indicator": "item 15",
+    "train.EncoderTrainer": "item 4", "train.EncoderTrainer.save": "item 4", "train.EncoderTrainer.load": "item 4",
+}
+
+
+def _definitions(tree, module):
+    """(qualified name, name) of each public top-level function and class, and of each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _references(tree, strings):
+    """Every name and attribute the tree uses, and with strings, every string constant it holds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _callerless():
+    modules = sorted(SRC.glob("*.py"))
+    used = {name for path in modules + sorted(BENCH.glob("*.py")) if not path.name.startswith("test_")
+            for name in _references(ast.parse(path.read_text(encoding="utf-8")), path.name == "layertrace.py")}
+    return sorted(qualified for path in modules
+                  for qualified, name in _definitions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+                  if name not in used)
+
+
+def test_every_public_name_has_a_caller_or_names_the_item_that_wires_it():
+    # a name that gains a caller leaves the allow-list; a new name without one fails here
+    assert _callerless() == sorted(WIRED_LATER)
+
+
+def test_caller_check_sees_definitions_and_references():
+    source = ("def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n    def _n(self): pass\n"
+              "    @property\n    def p(self): pass\nx = 1\n")
+    assert list(_definitions(ast.parse(source), "mod")) == [("mod.f", "f"), ("mod.C", "C"), ("mod.C.m", "m"),
+                                                             ("mod.C.p", "p")]
+    uses = "f(x)\nobj.m\n'g'\ndef h(): pass\n"
+    assert sorted(_references(ast.parse(uses), strings=False)) == ["f", "m", "obj", "x"]
+    assert sorted(_references(ast.parse(uses), strings=True)) == ["f", "g", "m", "obj", "x"]

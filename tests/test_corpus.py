@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mvh.corpus import (
     CONCEPT_LEXICON,
     IMPRESSIONS,
+    JITTER,
     LABEL_NAMES,
     MIN_SENTENCES,
     MIN_WORD_COUNT,
@@ -25,12 +26,11 @@ from mvh.corpus import (
     ConceptSet,
     MultiViewSample,
     Vocabulary,
+    _pattern_pixels,
     detokenize,
     generate_dataset,
     load_dataset,
     mine_concepts,
-    pattern_mask,
-    pattern_pixels,
     render_report,
     save_dataset,
     split_dataset,
@@ -239,24 +239,12 @@ def test_every_sample_has_three_sentences_and_both_views(small_dataset):
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
 
 
-@pytest.mark.parametrize("obs_index", [-1, 20, 2.5, True, pytest.param(np.bool_(True), id="numpy_True")])
-def test_pattern_of_unknown_observation_is_validation_error(obs_index):
-    with pytest.raises(ValidationError, match=str(obs_index)):
-        pattern_pixels(obs_index, 32)
-    with pytest.raises(ValidationError, match=str(obs_index)):
-        pattern_mask(obs_index, 32)
-
-
-def test_pattern_of_numpy_integer_observation_equals_python_int():
-    assert pattern_pixels(np.int64(2), 32, (1, -1)).tobytes() == pattern_pixels(2, 32, (1, -1)).tobytes()
-    assert pattern_mask(np.int64(2), 32).tobytes() == pattern_mask(2, 32).tobytes()
-
-
 def test_active_labels_have_planted_patterns_in_both_views(small_dataset):
+    shifts = range(-JITTER, JITTER + 1)
     for s in small_dataset:
         for j in range(N_OBS):
-            if s.obs_labels[j] >= 1:
-                mask = pattern_mask(j, 32)
+            if s.obs_labels[j] >= 1:  # the mask is where the pattern can appear, over all jitters
+                mask = np.logical_or.reduce([_pattern_pixels(j, 32, (dr, dc)) for dr in shifts for dc in shifts])
                 assert s.frontal_image[0][mask].max() > 0.3, (s.sample_id, LABEL_NAMES[j])
                 assert s.lateral_image[0][mask].max() > 0.3, (s.sample_id, LABEL_NAMES[j])
 

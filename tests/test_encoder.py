@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
-from mvh.autodiff import Adam, Tape, Tensor
-from mvh.corpus import N_OBS, generate_dataset, load_dataset, save_dataset
+from mvh.autodiff import Tape, Tensor
+from mvh.corpus import N_OBS, ConceptSet, generate_dataset, load_dataset, save_dataset
 from mvh.encoder import (
     EncoderConfig,
     encode,
@@ -20,6 +21,7 @@ from mvh.encoder import (
     init_encoder_params,
 )
 from mvh.errors import DataError, ShapeError, ValidationError
+from mvh.train import EncoderTrainer
 
 TINY = EncoderConfig(image_size=8, channels=(2, 3), n_concepts=2)
 
@@ -269,28 +271,18 @@ def test_full_encoder_gradcheck_tiny_config():
 
 # bit-reproducible training ---------------------------------------------------------------
 
-def _train_encoder(samples, seed=3, steps=6):
-    """A few clipped Adam steps of the default encoder from its seeded init, one per sample."""
-    config = EncoderConfig()
-    params = init_encoder_params(config, seed)
-    opt = Adam(lr=5e-3)
-    losses = []
-    for s in samples[:steps]:
-        with Tape() as tape:
-            loss = encoder_loss(encode(Tensor(s.frontal_image), params, config),
-                                encode(Tensor(s.lateral_image), params, config), Tensor(s.obs_labels), 1.0)
-        tape.backward(loss)
-        ad.clip_global_norm(params, 5.0)
-        opt.step(params)
-        ad.zero_grads(params)
-        losses.append(loss.data.tobytes())
-    return params, opt, losses
+def _trained(samples):
+    """The trainer after six steps of the default encoder from its seeded init, one per sample, and its records."""
+    trainer = EncoderTrainer(EncoderConfig(), ConceptSet(["chest"]), 3)
+    records = [r[:4] for r in itertools.islice(trainer.train(samples, 1), 6)]  # all but the wall time
+    return trainer, records
 
 
 def _assert_same_training(run1, run2):
-    """Equal losses, and params and Adam moments equal byte for byte, after six steps that moved the params."""
-    (p1, opt1, losses1), (p2, opt2, losses2) = run1, run2
-    assert losses1 == losses2
+    """Equal records, and params and Adam moments equal byte for byte, after six steps that moved the params."""
+    (tr1, records1), (tr2, records2) = run1, run2
+    p1, p2, opt1, opt2 = tr1.params, tr2.params, tr1.opt, tr2.opt
+    assert records1 == records2 and len(records1) == 6
     assert p1["enc.conv0.w"].data.tobytes() != init_encoder_params(EncoderConfig(), 3)["enc.conv0.w"].data.tobytes()
     assert sorted(p1) == sorted(p2) and sorted(opt1.m) == sorted(opt2.m) and opt1.t == opt2.t == 6
     for name in p1:
@@ -302,10 +294,10 @@ def _assert_same_training(run1, run2):
 
 def test_training_is_bit_reproducible_from_a_seed():
     # the smallest corpus the generator makes, generated anew for each run
-    _assert_same_training(_train_encoder(generate_dataset(3, 10)), _train_encoder(generate_dataset(3, 10)))
+    _assert_same_training(_trained(generate_dataset(3, 10)), _trained(generate_dataset(3, 10)))
 
 
 def test_training_on_a_saved_and_loaded_corpus_matches_the_samples_in_memory(tmp_path):
     samples = generate_dataset(3, 10)
     save_dataset(tmp_path / "ds.npz", samples)
-    _assert_same_training(_train_encoder(samples), _train_encoder(load_dataset(tmp_path / "ds.npz")))
+    _assert_same_training(_trained(samples), _trained(load_dataset(tmp_path / "ds.npz")))

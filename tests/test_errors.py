@@ -10,6 +10,7 @@ from the autodiff engine; the source is checked for that too.
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,12 @@ import pytest
 
 import mvh
 from mvh import corpus, errors, pgm
-from mvh.attention import context_dim
 from mvh.autodiff import (
     Adam,
     Tensor,
     clip_global_norm,
     concat,
     conv2d,
-    cross_entropy,
-    embedding_lookup,
     matmul,
     max_pool2d,
     mean_pool,
@@ -38,15 +36,14 @@ from mvh.corpus import (
     Vocabulary,
     generate_dataset,
     mine_concepts,
-    pattern_mask,
-    pattern_pixels,
     render_report,
     split_dataset,
     tokenize,
 )
 from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
-from mvh.errors import DataError, MvhError, ShapeError, ValidationError
+from mvh.errors import CheckpointError, DataError, MvhError, ShapeError, ValidationError
 from mvh.metrics import bleu, bleu_n
+from mvh.train import EncoderTrainer
 
 _HYP = [["the", "lungs", "are", "clear"]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
@@ -76,24 +73,17 @@ def _adam_step_with_grad(grad):
     pytest.param(lambda: EncoderConfig(channels="8"), "at least one conv layer", id="channels_str"),
     pytest.param(lambda: bleu_n(_HYP, _HYP, 2.0), "BLEU order must be an integer", id="bleu_float_order"),
     pytest.param(lambda: bleu_n(_HYP, _HYP, 5), "BLEU order 5", id="bleu_order_above_4"),
-    pytest.param(lambda: pattern_pixels(0, 8), "image_size 8", id="pattern_pixels_8"),
-    pytest.param(lambda: pattern_pixels(0, 20), "image_size 20", id="pattern_pixels_20"),
-    pytest.param(lambda: pattern_pixels(0, 0), "image_size 0", id="pattern_pixels_0"),
-    pytest.param(lambda: pattern_pixels(0, 32.0), "image_size must be an integer", id="pattern_pixels_float"),
-    pytest.param(lambda: pattern_pixels(3, 32, (0.5, 0)), "jitter must be an integer, got 0.5", id="jitter_float"),
-    pytest.param(lambda: pattern_pixels(3, 32, "ab"), "jitter must be an integer, got 'a'", id="jitter_str"),
-    pytest.param(lambda: pattern_pixels(3, 32, (100, 0)), "jitter 100 out of range -1..1", id="jitter_too_far"),
-    pytest.param(lambda: pattern_pixels(3, 32, 1), r"jitter must be a \(row, column\) pair", id="jitter_int"),
-    pytest.param(lambda: pattern_pixels(3, 32, (0, 0, 0)), r"jitter must be a \(row, column\) pair",
-                 id="jitter_triple"),
+    pytest.param(lambda: generate_dataset(0, 10, image_size=8), "image_size 8", id="generate_image_size_8"),
+    pytest.param(lambda: generate_dataset(0, 10, image_size=20), "image_size 20", id="generate_image_size_20"),
+    pytest.param(lambda: generate_dataset(0, 10, image_size=0), "image_size 0", id="generate_image_size_0"),
+    pytest.param(lambda: generate_dataset(0, 10, image_size=32.0), "image_size must be an integer",
+                 id="generate_image_size_float"),
     pytest.param(lambda: render_report([0] * 5, {}, {}, set()), "report labels must be 14 numbers",
                  id="render_report_short_labels"),
     pytest.param(lambda: render_report("0" * 14, {}, {}, set()), "report labels must be 14 numbers",
                  id="render_report_str_labels"),
     pytest.param(lambda: _adam_twice({"w": Tensor(np.zeros(2), requires_grad=True)}), "laid out",
                  id="adam_other_names"),
-    pytest.param(lambda: pattern_mask(0, 4), "image_size 4", id="pattern_mask_4"),
-    pytest.param(lambda: pattern_mask(0, -1), "image_size -1", id="pattern_mask_negative"),
     pytest.param(lambda: mine_concepts(_CORPUS, float("nan")), "concept threshold must be an integer",
                  id="concept_threshold_nan"),
     pytest.param(lambda: mine_concepts(_CORPUS, 2.5), "concept threshold must be an integer",
@@ -145,7 +135,6 @@ def _adam_step_with_grad(grad):
                  id="reshape_str_second_dim"),
     pytest.param(lambda: bleu(_HYP, _HYP * 2), "equal counts, got 1 hypotheses and 2 references",
                  id="bleu_unequal_counts"),
-    pytest.param(lambda: context_dim("mean", 4), "unknown fusion scheme 'mean'", id="context_dim_unknown_scheme"),
     pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
     # into a missing directory: had the file been opened before the text was checked, this would be a DataError
     pytest.param(lambda: pgm.write_text(Path(__file__).parent / "absent" / "t.txt", 5),
@@ -177,10 +166,6 @@ def _zeros(*shape):
                  id="conv2d_even_kernel"),
     pytest.param(lambda: conv2d(_zeros(1, 0, 4), _zeros(1, 1, 3, 3), _zeros(1)),
                  r"conv2d needs an image of at least 1x1, got shape \(1, 0, 4\)", id="conv2d_empty_image"),
-    pytest.param(lambda: embedding_lookup(_zeros(3), 0), "embedding_lookup needs a 2-d table",
-                 id="embedding_lookup_1d"),
-    pytest.param(lambda: cross_entropy(_zeros(2, 2), 0), "cross_entropy needs a non-empty 1-d tensor",
-                 id="cross_entropy_2d"),
     pytest.param(lambda: _adam_step_with_grad(np.zeros(3)),
                  r"gradient of 'w' has shape \(3,\), its parameter \(2,\)", id="adam_gradient_shape"),
     pytest.param(lambda: _adam_step_with_grad(np.zeros((2, 1))), r"gradient of 'w' has shape \(2, 1\)",
@@ -197,6 +182,58 @@ def test_tensor_shapes_that_do_not_fit_are_shape_errors(call, message):
 def test_malformed_data_is_a_data_error(call, message):
     with pytest.raises(DataError, match=message):
         call()
+
+
+def _set(name, value):
+    return lambda arrays: arrays.update({name: value})
+
+
+def _pickled(path, arrays):
+    arrays["concepts"] = np.array(["edema", None], dtype=object)
+    np.savez(path, allow_pickle=True, **arrays)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda path, arrays: path.unlink(), id="missing_file"),
+    pytest.param(lambda path, arrays: path.write_text("not an archive"), id="not_an_archive"),
+    pytest.param(_pickled, id="pickled_member"),
+    pytest.param(lambda arrays: arrays.pop("adam.v"), id="missing_member"),
+    pytest.param(lambda arrays: arrays.pop("enc.obs.b"), id="missing_parameter"),
+    pytest.param(_set("notes", np.zeros(1)), id="extra_member"),
+    pytest.param(lambda arrays: arrays.update({"enc.obs.w": arrays["enc.obs.w"].T}), id="parameter_shape"),
+    pytest.param(lambda arrays: arrays.update({"enc.conv0.w": arrays["enc.conv0.w"].astype(np.float32)}),
+                 id="parameter_dtype"),
+    pytest.param(lambda arrays: arrays.update({"enc.conv0.b": arrays["enc.conv0.b"].astype(int)}),
+                 id="parameter_int"),
+    pytest.param(lambda arrays: arrays.update({"adam.m": arrays["adam.m"][:-1]}), id="m_too_short"),
+    pytest.param(lambda arrays: arrays.update({"adam.v": np.append(arrays["adam.v"], 0.0)}), id="v_too_long"),
+    pytest.param(lambda arrays: arrays.update({"adam.m": arrays["adam.m"].astype(np.float32)}), id="m_dtype"),
+    pytest.param(_set("adam.t", np.array(-1)), id="t_negative"),
+    pytest.param(_set("adam.t", np.array(3.0)), id="t_float"),
+    pytest.param(_set("adam.t", np.array([3])), id="t_not_0d"),
+    pytest.param(_set("config", np.array([30, 2, 2, 3])), id="config_size_refused"),
+    pytest.param(_set("config", np.array([16, 2, 0, 3])), id="config_zero_channels"),
+    pytest.param(_set("config", np.array([16, 2])), id="config_no_channels"),
+    pytest.param(_set("config", np.array([16, 2, 2])), id="config_other_depth"),
+    pytest.param(_set("config", np.array([16.0, 2.0, 2.0, 3.0])), id="config_float"),
+    pytest.param(_set("config", np.array(16)), id="config_0d"),
+    pytest.param(_set("concepts", np.array(["edema"])), id="fewer_tokens_than_n_concepts"),
+    pytest.param(_set("concepts", np.array(["edema", "chest", "lungs"])), id="more_tokens_than_n_concepts"),
+    pytest.param(_set("concepts", np.array([1, 2])), id="tokens_not_str"),
+    pytest.param(_set("concepts", np.array([["edema", "chest"]])), id="tokens_2d"),
+])
+def test_checkpoint_defects_are_checkpoint_errors_naming_the_path(tmp_path, damage):
+    path = tmp_path / "ck.npz"
+    config = EncoderConfig(image_size=16, channels=(2, 3), n_concepts=2)
+    EncoderTrainer(config, corpus.ConceptSet(["edema", "chest"]), 0).save(path)
+    arrays = pgm.read_arrays(path)
+    if damage.__code__.co_argcount == 2:  # damages the file
+        damage(path, arrays)
+    else:  # damages a member
+        damage(arrays)
+        pgm.write_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        EncoderTrainer.load(path)
 
 
 _MVH_ERRORS = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, MvhError)}
