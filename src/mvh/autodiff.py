@@ -540,16 +540,22 @@ def zero_grads(params):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm; return the norm before clipping."""
     if isinstance(max_norm, bool) or not (isinstance(max_norm, numbers.Real) and max_norm > 0):
         raise ValidationError(f"max_norm must be positive, got {max_norm!r}")
+    grads = [p.grad for p in params.values() if p.grad is not None]
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    with np.errstate(over="ignore"):  # finite squares may overflow: then rescale by the largest |g|
+        for g in grads:
+            total += float((g * g).sum())
+    top = 1.0
+    if total == math.inf and all(np.isfinite(g).all() for g in grads):
+        top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        total = sum(float(((g / top) ** 2).sum()) for g in grads)
+    root = math.sqrt(total)
+    norm = top * root  # inf only when the norm itself exceeds float64; the factor below stays finite
     if norm > max_norm:
-        factor = max_norm / norm
+        factor = max_norm / top / root
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * factor

@@ -6,17 +6,19 @@ list is a list of sentences, scored as one flattened sequence. A list is never
 a token (it is unhashable), so a tuple token is never split. Every text metric
 matches tokens as dict keys (equal hash and ==), so BLEU, ROUGE-L and METEOR
 agree on which tokens are the same. `score_generation` checks and flattens its
-reports once for the private cores (`_bleu`, `_mean`); `bleu`, `rouge_l` and
-`meteor_lite` are checked entry points over the same cores. `avg_auc` is the
-one AUC entry point: it checks its matrices whole, then scores each two-class
-column with `_auc`.
+reports once for the private cores (`_bleu`, `_mean`); `bleu`, `bleu_n`,
+`rouge_l` and `meteor_lite` are checked entry points over the same cores.
+`_bleu` counts and clips the n-grams of all pairs in one integer-coded numpy
+pass; ROUGE-L and METEOR score pair by pair. `avg_auc` is the one AUC entry
+point: it checks its matrices whole, then scores each two-class column with
+`_auc`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -45,28 +47,33 @@ def _token_pairs(hypotheses, references, op):
     return [(_flatten(h), _flatten(r)) for h, r in zip(hypotheses, references)]
 
 
-def _ngrams(tokens):
-    """Counts of every n-gram of orders 1..BLEU_ORDER, keyed by token tuple."""
-    grams = Counter()
-    for n in range(1, BLEU_ORDER + 1):
-        grams.update(zip(*(tokens[i:] for i in range(n))))
-    return grams
-
-
 def _bleu(pairs):
-    """Corpus-level [BLEU-1, ..., BLEU-4] of checked, flattened pairs."""
-    matched, total = [0] * BLEU_ORDER, [0] * BLEU_ORDER
-    for h, rf in pairs:
-        for gram, count in (_ngrams(h) & _ngrams(rf)).items():  # & keeps the clipped count
-            matched[len(gram) - 1] += count
-        for k in range(BLEU_ORDER):
-            total[k] += max(0, len(h) - k)
+    """Corpus-level [BLEU-1, ..., BLEU-4] of checked, flattened pairs, in one integer pass.
 
-    c = sum(len(h) for h, _ in pairs)
-    r = sum(len(rf) for _, rf in pairs)
+    One dict gives each token an id (dict keys, as every text metric matches). With all reports end to end,
+    a position's order-1 code is (its pair, its token) and its order-(n+1) code is (its order-n code, the
+    token n places ahead), each renumbered densely by `np.unique`, so no key exceeds n_tok * max(n_tok,
+    pairs) and int64 cannot overflow. One `np.bincount` per order splits each code's count by side: the
+    clipped matches are the sum of the minima, the n-gram total the hypothesis side's sum.
+    """
+    reports = [side for pair in pairs for side in pair]  # h0, r0, h1, r1, ...
+    lengths = np.array([len(rep) for rep in reports], dtype=np.int64)
+    n_tok = int(lengths.sum())
+    tok = np.fromiter(map({}.setdefault, chain.from_iterable(reports), count()), np.int64, n_tok)
+    report = np.repeat(np.arange(len(reports)), lengths)
+    left = np.cumsum(lengths)[report] - np.arange(n_tok)  # tokens from a position to its report's end
+    side = report % 2
+
+    c, r = int(lengths[0::2].sum()), int(lengths[1::2].sum())
     bp = 1.0 if c >= r else math.exp(1.0 - r / c) if c > 0 else 0.0
     scores, log_sum = [], 0
-    for n, (m, t) in enumerate(zip(matched, total), 1):
+    pos, code = np.arange(n_tok), report // 2
+    for n in range(1, BLEU_ORDER + 1):
+        live = left[pos] >= n
+        pos, code = pos[live], code[live]
+        grams, code = np.unique(code * n_tok + tok[pos + n - 1], return_inverse=True)
+        counts = np.bincount(2 * code + side[pos], minlength=2 * len(grams)).reshape(-1, 2)
+        m, t = int(counts.min(axis=1).sum()), int(counts[:, 0].sum())
         if m == 0:
             break
         log_sum += math.log(m / t)

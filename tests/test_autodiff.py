@@ -1196,6 +1196,22 @@ def test_clip_global_norm():
     assert math.hypot(a.grad[0], b.grad[0]) == pytest.approx(1.0)
 
 
+def test_clip_global_norm_whose_squares_overflow_clips_instead_of_zeroing():
+    # 1e200 ** 2 overflows float64, but the norm itself and the clipped gradients are finite
+    a, b = t([0.0, 0.0], grad=True), t([0.0, 0.0], grad=True)
+    a.grad, b.grad = np.array([1e200, 0.0]), np.array([3.0, 4.0])
+    norm = ad.clip_global_norm({"a": a, "b": b}, 5.0)
+    assert norm == pytest.approx(1e200, rel=1e-12)
+    assert math.hypot(*a.grad, *b.grad) == pytest.approx(5.0, abs=1e-12)
+    np.testing.assert_allclose(a.grad, [5.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(b.grad, [1.5e-199, 2e-199], rtol=1e-12)
+    # a norm above float64's largest value is inf, and the finite gradients are still clipped, not zeroed
+    a.grad, b.grad = np.array([1.5e308, 0.0]), np.array([0.0, 1.5e308])
+    assert ad.clip_global_norm({"a": a, "b": b}, 5.0) == math.inf
+    np.testing.assert_allclose(np.concatenate([a.grad, b.grad]), [5 / math.sqrt(2), 0, 0, 5 / math.sqrt(2)],
+                               rtol=1e-12)
+
+
 @pytest.mark.parametrize("max_norm", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
 def test_clip_global_norm_rejects_non_positive_max_norm(max_norm):
     a = t([3.0], grad=True)

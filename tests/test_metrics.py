@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvh import metrics
-from mvh.corpus import LABEL_NAMES
+from mvh.corpus import END, LABEL_NAMES, PAD, SENTINELS, START
 from mvh.errors import ValidationError
 from mvh.metrics import (
     BLEU_ORDER,
@@ -42,6 +42,10 @@ def oracle_bleu(hyps, refs, n):
     r = sum(len(rf) for rf in refs)
     bp = 1.0 if c >= r else math.exp(1 - r / c)
     return bp * math.exp(sum(math.log(p) for p in precisions) / n)
+
+
+def _strip(report):
+    return [tok for tok in report if tok not in SENTINELS]
 
 
 def oracle_lcs(a, b):
@@ -145,20 +149,40 @@ def test_tuple_tokens_are_not_split_into_sentences():
     assert bleu([[("a", "b"), "c"]], [[("a", "b"), "c"]]) == [1.0, 1.0, 0.0, 0.0]
 
 
-# few distinct tokens and short reports, so every order has matches, misses and reports too short for it
-_short_report = st.lists(st.integers(0, 3), max_size=9)
+# few distinct tokens and short reports, so every order has matches, misses and reports too short for it;
+# the tokens mix ints, strings, tuples, sentinels and the dict-equal 1, 1.0 and True, which must match
+_token = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", ("a",), ("a", 1), ("a", True), 1.0, True]),
+                   st.sampled_from(SENTINELS))
+_short_report = st.lists(_token, max_size=9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_short_report, _short_report), min_size=1, max_size=8))
 @example([([0, 1, 2], [0, 1, 2, 3])])
 @example([([0], [0]), ([], [1, 2]), ([1, 2, 3], [1, 2])])
+@example([([1, "a", True], [True, "a", 1.0]), (["a", ("a", 1)], [("a", True), "a"])])
+@example([([], [])])
+@example([([], []), ([], []), ([], [])])
+@example([([START, END], [START, PAD, END]), ([PAD], [])])
 def test_bleu_matches_loop_oracle_on_random_corpora(pairs):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    expected = [oracle_bleu(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)]
+    # bleu strips the sentinels before scoring; the oracle counts what it is given
+    expected = [oracle_bleu([_strip(h) for h in hyps], [_strip(r) for r in refs], n)
+                for n in range(1, BLEU_ORDER + 1)]
     assert bleu(hyps, refs) == expected
     assert [bleu_n(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)] == expected
+
+
+def test_bleu_ngram_codes_do_not_overflow_with_many_distinct_tokens():
+    # 2**17 distinct tokens, numbered in order of first occurrence: a 4-gram code t0*V**3 + t1*V**2 + t2*V + t3
+    # with V = 2**17 maps t0 and t0 + 2**13 onto one int64 value, since 2**13 * V**3 = 2**64
+    vocab = 2 ** 17
+    hyps = [list(range(vocab)), [0, 1, 2, 3]]
+    refs = [[], [2 ** 13, 1, 2, 3]]  # its three last unigrams, two bigrams and one trigram match; no 4-gram does
+    scores = bleu(hyps, refs)
+    assert scores == [oracle_bleu(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)]
+    assert scores[2] > 0 and scores[3] == 0.0
 
 
 def test_bleu_empty_hypothesis_set_rejected():
