@@ -540,7 +540,7 @@ def zero_grads(params):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm; return the norm before clipping."""
+    """Scale all gradients so their joint L2 norm is at most max_norm, none if one is not finite; return the norm."""
     if isinstance(max_norm, bool) or not (isinstance(max_norm, numbers.Real) and max_norm > 0):
         raise ValidationError(f"max_norm must be positive, got {max_norm!r}")
     grads = [p.grad for p in params.values() if p.grad is not None]
@@ -549,7 +549,9 @@ def clip_global_norm(params, max_norm):
         for g in grads:
             total += float((g * g).sum())
     top = 1.0
-    if total == math.inf and all(np.isfinite(g).all() for g in grads):
+    if total == math.inf:
+        if not all(np.isfinite(g).all() for g in grads):
+            return total  # left unscaled: Adam.step names the parameter whose gradient is not finite
         top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
         total = sum(float(((g / top) ** 2).sum()) for g in grads)
     root = math.sqrt(total)

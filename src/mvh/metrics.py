@@ -3,10 +3,10 @@
 All text metrics operate on token sequences (any hashable tokens); sentence
 sentinels are stripped before scoring, and a report whose first element is a
 list is a list of sentences, scored as one flattened sequence. A list is never
-a token (it is unhashable), so a tuple token is never split. Every text metric
-matches tokens as dict keys (equal hash and ==), so BLEU, ROUGE-L and METEOR
-agree on which tokens are the same. `score_generation` checks and flattens its
-reports once for the private cores (`_bleu`, `_mean`); `bleu`, `bleu_n`,
+a token (it is unhashable), so a tuple token is never split. `_token_pairs`
+checks and flattens reports and gives each token an int id as a dict key (equal
+hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens are the same;
+`score_generation` calls it once for the cores (`_bleu`, `_mean`). `bleu`, `bleu_n`,
 `rouge_l` and `meteor_lite` are checked entry points over the same cores.
 `_bleu` counts and clips the n-grams of all pairs in one integer-coded numpy
 pass; ROUGE-L and METEOR score pair by pair. `avg_auc` is the one AUC entry
@@ -38,19 +38,25 @@ def _flatten(report):
 
 
 def _token_pairs(hypotheses, references, op):
-    """Flattened (hypothesis, reference) token lists of a non-empty, equal-count set."""
+    """Flattened (hypothesis, reference) token-id lists of a non-empty, equal-count set. Each distinct token, as a
+    dict key, has one id: the number of tokens before its first one (h0, r0, h1, ...), so below the total count."""
     if len(hypotheses) == 0:
         raise ValidationError(f"{op} needs a non-empty hypothesis set")
     if len(hypotheses) != len(references):
         raise ValidationError(
             f"{op} needs equal counts, got {len(hypotheses)} hypotheses and {len(references)} references")
-    return [(_flatten(h), _flatten(r)) for h, r in zip(hypotheses, references)]
+    ids, position = {}, count()
+    try:
+        return [tuple(list(map(ids.setdefault, _flatten(report), position)) for report in pair)
+                for pair in zip(hypotheses, references)]
+    except TypeError:  # such as a list token
+        raise ValidationError(f"{op} needs reports of hashable tokens") from None
 
 
 def _bleu(pairs):
-    """Corpus-level [BLEU-1, ..., BLEU-4] of checked, flattened pairs, in one integer pass.
+    """Corpus-level [BLEU-1, ..., BLEU-4] of checked, token-id pairs, in one integer pass.
 
-    One dict gives each token an id (dict keys, as every text metric matches). With all reports end to end,
+    Each token id is below n_tok, the total token count (`_token_pairs`). With all reports end to end,
     a position's order-1 code is (its pair, its token) and its order-(n+1) code is (its order-n code, the
     token n places ahead), each renumbered densely by `np.unique`, so no key exceeds n_tok * max(n_tok,
     pairs) and int64 cannot overflow. One `np.bincount` per order splits each code's count by side: the
@@ -59,7 +65,7 @@ def _bleu(pairs):
     reports = [side for pair in pairs for side in pair]  # h0, r0, h1, r1, ...
     lengths = np.array([len(rep) for rep in reports], dtype=np.int64)
     n_tok = int(lengths.sum())
-    tok = np.fromiter(map({}.setdefault, chain.from_iterable(reports), count()), np.int64, n_tok)
+    tok = np.fromiter(chain.from_iterable(reports), np.int64, n_tok)
     report = np.repeat(np.arange(len(reports)), lengths)
     left = np.cumsum(lengths)[report] - np.arange(n_tok)  # tokens from a position to its report's end
     side = report % 2
@@ -96,7 +102,7 @@ def bleu_n(hypotheses, references, n):
 
 
 def _mean(pairs, score):
-    """Mean of score(hyp, ref) over checked, flattened pairs; a pair with an empty side scores 0."""
+    """Mean of score(hyp, ref) over checked, token-id pairs; a pair with an empty side scores 0."""
     return sum(score(h, rf) if h and rf else 0.0 for h, rf in pairs) / len(pairs)
 
 

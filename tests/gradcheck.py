@@ -18,7 +18,7 @@ def check_grads(build, params, rel_tol=1e-4, eps=1e-5, sample=None, rng=None):
     """Compare tape gradients of build() against central differences.
 
     build: callable returning the scalar loss Tensor (fresh forward each call).
-    params: {name: Tensor} checked tensors.
+    params: {name: Tensor} checked tensors, of any writable layout.
     sample: optionally cap the number of elements checked per tensor.
     """
     for p in params.values():
@@ -33,21 +33,22 @@ def check_grads(build, params, rel_tol=1e-4, eps=1e-5, sample=None, rng=None):
 
     failures = []
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        idxs = range(flat.size)
-        if sample is not None and flat.size > sample:
+        # indices into p.data itself: reshape(-1) copies a transposed or F-ordered leaf, and a write into the copy
+        # would leave the leaf unperturbed
+        idxs = list(np.ndindex(p.data.shape))
+        if sample is not None and len(idxs) > sample:
             rng = rng or np.random.default_rng(0)
-            idxs = sorted(rng.choice(flat.size, size=sample, replace=False))
+            idxs = [idxs[k] for k in sorted(rng.choice(len(idxs), size=sample, replace=False))]
         for i in idxs:
-            old = flat[i]
-            flat[i] = old + eps
+            old = p.data[i]
+            p.data[i] = old + eps
             fp = build().item()
-            flat[i] = old - eps
+            p.data[i] = old - eps
             fm = build().item()
-            flat[i] = old
+            p.data[i] = old
             n = (fp - fm) / (2.0 * eps)
-            err = max_rel_err(np.array(a_flat[i]), np.array(n))
+            a = analytic[name][i]
+            err = max_rel_err(np.array(a), np.array(n))
             if err >= rel_tol:
-                failures.append(f"{name}[{i}]: analytic={a_flat[i]:.8g} numeric={n:.8g} rel_err={err:.3g}")
+                failures.append(f"{name}[{i}]: analytic={a:.8g} numeric={n:.8g} rel_err={err:.3g}")
     assert not failures, "gradient mismatches:\n" + "\n".join(failures[:20])

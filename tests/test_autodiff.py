@@ -1,3 +1,12 @@
+"""Tests of mvh.autodiff: its ops, their backward rules, the tape, Adam and the parameter utilities.
+
+Every recording op (a public op that returns through `_result`) has exactly one entry in `OPS`, and a new op
+needs that one entry and nothing else. An entry's sample builders take a leaf factory, so the finite-difference,
+NaN, no-write and random-graph tests all run the same builders, each with leaves of its own. Its shape-error calls
+are rows of `test_errors.py`'s shape-error test.
+"""
+
+import functools
 import gc
 import inspect
 import math
@@ -6,10 +15,11 @@ import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
@@ -43,11 +53,6 @@ def test_matmul_hand_case():
     np.testing.assert_array_equal(out.data, [[11.0]])
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
-
-
 def test_softmax_symmetry_and_singleton():
     np.testing.assert_allclose(ad.softmax(t([0.0, 0.0, 0.0])).data, [1 / 3] * 3, atol=1e-15)
     np.testing.assert_array_equal(ad.softmax(t([42.0])).data, [1.0])
@@ -58,11 +63,6 @@ def test_softmax_against_scalar_oracle():
     denom = sum(math.exp(v) for v in x)
     expected = [math.exp(v) / denom for v in x]
     np.testing.assert_allclose(ad.softmax(t(x)).data, expected, atol=1e-12)
-
-
-def test_softmax_empty_rejected():
-    with pytest.raises(ShapeError):
-        ad.softmax(t(np.zeros(0)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,21 +103,6 @@ def test_broadcast_backward_sums_to_input_shapes():
     np.testing.assert_array_equal(m.grad, [[2.0] * 3, [3.0] * 3])
     np.testing.assert_array_equal(row.grad, [5.0, 5.0, 5.0])
     np.testing.assert_array_equal(col.grad, [[9.0], [9.0]])
-
-
-@pytest.mark.parametrize("op", [ad.add, ad.mul])
-def test_non_broadcastable_shapes_raise_shape_error(op):
-    with pytest.raises(ShapeError, match=r"\(4, 3\).*\(4,\)"):
-        op(t(np.zeros((4, 3))), t(np.zeros(4)))
-
-
-def test_concat_rejects_mismatched_trailing_shapes():
-    with pytest.raises(ShapeError):
-        ad.concat([t(np.zeros((2, 3))), t(np.zeros((1, 4)))])
-    with pytest.raises(ShapeError):
-        ad.concat([t(np.zeros(3)), t(np.zeros((1, 3)))])
-    with pytest.raises(ShapeError):
-        ad.concat([t(1.0)])
 
 
 def test_nonfinite_forward_raises():
@@ -176,11 +161,6 @@ def test_mse_cases():
     a, b = rng.normal(size=6), rng.normal(size=6)
     expected = sum((x - y) ** 2 for x, y in zip(a, b))
     assert ad.mse_loss(t(a), t(b)).item() == pytest.approx(expected, abs=1e-12)
-
-
-def test_mse_shape_error():
-    with pytest.raises(ShapeError):
-        ad.mse_loss(t([1.0]), t([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("index", [True, np.bool_(False), 1.0, 2.7, np.float64(1.0), "1", None],
@@ -345,128 +325,291 @@ def test_active_tape_is_per_thread():
     assert own_nodes == 1
 
 
-def _weighted(out, rng):
-    w = Tensor(rng.normal(size=out.data.shape))
-    return ad.tensor_sum(ad.mul(out, w)) if out.data.shape != () else out
+# ---------------------------------------------------------------------------
+# the op table: one entry per recording op, and the per-op tests derived from it
+
+def _record(build, rng):
+    """build(leaf)'s output, and the leaves it asked leaf(*shape, low=-1.0, high=1.0) for, in order: uniform
+    draws from rng that require grad."""
+    leaves = []
+
+    def leaf(*shape, low=-1.0, high=1.0):
+        leaves.append(Tensor(rng.uniform(low, high, size=shape), requires_grad=True))
+        return leaves[-1]
+    return build(leaf), leaves
 
 
-def test_matmul_gradcheck_tight():
-    rng = np.random.default_rng(0)
-    a = t(rng.normal(size=(3, 4)), grad=True)
-    b = t(rng.normal(size=(4, 2)), grad=True)
-    w = Tensor(rng.normal(size=(3, 2)))
-    check_grads(lambda: ad.tensor_sum(ad.mul(ad.matmul(a, b), w)), {"a": a, "b": b}, rel_tol=1e-6)
+def _replay(leaves):
+    """A leaf factory that hands out `leaves` again, in order."""
+    rest = iter(leaves)
+    return lambda *shape, **bounds: next(rest)
 
 
-# gradcheck case -> the op whose backward rule it checks
-GRADCHECK_OPS = {
-    "matmul_vec": ad.matmul, "add": ad.add, "add_broadcast": ad.add, "mul": ad.mul,
-    "mul_broadcast": ad.mul, "mul_scalar": ad.mul, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
-    "relu": ad.relu, "softmax": ad.softmax, "concat": ad.concat, "concat_2d": ad.concat,
-    "reshape": ad.reshape, "transpose": ad.transpose, "mean_pool": ad.mean_pool,
-    "max_pool2d": ad.max_pool2d, "conv2d": ad.conv2d, "bce": ad.bce_loss, "mse": ad.mse_loss,
-    "tensor_sum": ad.tensor_sum, "attend": ad.attend, "attend_scaled": ad.attend,
+class Op(NamedTuple):
+    """One recording op. samples: {id: build(leaf) -> the op's output}; each builder calls this op alone.
+    shape_errors: {id: (call(leaf), message pattern)}, each called with zero leaves. rel_tol: the gradcheck
+    tolerance. in_graphs: whether random graphs draw the op's samples."""
+    samples: dict
+    shape_errors: dict = {}
+    rel_tol: float = 1e-4
+    in_graphs: bool = True
+
+
+def _attend_zeros(keys, query, w_score, key_scale):
+    """A shape-error call: attend on leaves of these shapes, with (5, 3) and (5, 2) weights."""
+    return lambda z: ad.attend(z(*keys), z(*query), z(5, 3), z(5, 2), z(*w_score), z(*key_scale))
+
+
+# The samples' shapes chain: a (4, 3) value can be keys, a (3,) one a query or a context, a (4,) one a key scale.
+OPS = {
+    "matmul": Op({"matmul": lambda leaf: ad.matmul(leaf(4, 3), leaf(3, 3)),
+                  "matmul_vec": lambda leaf: ad.matmul(leaf(4, 3), leaf(3)),
+                  "matmul_vec_mat": lambda leaf: ad.matmul(leaf(3), leaf(3, 3)),
+                  "matmul_vec_vec": lambda leaf: ad.matmul(leaf(3), leaf(3))},
+                 {"matmul_inner": (lambda z: ad.matmul(z(2, 3), z(2, 2)), r"\(2, 3\).*\(2, 2\)"),
+                  "matmul_3d": (lambda z: ad.matmul(z(2, 2, 2), z(2)), "matmul needs 1-d or 2-d operands")},
+                 rel_tol=1e-6),
+    "transpose": Op({"transpose": lambda leaf: ad.transpose(leaf(3, 3))},
+                    {"transpose_1d": (lambda z: ad.transpose(z(3)), "transpose needs a 2-d tensor")}),
+    "reshape": Op({"reshape": lambda leaf: ad.reshape(leaf(4), (4, 1))},
+                  {"reshape_size": (lambda z: ad.reshape(z(4), (3,)), r"cannot reshape \(4,\) into \(3,\)")}),
+    "add": Op({"add": lambda leaf: ad.add(leaf(3), leaf(3)),
+               "add_broadcast": lambda leaf: ad.add(leaf(4, 3), leaf(3)),
+               "add_0d": lambda leaf: ad.add(leaf(), leaf()),  # as encoder.weighted_loss adds its terms
+               "add_0d_broadcast": lambda leaf: ad.add(leaf(4, 3), leaf())},
+              {"add_unbroadcastable": (lambda z: ad.add(z(4, 3), z(4)), r"\(4, 3\).*\(4,\)")}),
+    "mul": Op({"mul": lambda leaf: ad.mul(leaf(3), leaf(3)),
+               "mul_broadcast": lambda leaf: ad.mul(leaf(4, 1), leaf(4, 3)),
+               "mul_scalar": lambda leaf: ad.mul(leaf(3), t(-2.5))},
+              {"mul_unbroadcastable": (lambda z: ad.mul(z(4, 3), z(4)), r"\(4, 3\).*\(4,\)")}),
+    "tanh": Op({"tanh": lambda leaf: ad.tanh(leaf(3))}),
+    "sigmoid": Op({"sigmoid": lambda leaf: ad.sigmoid(leaf(3))}),
+    "relu": Op({"relu": lambda leaf: ad.relu(leaf(8))}, in_graphs=False),
+    "softmax": Op({"softmax": lambda leaf: ad.softmax(leaf(3))},
+                  {"softmax_empty": (lambda z: ad.softmax(z(0)), "softmax needs a non-empty 1-d tensor")}),
+    "attend": Op({"attend": lambda leaf: ad.attend(leaf(4, 3), leaf(3), leaf(2, 3), leaf(2, 3), leaf(1, 2), None)[0],
+                  "attend_scaled": lambda leaf: ad.attend(leaf(4, 3), leaf(3), leaf(2, 3), leaf(2, 3), leaf(1, 2),
+                                                          leaf(4, low=0.2, high=0.9))[0]},
+                 {"attend_query_length": (_attend_zeros((4, 3), (3,), (1, 5), (4,)), "attend weights"),
+                  "attend_w_score_shape": (_attend_zeros((4, 3), (2,), (5, 1), (4,)), "attend weights"),
+                  "attend_empty_keys": (_attend_zeros((0, 3), (2,), (1, 5), (0,)), "attend needs non-empty"),
+                  "attend_key_scale_shape": (_attend_zeros((4, 3), (2,), (1, 5), (4, 1)), "attend needs non-empty")}),
+    "concat": Op({"concat": lambda leaf: ad.concat([leaf(3), leaf(3)]),
+                  "concat_2d": lambda leaf: ad.concat([leaf(4, 3), leaf(1, 3)])},
+                 {"concat_empty": (lambda z: ad.concat([]), "concat of zero tensors"),
+                  "concat_trailing": (lambda z: ad.concat([z(2, 3), z(1, 4)]), "concat needs parts of shape"),
+                  "concat_rank": (lambda z: ad.concat([z(3), z(1, 3)]), "concat needs parts of shape"),
+                  "concat_0d": (lambda z: ad.concat([z()]), "concat needs parts of shape")}),
+    "mean_pool": Op({"mean_pool": lambda leaf: ad.mean_pool(leaf(4, 3))},
+                    {"mean_pool_1d": (lambda z: ad.mean_pool(z(3)), "mean_pool needs a 2-d tensor"),
+                     "mean_pool_no_rows": (lambda z: ad.mean_pool(z(0, 3)), r"at least one row, got shape \(0, 3\)")}),
+    "max_pool2d": Op({"max_pool2d": lambda leaf: ad.max_pool2d(leaf(2, 4, 4))},
+                     {"max_pool2d_odd_side": (lambda z: ad.max_pool2d(z(1, 3, 4)), "max_pool2d needs")},
+                     in_graphs=False),
+    "conv2d": Op({"conv2d": lambda leaf: ad.conv2d(leaf(2, 6, 6), leaf(3, 2, 3, 3), leaf(3))},
+                 {"conv2d_rank": (lambda z: ad.conv2d(z(4, 4), z(1, 1, 3, 3), z(1)), r"conv2d needs \(cin,h,w\)"),
+                  "conv2d_channels": (lambda z: ad.conv2d(z(2, 4, 4), z(1, 1, 3, 3), z(1)), "conv2d channel mismatch"),
+                  "conv2d_even_kernel": (lambda z: ad.conv2d(z(1, 4, 4), z(1, 1, 2, 2), z(1)),
+                                         "odd kernels only, got 2x2"),
+                  "conv2d_empty_image": (lambda z: ad.conv2d(z(1, 0, 4), z(1, 1, 3, 3), z(1)),
+                                         r"conv2d needs an image of at least 1x1, got shape \(1, 0, 4\)")},
+                 in_graphs=False),
+    "tensor_sum": Op({"tensor_sum": lambda leaf: ad.tensor_sum(leaf(4, 3))}),
+    "bce_loss": Op({"bce": lambda leaf: ad.bce_loss(leaf(5, low=0.1, high=0.9), t([0.0, 1.0, 1.0, 0.0, 1.0]))},
+                   {"bce_loss_shapes": (lambda z: ad.bce_loss(z(1), z(2)), "bce_loss needs equal shapes")},
+                   in_graphs=False),
+    "mse_loss": Op({"mse": lambda leaf: ad.mse_loss(leaf(3), leaf(3))},
+                   {"mse_loss_shapes": (lambda z: ad.mse_loss(z(1), z(2)), "mse_loss needs equal shapes")}),
 }
+SAMPLES = {case: (name, build) for name, op in OPS.items() for case, build in op.samples.items()}
 
 
-@pytest.mark.parametrize("name", list(GRADCHECK_OPS))
-def test_each_op_matches_finite_differences(name):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))  # the same inputs in every process
-    op = GRADCHECK_OPS[name]
-    if name == "matmul_vec":
-        a = t(rng.normal(size=(3, 4)), grad=True)
-        x = t(rng.normal(size=4), grad=True)
-        build = lambda: _weighted(op(a, x), np.random.default_rng(1))
-        params = {"a": a, "x": x}
-    elif name == "add":
-        a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(op(a, b), np.random.default_rng(1))
-        params = {"a": a, "b": b}
-    elif name == "add_broadcast":
-        m = t(rng.normal(size=(4, 3)), grad=True)
-        v = t(rng.normal(size=3), grad=True)
-        build = lambda: _weighted(op(m, v), np.random.default_rng(1))
-        params = {"m": m, "v": v}
-    elif name == "mul":
-        a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(op(a, b), np.random.default_rng(1))
-        params = {"a": a, "b": b}
-    elif name == "mul_broadcast":
-        col = t(rng.normal(size=(4, 1)), grad=True)
-        m = t(rng.normal(size=(4, 3)), grad=True)
-        build = lambda: _weighted(op(col, m), np.random.default_rng(1))
-        params = {"col": col, "m": m}
-    elif name == "mul_scalar":
-        a = t(rng.normal(size=5), grad=True)
-        build = lambda: _weighted(op(a, t(-2.5)), np.random.default_rng(1))
-        params = {"a": a}
-    elif name in ("tanh", "sigmoid"):
-        a = t(rng.normal(size=6), grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "relu":
-        vals = rng.normal(size=8)
-        vals[np.abs(vals) < 0.05] = 0.5  # keep clear of the kink
-        a = t(vals, grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "softmax":
-        a = t(rng.normal(size=6), grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "concat":
-        a, b = t(rng.normal(size=3), grad=True), t(rng.normal(size=2), grad=True)
-        build = lambda: _weighted(op([a, b]), np.random.default_rng(1))
-        params = {"a": a, "b": b}
-    elif name == "concat_2d":
-        a = t(rng.normal(size=(2, 3)), grad=True)
-        b = t(rng.normal(size=(1, 3)), grad=True)
-        build = lambda: _weighted(op([a, b]), np.random.default_rng(1))
-        params = {"a": a, "b": b}
-    elif name == "reshape":
-        a = t(rng.normal(size=(2, 3)), grad=True)
-        build = lambda: _weighted(op(a, (6,)), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "transpose":
-        a = t(rng.normal(size=(2, 3)), grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "mean_pool":
-        a = t(rng.normal(size=(4, 3)), grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "max_pool2d":
-        a = t(rng.normal(size=(2, 4, 4)), grad=True)
-        build = lambda: _weighted(op(a), np.random.default_rng(1))
-        params = {"a": a}
-    elif name == "conv2d":
-        x = t(rng.normal(size=(2, 6, 6)), grad=True)
-        w = t(rng.normal(size=(3, 2, 3, 3)) * 0.5, grad=True)
-        b = t(rng.normal(size=3), grad=True)
-        build = lambda: _weighted(op(x, w, b), np.random.default_rng(1))
-        params = {"x": x, "w": w, "b": b}
-    elif name == "bce":
-        p = t(rng.uniform(0.1, 0.9, size=5), grad=True)
-        y = t(rng.integers(0, 2, size=5).astype(float))
-        build = lambda: op(p, y)
-        params = {"p": p}
-    elif name == "mse":
-        a, b = t(rng.normal(size=5), grad=True), t(rng.normal(size=5), grad=True)
-        build = lambda: op(a, b)
-        params = {"a": a, "b": b}
-    elif name in ("attend", "attend_scaled"):  # attend_scaled: a row scale on the keys that takes a gradient
-        params = {"keys": t(rng.normal(size=(4, 3)), grad=True), "query": t(rng.normal(size=2), grad=True),
-                  "w_key": t(rng.normal(size=(5, 3)), grad=True), "w_query": t(rng.normal(size=(5, 2)), grad=True),
-                  "w_score": t(rng.normal(size=(1, 5)), grad=True)}
-        if name == "attend_scaled":
-            params["key_scale"] = t(rng.uniform(0.2, 0.9, 4), grad=True)
-        args = list(params.values()) + ([None] if name == "attend" else [])
-        build = lambda: _weighted(op(*args)[0], np.random.default_rng(1))
-    else:  # tensor_sum
-        a = t(rng.normal(size=(2, 3)), grad=True)
-        build = lambda: op(a)
-        params = {"a": a}
-    check_grads(build, params, rel_tol=1e-4)
+def _recording_ops():
+    """Names of the public ops of mvh.autodiff that return through _result."""
+    return {f.__name__ for f in vars(ad).values()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
+
+
+def test_every_backward_rule_has_a_gradcheck_case():
+    recording = _recording_ops()
+    assert {"matmul", "conv2d", "attend"} <= recording
+    assert set(OPS) == recording
+    assert all(op.samples for op in OPS.values())
+    assert len(SAMPLES) == sum(len(op.samples) for op in OPS.values())  # no sample id is used twice
+
+
+@pytest.mark.parametrize("case", list(SAMPLES))
+def test_each_op_matches_finite_differences(case):
+    name, build = SAMPLES[case]
+    rng = np.random.default_rng(zlib.crc32(case.encode()))  # the same inputs in every process
+    out, leaves = _record(build, rng)
+    w = Tensor(rng.normal(size=out.data.shape))
+    check_grads(lambda: ad.tensor_sum(ad.mul(build(_replay(leaves)), w)), {f"leaf{i}": x for i, x in enumerate(leaves)},
+                rel_tol=OPS[name].rel_tol)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_nan_input_raises_numerics_error_naming_the_op(name):
+    for build in OPS[name].samples.values():
+        _, leaves = _record(build, np.random.default_rng(0))
+        leaves[0].data.flat[0] = np.nan  # no tape is open: the op only runs its forward
+        with pytest.raises(NumericsError, match=rf"^{name} produced non-finite values$"):
+            build(_replay(leaves))
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_backward_writes_into_no_gradient(name, monkeypatch):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for build in OPS[name].samples.values():
+        with Tape() as tape:
+            out, leaves = _record(build, rng)
+        nodes = tape._nodes[::-1]  # every node the op records, in the order backward walks them
+        assert nodes[0][0] is out
+        gs = [np.array(rng.normal(size=node_out.data.shape)) for node_out, _ in nodes]  # one per node
+        g_bytes = [g.tobytes() for g in gs]
+        for g in gs:
+            g.flags.writeable = False  # from here on a write into g raises
+        added, accum = [], ad._accum  # every gradient the first pass hands over, in order
+
+        def walk():
+            for (_, backward), g in zip(nodes, gs):
+                backward(g)
+
+        def logged(x, grad):
+            added.append((x, np.copy(grad)))
+            accum(x, grad)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_accum", logged)
+            walk()  # first gradients, handed over as they come
+        first = [x.grad for x in leaves]
+        for grad in first:
+            assert type(grad) is np.ndarray
+            grad.flags.writeable = False
+        first_bytes = [grad.tobytes() for grad in first]
+        walk()  # the same gradients again, added to the first ones
+        assert [g.tobytes() for g in gs] == g_bytes
+        expected = {id(x): grad for x, grad in zip(leaves, first)}
+        for x, grad in added:  # 2 * first for a leaf handed one gradient, the sum of those it was handed for another
+            if id(x) in expected:
+                expected[id(x)] = expected[id(x)] + grad
+        for x, grad, before in zip(leaves, first, first_bytes):
+            assert grad.tobytes() == before
+            np.testing.assert_array_equal(x.grad, expected[id(x)])
+
+
+# ---------------------------------------------------------------------------
+# random graphs of the samples, gradchecked whole
+
+_GRAPH_SAMPLES = [case for case, (name, _) in SAMPLES.items() if OPS[name].in_graphs and name != "attend"]
+
+
+@st.composite
+def _graphs(draw):
+    """(steps, used). A step is ("leaf", shape), or (sample id, *the earlier steps whose values are its leaves).
+    Each other sample with chance 1/4 and one to four attend steps, in a drawn order, take per leaf an earlier
+    value of its shape or a new leaf; an attend step may instead take an earlier one's bank and a query of its
+    own. used holds some samples' steps, the last at least; the others miss the loss."""
+    steps, shapes = [], []
+
+    def value(shape):
+        found = [i for i in reversed(range(len(steps))) if shapes[i] == shape]  # the latest first
+        k = draw(st.integers(0, len(found)))
+        if k < len(found):
+            return found[k]
+        steps.append(("leaf", shape))
+        shapes.append(shape)
+        return len(steps) - 1
+
+    cases = []
+    for case in ([case for case in _GRAPH_SAMPLES if draw(st.integers(0, 3)) == 0]
+                 + [draw(st.sampled_from(["attend", "attend_scaled"])) for _ in range(draw(st.integers(1, 4)))]):
+        cases.insert(draw(st.integers(0, len(cases))), case)
+    for case in cases:
+        out, leaves = _record(SAMPLES[case][1], np.random.default_rng(0))
+        banks = [step for step in steps if step[0] == case and case.startswith("attend")]
+        if banks and not draw(st.booleans()):
+            bank = draw(st.sampled_from(banks))
+            steps.append((case, bank[1], value((3,)), *bank[3:]))
+        else:
+            steps.append((case, *[value(x.data.shape) for x in leaves]))
+        shapes.append(out.data.shape)
+    ops = [i for i, step in enumerate(steps) if step[0] != "leaf"]
+    return tuple(steps), tuple([i for i in ops if not draw(st.booleans())] or ops[-1:])
+
+
+def _run(steps, leaf):
+    """The value of each step: leaf(*shape) for ("leaf", shape), else its sample built on earlier values."""
+    values = []
+    for case, *args in steps:
+        values.append(leaf(*args[0]) if case == "leaf" else SAMPLES[case][1](_replay([values[i] for i in args])))
+    return values
+
+
+_BANK = [("leaf", (4, 3)), ("leaf", (2, 3)), ("leaf", (2, 3)), ("leaf", (1, 2)), ("leaf", (4,))]  # keys, weights, scale
+
+
+def _on_bank(scaled, query):
+    return ("attend_scaled", 0, query, 1, 2, 3, 4) if scaled else ("attend", 0, query, 1, 2, 3)
+
+
+def _shared_bank(scaled):
+    """Three steps on one bank, each with a query leaf of its own and its context in the loss."""
+    steps = list(_BANK)
+    for _ in range(3):
+        steps += [("leaf", (3,)), _on_bank(scaled, len(steps))]
+    return tuple(steps), (6, 8, 10)
+
+
+def _decoder_chain(scaled):
+    """Step t's query is tanh(step t-1's context @ w_state), made after the bank's node: backward reaches that
+    query's node before the bank's, so its gradient must be complete when the step's node runs."""
+    steps, used = _BANK + [("leaf", (3,)), ("leaf", (3, 3))], []  # the first query, w_state
+    for query in (5, 9, 12):
+        steps += [_on_bank(scaled, query), ("matmul_vec_mat", len(steps), 6), ("tanh", len(steps) + 1)]
+        used.append(len(steps) - 3)
+    return tuple(steps), tuple(used)
+
+
+_COMPOSITE = ((("leaf", (3, 3)), ("leaf", (3, 3)), ("leaf", (3,)), ("matmul_vec_mat", 2, 0), ("tanh", 3),
+               ("matmul_vec_mat", 4, 1), ("sigmoid", 5)), (6,))  # sigmoid(tanh(x @ w1) @ w2)
+_FROM_KEYS = ((*_BANK[:4], ("leaf", (3,)), ("matmul_vec", 0, 4), ("mean_pool", 0), ("attend_scaled", 0, 6, 1, 2, 3, 5)),
+              (7,))  # the key scale keys @ v and the query mean_pool(keys)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_graphs())
+@example(_shared_bank(False))
+@example(_shared_bank(True))
+@example(_decoder_chain(False))
+@example(_decoder_chain(True))
+@example(_COMPOSITE)
+@example(_FROM_KEYS)
+def test_random_graphs_match_finite_differences(graph):
+    """Graphs of the samples of every op but relu and max_pool2d (kinks and ties), bce_loss (a clamp) and conv2d,
+    which keep their fixed samples and loop oracles: leaves used twice, outputs that miss the loss, attend steps
+    that share a bank, queries made from earlier contexts or from keys, and key scales made from keys."""
+    steps, used = graph
+    rng = np.random.default_rng(0)
+    values, leaves = _record(lambda leaf: _run(steps, leaf), rng)
+    weights = [Tensor(rng.normal(size=values[i].data.shape)) for i in used]
+
+    def loss():  # the sum of the used values, each weighted
+        values = _run(steps, _replay(leaves))
+        return functools.reduce(ad.add, [ad.tensor_sum(ad.mul(values[i], w)) for i, w in zip(used, weights)])
+    check_grads(loss, {f"leaf{i}": x for i, x in enumerate(leaves)})
+
+
+def test_check_grads_perturbs_a_transposed_leaf():
+    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous  # reshape(-1) would copy it
+
+    def halved():  # sum(x * x), whose backward hands over half the gradient
+        return ad._result(np.add.reduce(x.data * x.data, axis=None), (x,), lambda g: ad._accum(x, g * x.data))
+
+    check_grads(lambda: ad.tensor_sum(ad.mul(x, x)), {"x": x})
+    with pytest.raises(AssertionError, match="gradient mismatches"):
+        check_grads(halved, {"x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -711,108 +854,6 @@ def test_sigmoid_bit_for_bit_equals_masked_kernel():
             assert x.grad.tobytes() == (out.grad * ref * (1.0 - ref)).tobytes()
 
 
-def _recording_ops():
-    """Names of the public ops of mvh.autodiff that return through _result."""
-    return {f.__name__ for f in vars(ad).values()
-            if inspect.isfunction(f) and f.__module__ == ad.__name__
-            and not f.__name__.startswith("_") and "_result(" in inspect.getsource(f)}
-
-
-def test_every_backward_rule_has_a_gradcheck_case():
-    recording = _recording_ops()
-    assert {"matmul", "conv2d", "attend"} <= recording
-    assert recording - {op.__name__ for op in GRADCHECK_OPS.values()} == set()
-
-
-def _nan(*shape):
-    x = np.ones(shape)
-    x.flat[0] = np.nan
-    return Tensor(x)
-
-
-def _ones(*shape):
-    return Tensor(np.ones(shape))
-
-
-# op -> a call of it with a NaN in one input
-NAN_CALLS = {
-    "matmul": lambda: ad.matmul(_nan(2, 3), _ones(3)),
-    "transpose": lambda: ad.transpose(_nan(2, 3)),
-    "reshape": lambda: ad.reshape(_nan(2, 3), (6,)),
-    "add": lambda: ad.add(_ones(3), _nan(3)),
-    "mul": lambda: ad.mul(_nan(2, 3), _ones(3)),
-    "tanh": lambda: ad.tanh(_nan(3)),
-    "sigmoid": lambda: ad.sigmoid(_nan(3)),
-    "relu": lambda: ad.relu(_nan(3)),
-    "softmax": lambda: ad.softmax(_nan(3)),
-    "attend": lambda: ad.attend(_nan(4, 3), _ones(2), _ones(5, 3), _ones(5, 2), _ones(1, 5), _ones(4))[0],
-    "concat": lambda: ad.concat([_ones(2), _nan(3)]),
-    "mean_pool": lambda: ad.mean_pool(_nan(4, 3)),
-    "max_pool2d": lambda: ad.max_pool2d(_nan(2, 4, 4)),
-    "conv2d": lambda: ad.conv2d(_nan(2, 6, 6), _ones(3, 2, 3, 3), _ones(3)),
-    "tensor_sum": lambda: ad.tensor_sum(_nan(2, 3)),
-    "bce_loss": lambda: ad.bce_loss(_nan(3), Tensor(np.zeros(3))),
-    "mse_loss": lambda: ad.mse_loss(_ones(3), _nan(3)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_recording_ops()))
-def test_nan_input_raises_numerics_error_naming_the_op(name):
-    assert name in NAN_CALLS, f"no NaN case for op {name}"
-    with pytest.raises(NumericsError, match=rf"^{name} produced non-finite values$"):
-        NAN_CALLS[name]()
-
-
-@pytest.mark.parametrize("name", sorted(_recording_ops()))
-def test_backward_writes_into_no_gradient(name, monkeypatch):
-    # rerun NAN_CALLS[name] with finite inputs that require grad: its lambdas look up _nan and _ones when called
-    assert name in NAN_CALLS, f"no call case for op {name}"
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    leaves = []
-
-    def leaf(*shape):
-        leaves.append(Tensor(rng.uniform(0.1, 0.9, size=shape), requires_grad=True))
-        return leaves[-1]
-
-    monkeypatch.setitem(globals(), "_nan", leaf)
-    monkeypatch.setitem(globals(), "_ones", leaf)
-    with Tape() as tape:
-        out = NAN_CALLS[name]()
-    nodes = tape._nodes[::-1]  # every node the op records, in the order backward walks them
-    assert nodes[0][0] is out
-    gs = [np.array(rng.normal(size=node_out.data.shape)) for node_out, _ in nodes]  # one per node
-    g_bytes = [g.tobytes() for g in gs]
-    for g in gs:
-        g.flags.writeable = False  # from here on a write into g raises
-    added, accum = [], ad._accum  # every gradient the first pass hands over, in order
-
-    def walk():
-        for (_, backward), g in zip(nodes, gs):
-            backward(g)
-
-    def logged(x, grad):
-        added.append((x, np.copy(grad)))
-        accum(x, grad)
-
-    with monkeypatch.context() as m:
-        m.setattr(ad, "_accum", logged)
-        walk()  # first gradients, handed over as they come
-    first = [x.grad for x in leaves]
-    for grad in first:
-        assert type(grad) is np.ndarray
-        grad.flags.writeable = False
-    first_bytes = [grad.tobytes() for grad in first]
-    walk()  # the same gradients again, added to the first ones
-    assert [g.tobytes() for g in gs] == g_bytes
-    expected = {id(x): grad for x, grad in zip(leaves, first)}
-    for x, grad in added:  # 2 * first for a leaf handed one gradient, the sum of those it was handed for another
-        if id(x) in expected:
-            expected[id(x)] = expected[id(x)] + grad
-    for x, grad, before in zip(leaves, first, first_bytes):
-        assert grad.tobytes() == before
-        np.testing.assert_array_equal(x.grad, expected[id(x)])
-
-
 def test_numerics_error_gives_the_tape_node_index():
     a = t([1.0], grad=True)
     with Tape() as tape:
@@ -822,18 +863,6 @@ def test_numerics_error_gives_the_tape_node_index():
         with pytest.raises(NumericsError, match=r"^add produced non-finite values$"):
             ad.add(t([1.0]), t([np.nan]))  # no parent requires grad: it would not join the tape
     assert len(tape) == 2
-
-
-@pytest.mark.parametrize("keys, query, w_score, key_scale", [
-    pytest.param((4, 3), (3,), (1, 5), (4,), id="query_length"),
-    pytest.param((4, 3), (2,), (5, 1), (4,), id="w_score_shape"),
-    pytest.param((0, 3), (2,), (1, 5), (0,), id="empty_keys"),
-    pytest.param((4, 3), (2,), (1, 5), (4, 1), id="key_scale_shape"),
-])
-def test_attend_shape_errors(keys, query, w_score, key_scale):
-    with pytest.raises(ShapeError):
-        ad.attend(t(np.zeros(keys)), t(np.zeros(query)), t(np.zeros((5, 3))), t(np.zeros((5, 2))),
-                  t(np.zeros(w_score)), t(np.zeros(key_scale)))
 
 
 def _per_step_attend(keys, query, w_key, w_query, w_score, key_scale):
@@ -962,23 +991,6 @@ def _attend_args(rng, scaled=True):
     return {**args, "key_scale": t(rng.uniform(0.2, 0.9, 4), grad=True) if scaled else None}
 
 
-@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
-def test_attend_shared_bank_matches_finite_differences(scaled):
-    rng = np.random.default_rng(23)
-    args = _attend_args(rng, scaled)
-    queries = {f"q{i}": t(rng.normal(size=2), grad=True) for i in range(3)}
-
-    def build():  # three queries on one bank
-        loss = None
-        for i, query in enumerate(queries.values()):
-            step = _weighted(ad.attend(**{**args, "query": query})[0], np.random.default_rng(i))
-            loss = step if loss is None else ad.add(loss, step)
-        return loss
-
-    params = {name: x for name, x in {**args, **queries}.items() if x is not None and name != "query"}
-    check_grads(build, params, rel_tol=1e-4)
-
-
 @pytest.mark.parametrize("other", ["keys", "key_scale", "w_key", "w_query", "w_score"])
 def test_attend_shares_a_projection_only_on_the_same_bank(other):
     # a bank is its five tensor objects: another one with equal data gets its own projection
@@ -993,27 +1005,6 @@ def test_attend_shares_a_projection_only_on_the_same_bank(other):
     assert first.data.tobytes() == again.data.tobytes() == apart.data.tobytes()
 
 
-@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
-def test_attend_decoder_shaped_chain_matches_finite_differences(scaled):
-    # step t's query is made on the tape from step t-1's context, after the bank's node: backward reaches that
-    # query's node before the bank's, so its gradient must be complete when the step's node runs
-    rng = np.random.default_rng(29)
-    args = _attend_args(rng, scaled)
-    w_state = t(rng.normal(size=(2, 3)), grad=True)  # the next state from a context: tanh(w_state @ context)
-
-    def build():
-        query, loss = args["query"], None  # the initial state
-        for i in range(3):
-            context = ad.attend(**{**args, "query": query})[0]
-            step = _weighted(context, np.random.default_rng(i))
-            loss = step if loss is None else ad.add(loss, step)
-            query = ad.tanh(ad.matmul(w_state, context))
-        return loss
-
-    params = {name: x for name, x in {**args, "w_state": w_state}.items() if x is not None}
-    check_grads(build, params, rel_tol=1e-4)
-
-
 def test_attend_shares_no_projection_across_tapes():
     args = _attend_args(np.random.default_rng(26))
     grads = []
@@ -1025,21 +1016,6 @@ def test_attend_shares_no_projection_across_tapes():
         grads.append(args["w_key"].grad)
         args["w_key"].grad = None
     assert grads[0] is not None and grads[0].tobytes() == grads[1].tobytes()
-
-
-def test_composite_graph_gradcheck():
-    rng = np.random.default_rng(5)
-    w1 = t(rng.normal(size=(4, 3)) * 0.7, grad=True)
-    w2 = t(rng.normal(size=(2, 4)) * 0.7, grad=True)
-    x = t(rng.normal(size=3), grad=True)
-    y = Tensor(np.array([1.0, 0.0]))
-
-    def build():
-        h = ad.tanh(ad.matmul(w1, x))
-        p = ad.sigmoid(ad.matmul(w2, h))
-        return ad.bce_loss(p, y)
-
-    check_grads(build, {"w1": w1, "w2": w2, "x": x}, rel_tol=1e-4)
 
 
 def test_forward_determinism():
@@ -1210,6 +1186,15 @@ def test_clip_global_norm_whose_squares_overflow_clips_instead_of_zeroing():
     assert ad.clip_global_norm({"a": a, "b": b}, 5.0) == math.inf
     np.testing.assert_allclose(np.concatenate([a.grad, b.grad]), [5 / math.sqrt(2), 0, 0, 5 / math.sqrt(2)],
                                rtol=1e-12)
+
+
+def test_clip_global_norm_leaves_a_non_finite_gradient_for_adam_to_name():
+    a, b = t([0.0, 0.0], grad=True), t([0.0], grad=True)
+    a.grad, b.grad = np.array([math.inf, 1.0]), np.array([2.0])
+    assert ad.clip_global_norm({"a": a, "b": b}, 5.0) == math.inf  # no factor of 0 meets the inf
+    assert a.grad.tolist() == [math.inf, 1.0] and b.grad.tolist() == [2.0]
+    with pytest.raises(NumericsError, match="^non-finite gradient for parameter 'a'$"):
+        Adam().step({"a": a, "b": b})
 
 
 @pytest.mark.parametrize("max_norm", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])

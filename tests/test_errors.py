@@ -9,6 +9,7 @@ from the autodiff engine; the source is checked for that too.
 """
 
 import ast
+import functools
 import math
 import re
 from pathlib import Path
@@ -18,19 +19,7 @@ import pytest
 
 import mvh
 from mvh import corpus, errors, pgm
-from mvh.autodiff import (
-    Adam,
-    Tensor,
-    clip_global_norm,
-    concat,
-    conv2d,
-    matmul,
-    max_pool2d,
-    mean_pool,
-    reshape,
-    seeded_uniform,
-    transpose,
-)
+from mvh.autodiff import Adam, Tensor, clip_global_norm, reshape, seeded_uniform
 from mvh.corpus import (
     N_OBS,
     Vocabulary,
@@ -42,8 +31,9 @@ from mvh.corpus import (
 )
 from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
 from mvh.errors import CheckpointError, DataError, MvhError, ShapeError, ValidationError
-from mvh.metrics import bleu, bleu_n
+from mvh.metrics import bleu, bleu_n, meteor_lite, rouge_l
 from mvh.train import EncoderTrainer
+from test_autodiff import OPS
 
 _HYP = [["the", "lungs", "are", "clear"]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
@@ -135,6 +125,11 @@ def _adam_step_with_grad(grad):
                  id="reshape_str_second_dim"),
     pytest.param(lambda: bleu(_HYP, _HYP * 2), "equal counts, got 1 hypotheses and 2 references",
                  id="bleu_unequal_counts"),
+    pytest.param(lambda: bleu([["a", ["b"]]], [["a"]]), "bleu needs reports of hashable tokens", id="bleu_list_token"),
+    pytest.param(lambda: rouge_l([["a", ["b"]]], [["a"]]), "rouge_l needs reports of hashable tokens",
+                 id="rouge_l_list_token"),
+    pytest.param(lambda: meteor_lite([["a", ["b"]]], [["a"]]), "meteor_lite needs reports of hashable tokens",
+                 id="meteor_lite_list_token"),
     pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
     # into a missing directory: had the file been opened before the text was checked, this would be a DataError
     pytest.param(lambda: pgm.write_text(Path(__file__).parent / "absent" / "t.txt", 5),
@@ -151,25 +146,12 @@ def _zeros(*shape):
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: _zeros(2).item(), r"item\(\) needs a one-element tensor", id="item_two_elements"),
-    pytest.param(lambda: matmul(_zeros(2, 2, 2), _zeros(2)), "matmul needs 1-d or 2-d operands", id="matmul_3d"),
-    pytest.param(lambda: transpose(_zeros(3)), "transpose needs a 2-d tensor", id="transpose_1d"),
-    pytest.param(lambda: reshape(_zeros(4), (3,)), r"cannot reshape \(4,\) into \(3,\)", id="reshape_size"),
-    pytest.param(lambda: concat([]), "concat of zero tensors", id="concat_empty"),
-    pytest.param(lambda: mean_pool(_zeros(3)), "mean_pool needs a 2-d tensor", id="mean_pool_1d"),
-    pytest.param(lambda: mean_pool(_zeros(0, 3)), r"at least one row, got shape \(0, 3\)", id="mean_pool_no_rows"),
-    pytest.param(lambda: max_pool2d(_zeros(1, 3, 4)), "max_pool2d needs", id="max_pool2d_odd_side"),
-    pytest.param(lambda: conv2d(_zeros(4, 4), _zeros(1, 1, 3, 3), _zeros(1)), r"conv2d needs \(cin,h,w\)",
-                 id="conv2d_rank"),
-    pytest.param(lambda: conv2d(_zeros(2, 4, 4), _zeros(1, 1, 3, 3), _zeros(1)), "conv2d channel mismatch",
-                 id="conv2d_channels"),
-    pytest.param(lambda: conv2d(_zeros(1, 4, 4), _zeros(1, 1, 2, 2), _zeros(1)), "odd kernels only, got 2x2",
-                 id="conv2d_even_kernel"),
-    pytest.param(lambda: conv2d(_zeros(1, 0, 4), _zeros(1, 1, 3, 3), _zeros(1)),
-                 r"conv2d needs an image of at least 1x1, got shape \(1, 0, 4\)", id="conv2d_empty_image"),
     pytest.param(lambda: _adam_step_with_grad(np.zeros(3)),
                  r"gradient of 'w' has shape \(3,\), its parameter \(2,\)", id="adam_gradient_shape"),
     pytest.param(lambda: _adam_step_with_grad(np.zeros((2, 1))), r"gradient of 'w' has shape \(2, 1\)",
                  id="adam_gradient_broadcastable_shape"),
+    *[pytest.param(functools.partial(call, _zeros), message, id=case)  # each autodiff op's, from its OPS entry
+      for op in OPS.values() for case, (call, message) in op.shape_errors.items()],
 ])
 def test_tensor_shapes_that_do_not_fit_are_shape_errors(call, message):
     with pytest.raises(ShapeError, match=message):
