@@ -577,18 +577,8 @@ _FROM_KEYS = ((*_BANK[:4], ("leaf", (3,)), ("matmul_vec", 0, 4), ("mean_pool", 0
               (7,))  # the key scale keys @ v and the query mean_pool(keys)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(_graphs())
-@example(_shared_bank(False))
-@example(_shared_bank(True))
-@example(_decoder_chain(False))
-@example(_decoder_chain(True))
-@example(_COMPOSITE)
-@example(_FROM_KEYS)
-def test_random_graphs_match_finite_differences(graph):
-    """Graphs of the samples of every op but relu and max_pool2d (kinks and ties), bce_loss (a clamp) and conv2d,
-    which keep their fixed samples and loop oracles: leaves used twice, outputs that miss the loss, attend steps
-    that share a bank, queries made from earlier contexts or from keys, and key scales made from keys."""
+def _check_graph(graph):
+    """Gradcheck (steps, used) whole: the loss is the sum of the used values, each weighted."""
     steps, used = graph
     rng = np.random.default_rng(0)
     values, leaves = _record(lambda leaf: _run(steps, leaf), rng)
@@ -598,6 +588,30 @@ def test_random_graphs_match_finite_differences(graph):
         values = _run(steps, _replay(leaves))
         return functools.reduce(ad.add, [ad.tensor_sum(ad.mul(values[i], w)) for i, w in zip(used, weights)])
     check_grads(loss, {f"leaf{i}": x for i, x in enumerate(leaves)})
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_graphs())
+@example(_FROM_KEYS)
+def test_random_graphs_match_finite_differences(graph):
+    """Graphs of the samples of every op but relu and max_pool2d (kinks and ties), bce_loss (a clamp) and conv2d,
+    which keep their fixed samples and loop oracles: leaves used twice, outputs that miss the loss, attend steps
+    that share a bank, queries made from earlier contexts or from keys, and key scales made from keys."""
+    _check_graph(graph)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_shared_bank_matches_finite_differences(scaled):
+    _check_graph(_shared_bank(scaled))
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_attend_decoder_shaped_chain_matches_finite_differences(scaled):
+    _check_graph(_decoder_chain(scaled))
+
+
+def test_composite_graph_gradcheck():
+    _check_graph(_COMPOSITE)
 
 
 def test_check_grads_perturbs_a_transposed_leaf():
