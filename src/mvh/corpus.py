@@ -199,20 +199,16 @@ def _image_size(image_size):
     return int(image_size)
 
 
-def _pattern_pixels(obs_index, image_size, jitter):
-    """Boolean (s,s) mask of observation obs_index's pattern at a (row, column) jitter of at most JITTER each."""
-    spec = OBSERVATIONS[obs_index]
-    mask = np.zeros((image_size, image_size), dtype=bool)
-    if spec.cell is None:  # whole-image border frame
-        w = max(1, image_size // 16)
-        mask[:w, :] = mask[-w:, :] = mask[:, :w] = mask[:, -w:] = True
-        return mask
+def _patterns(image_size):
+    """Each observation's (mask, corner): a grid cell's (b, b) shape mask and its box's top-left pixel before
+    jitter, or the whole-image border frame and None."""
+    frame = np.zeros((image_size, image_size), dtype=bool)
+    w = max(1, image_size // 16)
+    frame[:w, :] = frame[-w:, :] = frame[:, :w] = frame[:, -w:] = True
     cs = image_size // GRID
-    b = cs - 2
-    r0 = spec.cell[0] * cs + 1 + jitter[0]
-    c0 = spec.cell[1] * cs + 1 + jitter[1]
-    mask[r0:r0 + b, c0:c0 + b] = _shape_mask(spec.shape, b)
-    return mask
+    return [(frame, None) if spec.cell is None
+            else (_shape_mask(spec.shape, cs - 2), (spec.cell[0] * cs + 1, spec.cell[1] * cs + 1))
+            for spec in OBSERVATIONS]
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +229,29 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
     Active observations contribute their template sentence (severity from the
     shared latent intensity), then negations for the picked inactive
     pathologies, then a deterministic impression. All-zero labels therefore
-    yield only normal-finding sentences.
+    yield only normal-finding sentences. Labels are 0 or 1, and negation
+    picks are distinct indices of inactive pathologies.
     """
     if (labels := _numbers(obs_labels)) is None or labels.shape != (N_OBS,):
         raise ValidationError(f"report labels must be {N_OBS} numbers, got {obs_labels!r}")
+    labels = labels.tolist()
+    if bad := [v for v in labels if v not in (0, 1)]:
+        raise ValidationError(f"report labels must be 0 or 1, got {bad[0]!r}")
+    picks = [_index(j, NO_FINDING, "negation pick") for j in negation_picks]
+    for j in picks:
+        if labels[j] or picks.count(j) > 1:
+            raise ValidationError(f"negation pick {j} must be a distinct inactive pathology")
     sentences = []
     for j in range(N_OBS):
-        if obs_labels[j] >= 1:
+        if labels[j]:
             spec = OBSERVATIONS[j]
             tmpl = spec.templates[variant_picks.get(j, 0) % len(spec.templates)]
             sentences.append(tmpl.format(sev=severity_word(intensities.get(j, 0.7))))
-    for j in sorted(negation_picks):
+    for j in sorted(picks):
         sentences.append(OBSERVATIONS[j].negation)
     if artifact:
         sentences.append(ARTIFACT_SENTENCE)
-    n_path = int(sum(obs_labels[j] for j in PATHOLOGY_INDICES))
+    n_path = int(sum(labels[:NO_FINDING]))
     sentences.append(IMPRESSIONS[min(n_path, 2)])
     return " ".join(sentences)
 
@@ -256,13 +260,27 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
 # image rendering
 
 
-def _render_view(rng, image_size, active, intensities, factor, noise_level):
-    canvas = rng.uniform(0.0, noise_level, size=(image_size, image_size))
+def _render_view(rng, patterns, active, intensities, factor, noise_level):
+    """One view: noise, then each active pattern's mask * level stamped by maximum into its jittered box.
+
+    Stamping the box alone gives the bits of a maximum with a whole-image mask * level: outside the box
+    that product is +0.0, and the noise canvas is already >= 0 there. The frame's jitter is drawn too,
+    and moves nothing, so every seeded draw keeps its place.
+    """
+    canvas = rng.uniform(0.0, noise_level, size=patterns[NO_FINDING][0].shape)  # the frame spans the image
     for j in active:
         jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
-        canvas = np.maximum(canvas, _pattern_pixels(j, image_size, (jr, jc)) * level)
-    return np.round(canvas * _MAXVAL) / _MAXVAL  # write_pgm's 8-bit levels; every seeded output depends on them
+        mask, corner = patterns[j]
+        r0, c0 = (0, 0) if corner is None else (corner[0] + jr, corner[1] + jc)
+        box = canvas[r0:r0 + len(mask), c0:c0 + len(mask)]
+        np.maximum(box, mask * level, out=box)
+    # write_pgm's 8-bit levels, which every seeded output depends on. In place: a new array per
+    # view raised the peak RSS of repeated set-ups by about 0.5 MB.
+    canvas *= _MAXVAL
+    np.round(canvas, out=canvas)
+    canvas /= _MAXVAL
+    return canvas
 
 
 def generate_dataset(seed, n_samples, image_size=32):
@@ -270,6 +288,7 @@ def generate_dataset(seed, n_samples, image_size=32):
     n_samples = _index(n_samples, math.inf, "sample count", low=10)
     image_size = _image_size(image_size)
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
+    patterns = _patterns(image_size)
     samples = []
     for i in range(n_samples):
         labels = np.zeros(N_OBS)
@@ -289,8 +308,8 @@ def generate_dataset(seed, n_samples, image_size=32):
         artifact = bool(rng.random() < ARTIFACT_RATE)
 
         text = render_report(labels, intensities, variants, negations, artifact)
-        frontal = _render_view(rng, image_size, planted, intensities, 1.0, FRONTAL_NOISE)
-        lateral = _render_view(rng, image_size, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
+        frontal = _render_view(rng, patterns, planted, intensities, 1.0, FRONTAL_NOISE)
+        lateral = _render_view(rng, patterns, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
         samples.append(MultiViewSample(
             sample_id=f"s{i:05d}",
             frontal_image=frontal[None, :, :],
@@ -305,7 +324,7 @@ def generate_dataset(seed, n_samples, image_size=32):
 # tokenization and vocabulary
 
 _XXXX = re.compile(r"x{2,}$")
-_KEEP = re.compile(r"[^a-z0-9-]+")
+_DROP = re.compile(r"[^a-z0-9.\s-]+")  # \s is exactly what str.split() splits on
 
 
 def tokenize(text):
@@ -319,15 +338,9 @@ def tokenize(text):
     if not text.strip():
         raise DataError("empty report text")
     sentences = []
-    for raw in text.lower().split("."):
-        tokens = []
-        for tok in raw.split():
-            tok = _KEEP.sub("", tok).strip("-")
-            if not tok:
-                continue
-            if _XXXX.fullmatch(tok):
-                tok = UNK
-            tokens.append(tok)
+    for raw in _DROP.sub("", text.lower()).split("."):
+        tokens = [UNK if tok.startswith("xx") and _XXXX.fullmatch(tok) else tok
+                  for tok in (t.strip("-") for t in raw.split()) if tok]
         if tokens:
             sentences.append([START] + tokens + [END])
     if not sentences:

@@ -37,6 +37,7 @@ from test_autodiff import OPS
 
 _HYP = [["the", "lungs", "are", "clear"]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
+_LABELS_ONE_ACTIVE = [0, 1] + [0] * 12  # cardiomegaly
 _CONFIG16 = EncoderConfig(image_size=16, channels=(2, 3))
 _VIEW = encode(Tensor(np.full((1, 16, 16), 0.5)), init_encoder_params(_CONFIG16, 0), _CONFIG16)
 
@@ -72,6 +73,18 @@ def _adam_step_with_grad(grad):
                  id="render_report_short_labels"),
     pytest.param(lambda: render_report("0" * 14, {}, {}, set()), "report labels must be 14 numbers",
                  id="render_report_str_labels"),
+    pytest.param(lambda: render_report([0, 2] + [0] * 12, {}, {}, set()),
+                 r"report labels must be 0 or 1, got 2$", id="render_report_label_2"),
+    pytest.param(lambda: render_report([0.5] + [0.0] * 13, {}, {}, set()), r"report labels must be 0 or 1, got 0\.5",
+                 id="render_report_label_half"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, [1, 2]),
+                 "negation pick 1 must be a distinct inactive pathology", id="render_report_active_negation"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, [2, 2]),
+                 "negation pick 2 must be a distinct inactive pathology", id="render_report_repeated_negation"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, [20]), "negation pick 20 out of range 0..12",
+                 id="render_report_negation_20"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, [13]), "negation pick 13 out of range 0..12",
+                 id="render_report_negation_no_finding"),
     pytest.param(lambda: _adam_twice({"w": Tensor(np.zeros(2), requires_grad=True)}), "laid out",
                  id="adam_other_names"),
     pytest.param(lambda: mine_concepts(_CORPUS, float("nan")), "concept threshold must be an integer",
