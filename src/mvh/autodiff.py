@@ -482,15 +482,14 @@ def mse_loss(a, b):
 
 class Adam:
     """Adam (Kingma & Ba, 2015). Moments m and v are one flat array each, laid out over sorted(params) at the
-    first step or `state`; m[name] and v[name] are views into them, and a later call over other names or shapes
-    is a ValidationError. Nothing moves unless every gradient is finite; a parameter without one keeps its moments."""
+    first step or `state`, and read through `state`; a later call over other names or shapes is a
+    ValidationError. Nothing moves unless every gradient is finite; a parameter without one keeps its moments."""
 
     def __init__(self, lr=1e-3):
         if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
             raise ValidationError(f"learning rate must be positive and finite, got {lr!r}")
         self.lr = lr
         self.t = 0
-        self.m, self.v = {}, {}
         self._layout = self._bounds = self._m = self._v = None  # set at the first step
 
     def state(self, params):
@@ -500,8 +499,6 @@ class Adam:
             ends = list(itertools.accumulate((math.prod(shape) for _, shape in layout), initial=0))
             self._layout, self._bounds = layout, list(zip(ends, ends[1:]))
             self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
-            for (name, shape), (lo, hi) in zip(layout, self._bounds):
-                self.m[name], self.v[name] = self._m[lo:hi].reshape(shape), self._v[lo:hi].reshape(shape)
         elif layout != self._layout:
             raise ValidationError("Adam's state was laid out at its first step for other parameter names or shapes")
         return self._m, self._v, self.t

@@ -14,13 +14,13 @@ import math
 import numbers
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, ValidationError, _index, _numbers
-from .pgm import _MAXVAL, read_arrays, write_arrays
+from .pgm import _MAXVAL
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
@@ -130,7 +130,6 @@ IMPRESSIONS = (
 ARTIFACT_SENTENCE = "comparison is made to the prior xxxx."
 
 CONCEPT_LEXICON = tuple(o.concept for o in OBSERVATIONS[:NO_FINDING]) + ("chest", "lungs")
-MIN_SENTENCES = 3  # a loaded report needs at least this many sentences
 MIN_WORD_COUNT = 3  # rarer corpus words map to <unk>
 
 PATHOLOGY_RATE = 0.13
@@ -216,6 +215,8 @@ def _patterns(image_size):
 
 
 def severity_word(base_intensity):
+    if (x := _numbers(base_intensity)) is None or x.shape != () or not math.isfinite(x):
+        raise ValidationError(f"intensity must be a finite number, got {base_intensity!r}")
     if base_intensity < SEV_BINS[0]:
         return SEVERITIES[0]
     if base_intensity < SEV_BINS[1]:
@@ -229,9 +230,16 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
     Active observations contribute their template sentence (severity from the
     shared latent intensity), then negations for the picked inactive
     pathologies, then a deterministic impression. All-zero labels therefore
-    yield only normal-finding sentences. Labels are 0 or 1, and negation
-    picks are distinct indices of inactive pathologies.
+    yield only normal-finding sentences. Labels are 0 or 1, intensities and
+    variant picks are dicts keyed by observation index, each pick indexing
+    one of its templates, and negation picks are distinct indices of inactive
+    pathologies.
     """
+    for what, arg in (("intensities", intensities), ("variant picks", variant_picks)):
+        if not isinstance(arg, dict):
+            raise ValidationError(f"{what} must be a dict keyed by observation index, got {arg!r}")
+    if not np.iterable(negation_picks):
+        raise ValidationError(f"negation picks must be an iterable of indices, got {negation_picks!r}")
     if (labels := _numbers(obs_labels)) is None or labels.shape != (N_OBS,):
         raise ValidationError(f"report labels must be {N_OBS} numbers, got {obs_labels!r}")
     labels = labels.tolist()
@@ -245,7 +253,7 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
     for j in range(N_OBS):
         if labels[j]:
             spec = OBSERVATIONS[j]
-            tmpl = spec.templates[variant_picks.get(j, 0) % len(spec.templates)]
+            tmpl = spec.templates[_index(variant_picks.get(j, 0), len(spec.templates), "variant pick")]
             sentences.append(tmpl.format(sev=severity_word(intensities.get(j, 0.7))))
     for j in sorted(picks):
         sentences.append(OBSERVATIONS[j].negation)
@@ -425,71 +433,3 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
     test = [s for i, s in enumerate(samples) if i in test_idx]
     return train, test
 
-
-# ---------------------------------------------------------------------------
-# dataset persistence: one .npz archive, one member per MultiViewSample field and one row per sample, each
-# field kept byte for byte. A sample, saved or loaded, has an id that can name a file and repeats no other,
-# N_OBS labels of 0 or 1, finite views of one square channel sized like the first frontal, and a report_text
-# of MIN_SENTENCES or more sentences, from which its report is read, that does not end in a NUL (numpy's str
-# arrays drop trailing NULs, so such a text would not load as saved). Labels and views must hold numbers: the
-# contract checks values and converts none. The vocabulary, the concepts and each sample's concept targets
-# are derived from the training reports, not stored.
-
-_SAMPLE_ID = re.compile(r"[A-Za-z0-9_-]+")  # can name a file, so no path separators
-_MEMBERS = tuple(f.name for f in fields(MultiViewSample))
-
-
-def _checked_id(where, sid, seen):
-    """Record sid in seen if it can name a file and repeats no earlier id, else DataError."""
-    if not (isinstance(sid, str) and _SAMPLE_ID.fullmatch(sid)):
-        raise DataError(f"{where}: sample id {sid!r} must match {_SAMPLE_ID.pattern}")
-    if sid in seen:
-        raise DataError(f"{where}: sample id {sid!r} repeats an earlier row")
-    seen.add(sid)
-
-
-def _checked_sample(where, sample, size):
-    """The view size of a sample keeping the contract above (its id checked already), else DataError."""
-    labels, views = _numbers(sample.obs_labels), (sample.frontal_image, sample.lateral_image)
-    if labels is None or labels.shape != (N_OBS,) or not ((labels == 0) | (labels == 1)).all():
-        raise DataError(f"{where}: label values must be {N_OBS} of 0 or 1, got {sample.obs_labels!r}")
-    where, size = f"{where}: sample {sample.sample_id!r}", size or np.shape(views[0])
-    if (len(size) != 3 or size[0] != 1 or not size[1] == size[2] > 0
-            or any(np.shape(v) != size or _numbers(v) is None or not np.isfinite(v).all() for v in views)):
-        raise DataError(f"{where} has views of {[np.shape(v) for v in views]}; both must be finite numbers, "
-                        f"one square channel and sized like the first frontal, {size}")
-    try:
-        sentences = sample.report
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
-    if len(sentences) < MIN_SENTENCES:
-        raise DataError(f"{where}: report has {len(sentences)} sentences, fewer than {MIN_SENTENCES}")
-    if sample.report_text.endswith("\x00"):
-        raise DataError(f"{where}: report text ends in a NUL, which an archive does not keep")
-    return size
-
-
-def save_dataset(path, samples):
-    """Write the samples as one archive; one that breaks the contract above raises DataError and nothing is written."""
-    samples, seen, size = list(samples), set(), None  # an iterator is read once, for checks and writes
-    for i, s in enumerate(samples):
-        _checked_id(f"{path}: sample {i}", s.sample_id, seen)
-        size = _checked_sample(f"{path}: sample {i}", s, size)
-    write_arrays(path, {name: np.array([getattr(s, name) for s in samples]) for name in _MEMBERS})
-
-
-def load_dataset(path):
-    """A saved dataset's samples; other members than the five, unequal row counts or a sample that breaks
-    the contract above raise DataError."""
-    arrays = read_arrays(path)
-    rows = {a.shape[:1] for a in arrays.values()}
-    if sorted(arrays) != sorted(_MEMBERS) or len(rows) != 1 or rows == {()}:
-        raise DataError(f"{path}: needs the members {', '.join(_MEMBERS)} with one row per sample each, "
-                        f"got {dict((name, a.shape) for name, a in arrays.items())}")
-    samples, seen, size = [], set(), None
-    columns = [a.tolist() if a.dtype.kind == "U" else a for a in map(arrays.get, _MEMBERS)]  # ids, texts as str
-    for i, row in enumerate(zip(*columns)):
-        _checked_id(f"{path}: sample {i}", row[0], seen)
-        samples.append(MultiViewSample(*row))
-        size = _checked_sample(f"{path}: sample {i}", samples[-1], size)
-    return samples

@@ -16,7 +16,7 @@ class ValidationError(MvhError):
 
 
 class DataError(MvhError):
-    """A file cannot be read or written, or its content breaks the PGM or dataset format."""
+    """A file cannot be read or written, or its content breaks the PGM or .npz archive format."""
 
 
 class CheckpointError(MvhError):

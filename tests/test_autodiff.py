@@ -1122,26 +1122,34 @@ def test_flat_adam_equals_per_parameter_oracle(case):
         for name in params:
             assert params[name].data.tobytes() == twins[name].data.tobytes(), (step, name)
     assert opt.t == oracle.t == 24 and sorted(oracle.m) == sorted(params)
-    for name in params:
-        assert opt.m[name].tobytes() == oracle.m[name].tobytes(), name
-        assert opt.v[name].tobytes() == oracle.v[name].tobytes(), name
+    m, v, _ = opt.state(params)  # flat over sorted(params), the layout a checkpoint stores
+    assert m.tobytes() == np.concatenate([oracle.m[name] for name in sorted(params)], axis=None).tobytes()
+    assert v.tobytes() == np.concatenate([oracle.v[name] for name in sorted(params)], axis=None).tobytes()
 
 
 def test_flat_adam_moments_are_views_of_one_buffer():
+    # state hands out the one flat m and v that step moves in place, so writing into them resumes a run
     params = _attention_params()
+    rng = np.random.default_rng(7)
+    opt, resumed = Adam(lr=5e-3), Adam(lr=5e-3)
+    m, v, t = opt.state(params)
+    assert m.shape == v.shape == (sum(p.data.size for p in params.values()),) and t == 0
+    assert not np.shares_memory(m, v)
     for p in params.values():
-        p.grad = np.ones_like(p.data)
-    opt = Adam()
+        p.grad = rng.normal(size=p.data.shape)
     opt.step(params)
-    assert sorted(opt.m) == sorted(opt.v) == sorted(params)
-    offset = 0
-    for name in sorted(params):
-        for state, flat in ((opt.m, opt._m), (opt.v, opt._v)):
-            assert state[name].shape == params[name].data.shape
-            assert np.shares_memory(state[name], flat)
-            assert state[name].ctypes.data == flat.ctypes.data + 8 * offset  # laid out in sorted order
-        offset += params[name].data.size
-    assert offset == opt._m.size == opt._v.size
+    again = opt.state(params)
+    assert again[0] is m and again[1] is v and again[2] == 1 and m.any() and v.any()
+    twins = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    rm, rv, _ = resumed.state(twins)
+    rm[:], rv[:], resumed.t = m, v, opt.t
+    for name, p in params.items():
+        p.grad = twins[name].grad = rng.normal(size=p.data.shape)
+    opt.step(params)
+    resumed.step(twins)
+    assert (rm.tobytes(), rv.tobytes(), resumed.t) == (m.tobytes(), v.tobytes(), opt.t)
+    for name in params:
+        assert twins[name].data.tobytes() == params[name].data.tobytes(), name
 
 
 def test_nan_gradient_in_a_run_names_it_and_moves_nothing():
@@ -1155,12 +1163,12 @@ def test_nan_gradient_in_a_run_names_it_and_moves_nothing():
     bad = names[len(names) // 2]
     params[bad].grad = params[bad].grad.copy()
     params[bad].grad.flat[1] = np.nan
-    before = {name: (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes()) for name, p in params.items()}
+    m, v, _ = opt.state(params)
+    before = {name: p.data.tobytes() for name, p in params.items()}, m.tobytes(), v.tobytes()
     with pytest.raises(NumericsError, match=rf"^non-finite gradient for parameter '{bad}'$"):
         opt.step(params)
     assert opt.t == 1
-    for name, p in params.items():
-        assert (p.data.tobytes(), opt.m[name].tobytes(), opt.v[name].tobytes()) == before[name], name
+    assert ({name: p.data.tobytes() for name, p in params.items()}, m.tobytes(), v.tobytes()) == before
 
 
 @pytest.mark.parametrize("later", [

@@ -1,10 +1,11 @@
-"""Every public function, class and method of `mvh` has a caller, or names the ROADMAP item that gives it one.
+"""Every public function, class, method and module constant of `mvh` has a caller, or names the ROADMAP item that
+gives it one.
 
-A definition counts as called when a module of `src/mvh` or `bench/` refers to its name, as a name or as an
+A definition counts as called when a module of `src/mvh` or `bench/` loads its name, as a name or as an
 attribute, or when `bench/layertrace.py` spells it in a string, since it looks functions up by name. Its own
-definition and the tests do not count. Names are matched alone, not by owner, so a method that shares its name
-with a name in use (`Vocabulary.encode` with `encoder.encode`, `EncoderTrainer.train` with `Corpus.train`)
-counts as called.
+definition, any other store of the name, and the tests do not count. Names are matched alone, not by owner, so
+a method that shares its name with a name in use (`Vocabulary.encode` with `encoder.encode`, `EncoderTrainer.train`
+with `Corpus.train`) counts as called.
 """
 
 import ast
@@ -17,9 +18,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # definition -> the ROADMAP item that wires it
 WIRED_LATER = {
-    "corpus.save_dataset": "item 1b", "corpus.load_dataset": "item 1b", "encoder.grad_cam": "item 1b",
-    "encoder.export_heatmap": "item 1b", "metrics.ScoreReport.csv_header": "item 1b",
+    "encoder.grad_cam": "item 1b", "encoder.export_heatmap": "item 1b", "metrics.ScoreReport.csv_header": "item 1b",
     "metrics.ScoreReport.csv_row": "item 1b",
+    "corpus.PAD_ID": "item 2a", "corpus.START_ID": "item 2a", "corpus.END_ID": "item 2a",  # the decoder's ids
     "corpus.Vocabulary": "item 2a", "corpus.Vocabulary.build": "item 2a", "corpus.detokenize": "item 2a",
     "corpus.ConceptSet.indicator": "item 15",
     "train.EncoderTrainer": "item 4", "train.EncoderTrainer.save": "item 4", "train.EncoderTrainer.load": "item 4",
@@ -27,8 +28,14 @@ WIRED_LATER = {
 
 
 def _definitions(tree, module):
-    """(qualified name, name) of each public top-level function and class, and of each public method."""
+    """(qualified name, name) of each public top-level function, class and assigned name, tuple targets included,
+    and of each public method."""
     for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for name in (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+            if not name.startswith("_"):
+                yield f"{module}.{name}", name
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield f"{module}.{node.name}", node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
@@ -37,11 +44,11 @@ def _definitions(tree, module):
 
 
 def _references(tree, strings):
-    """Every name and attribute the tree uses, and with strings, every string constant it holds."""
+    """Every name and attribute the tree loads, and with strings, every string constant it holds."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
@@ -63,9 +70,10 @@ def test_every_public_name_has_a_caller_or_names_the_item_that_wires_it():
 
 def test_caller_check_sees_definitions_and_references():
     source = ("def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n    def _n(self): pass\n"
-              "    @property\n    def p(self): pass\nx = 1\n")
+              "    @property\n    def p(self): pass\nx = 1\nA, (B, _c) = 1, (2, 3)\nT: int = 4\n")
     assert list(_definitions(ast.parse(source), "mod")) == [("mod.f", "f"), ("mod.C", "C"), ("mod.C.m", "m"),
-                                                             ("mod.C.p", "p")]
-    uses = "f(x)\nobj.m\n'g'\ndef h(): pass\n"
-    assert sorted(_references(ast.parse(uses), strings=False)) == ["f", "m", "obj", "x"]
-    assert sorted(_references(ast.parse(uses), strings=True)) == ["f", "g", "m", "obj", "x"]
+                                                             ("mod.C.p", "p"), ("mod.x", "x"), ("mod.A", "A"),
+                                                             ("mod.B", "B"), ("mod.T", "T")]
+    uses = "f(x)\nobj.m\n'g'\ndef h(): pass\ny = 2\nobj.z = 3\n"  # y and z are stored, not loaded
+    assert sorted(_references(ast.parse(uses), strings=False)) == ["f", "m", "obj", "obj", "x"]
+    assert sorted(_references(ast.parse(uses), strings=True)) == ["f", "g", "m", "obj", "obj", "x"]

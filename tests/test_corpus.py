@@ -3,7 +3,7 @@ import io
 import re
 import zipfile
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from mvh.corpus import (
     IMPRESSIONS,
     JITTER,
     LABEL_NAMES,
-    MIN_SENTENCES,
     MIN_WORD_COUNT,
     N_OBS,
     NO_FINDING,
@@ -29,16 +28,13 @@ from mvh.corpus import (
     UNK,
     UNK_ID,
     ConceptSet,
-    MultiViewSample,
     Vocabulary,
     _patterns,
     _shape_mask,
     detokenize,
     generate_dataset,
-    load_dataset,
     mine_concepts,
     render_report,
-    save_dataset,
     split_dataset,
     tokenize,
 )
@@ -159,7 +155,7 @@ def test_vocabulary_encode_uses_unk():
 def test_preprocessing_golden_files():
     raw = (DATA / "fixture_reports.txt").read_text(encoding="utf-8").splitlines()
     tokenized = [tokenize(line) for line in raw]
-    kept = [r for r in tokenized if len(r) >= MIN_SENTENCES]
+    kept = [r for r in tokenized if len(r) >= 3]
     assert len(kept) == 3 and len(tokenized) == 4  # the 2-sentence report is rejected
 
     rendered = "\n".join(" | ".join(" ".join(s) for s in report) for report in kept) + "\n"
@@ -304,7 +300,7 @@ def test_negative_or_non_integer_seed_or_count_is_validation_error(call, message
 
 def test_every_sample_has_three_sentences_and_both_views(small_dataset):
     for s in small_dataset:
-        assert len(s.report) >= MIN_SENTENCES
+        assert len(s.report) >= 3
         assert s.frontal_image.shape == (1, 32, 32)
         assert s.lateral_image.shape == (1, 32, 32)
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
@@ -408,61 +404,16 @@ def test_split_leaving_a_side_empty_is_validation_error(fraction):
         split_dataset(samples, fraction, seed=0)
 
 
-# persistence -------------------------------------------------------------------------
-
-def _fields(sample):
-    """The sample's field values; its cached report is derived from report_text, not a field of its own."""
-    values = {f.name: getattr(sample, f.name) for f in fields(sample)}
-    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
-            for k, v in values.items()}
-
-
-def test_dataset_round_trip(tmp_path, small_dataset):
-    path = tmp_path / "ds.npz"
-    save_dataset(path, small_dataset)
-    assert [p.name for p in tmp_path.iterdir()] == ["ds.npz"]
-    with zipfile.ZipFile(path) as archive:  # uncompressed, one member per field
-        members = archive.infolist()
-    assert sorted(m.filename for m in members) == sorted(f"{f.name}.npy" for f in fields(MultiViewSample))
-    assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
-    loaded = load_dataset(path)
-    assert [_fields(s) for s in loaded] == [_fields(s) for s in small_dataset]  # ids and texts as str
-    assert [s.report for s in loaded] == [s.report for s in small_dataset]
-
-
-def test_save_leaves_samples_alone_and_any_concept_set_loads(tmp_path, small_dataset):
-    before = [_fields(s) for s in small_dataset]
-    save_dataset(tmp_path / "ds.npz", small_dataset)
-    assert [_fields(s) for s in small_dataset] == before
-
-    # the loaded samples derive the same vocabulary and concepts, at any threshold
-    corpus = [sent for s in small_dataset for sent in s.report]
-    loaded = [sent for s in load_dataset(tmp_path / "ds.npz") for sent in s.report]
-    assert Vocabulary.build(loaded).id_to_token == Vocabulary.build(corpus).id_to_token
-    assert mine_concepts(corpus, threshold=1).p > mine_concepts(corpus, threshold=10).p
-    for threshold in (1, 10):
-        assert mine_concepts(loaded, threshold).tokens == mine_concepts(corpus, threshold).tokens
-
+# samples -----------------------------------------------------------------------------------
 
 def test_report_is_read_from_report_text_and_survives_save_and_load(tmp_path, small_dataset):
     text = " there is no edema.\n no fracture is identified.\tthe lungs are well expanded and clear.  "
     sample = replace(small_dataset[0], report_text=text)
     assert small_dataset[0].report != tokenize(text)
     assert sample.report == tokenize(text)
-    save_dataset(tmp_path / "ds.npz", [sample])
-    (loaded,) = load_dataset(tmp_path / "ds.npz")
+    write_text(tmp_path / "report.txt", sample.report_text)  # the package's one text writer, byte for byte
+    loaded = replace(sample, report_text=(tmp_path / "report.txt").read_bytes().decode("utf-8"))
     assert loaded.report_text == text and loaded.report == tokenize(text)
-
-
-def test_save_refuses_a_report_text_ending_in_nul_and_writes_nothing(tmp_path, small_dataset):
-    # numpy's str arrays drop trailing NULs, so such a text would load changed; a NUL inside one is kept
-    inner = replace(small_dataset[0], report_text=small_dataset[0].report_text.replace(" ", " \x00", 1))
-    save_dataset(tmp_path / "inner.npz", [inner])
-    assert load_dataset(tmp_path / "inner.npz")[0].report_text == inner.report_text
-    trailing = replace(small_dataset[1], report_text=small_dataset[1].report_text + "\x00")
-    with pytest.raises(DataError, match=r"ds\.npz: sample 1: sample 's00001': report text ends in a NUL"):
-        save_dataset(tmp_path / "ds.npz", [small_dataset[0], trailing])
-    assert not (tmp_path / "ds.npz").exists()
 
 
 @pytest.mark.parametrize("field", ["sample_id", "obs_labels", "report_text", "report"])
@@ -478,164 +429,6 @@ def test_samples_compare_by_identity(small_dataset):
     assert (copy == sample) is False
     assert sample == sample
     assert {sample: 1}[sample] == 1
-
-
-def test_save_reads_an_iterator_once(tmp_path, small_dataset):
-    save_dataset(tmp_path / "list.npz", small_dataset[:3])
-    save_dataset(tmp_path / "iter.npz", iter(small_dataset[:3]))
-    assert (tmp_path / "iter.npz").read_bytes() == (tmp_path / "list.npz").read_bytes()
-    assert [s.sample_id for s in load_dataset(tmp_path / "iter.npz")] == ["s00000", "s00001", "s00002"]
-
-
-def test_empty_dataset_round_trips(tmp_path):
-    save_dataset(tmp_path / "ds.npz", [])
-    assert load_dataset(tmp_path / "ds.npz") == []
-
-
-def test_load_missing_dataset_raises(tmp_path):
-    with pytest.raises(DataError, match="nope.npz"):
-        load_dataset(tmp_path / "nope.npz")
-
-
-def _with_labels(sample, labels):
-    return replace(sample, obs_labels=np.array(labels, dtype=np.float64))
-
-
-def _with_views(sample, frontal, lateral):
-    return replace(sample, frontal_image=frontal, lateral_image=lateral)
-
-
-def _with_nan(image):
-    image = image.copy()
-    image[0, 5, 5] = np.nan
-    return image
-
-
-@pytest.mark.parametrize("damage, message", [
-    pytest.param(lambda s: [s[0], replace(s[1], sample_id="../../escaped")], "sample 1: sample id",
-                 id="id_escapes_directory"),
-    pytest.param(lambda s: [s[0], replace(s[1], sample_id="s 1")], "sample 1: sample id", id="id_with_space"),
-    pytest.param(lambda s: [s[0], s[1], replace(s[2], sample_id=s[0].sample_id)], "sample 2: .* repeats",
-                 id="repeated_id"),
-    pytest.param(lambda s: [_with_labels(s[0], [0.5] + [0.0] * (N_OBS - 1))], "sample 0: label values",
-                 id="fractional_label"),
-    pytest.param(lambda s: [_with_labels(s[0], [2.0] * N_OBS)], "sample 0: label values", id="label_above_one"),
-    pytest.param(lambda s: [_with_labels(s[0], [np.nan] * N_OBS)], "sample 0: label values", id="nan_label"),
-    pytest.param(lambda s: [_with_labels(s[0], [0.0, 1.0, 0.0])], "sample 0: label values", id="three_labels"),
-    pytest.param(lambda s: [s[0], _with_views(s[1], np.zeros((1, 16, 16)), np.zeros((1, 16, 16)))],
-                 "sample 1: sample 's00001' has views", id="second_sample_other_size"),
-    pytest.param(lambda s: [_with_views(s[0], np.zeros((1, 32, 16)), np.zeros((1, 32, 16)))],
-                 "sample 0: sample 's00000' has views", id="non_square_views"),
-    pytest.param(lambda s: [replace(s[0], report_text="there is no edema.")],
-                 "sample 0: sample 's00000': report has 1 sentences", id="one_sentence_report"),
-    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image[0], s[1].lateral_image)],
-                 "sample 1: sample 's00001' has views", id="two_dimensional_frontal"),
-    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image, _with_nan(s[1].lateral_image))],
-                 "sample 1: sample 's00001' has views .* finite", id="nan_lateral_pixel"),
-    pytest.param(lambda s: [s[0], replace(s[1], obs_labels=None)], "sample 1: label values .* got None",
-                 id="no_labels"),
-    pytest.param(lambda s: [_with_views(s[0], None, s[0].lateral_image)], "sample 0: sample 's00000' has views",
-                 id="no_frontal"),
-    pytest.param(lambda s: [replace(s[0], obs_labels="0" * N_OBS)], "sample 0: label values", id="labels_str"),
-    pytest.param(lambda s: [s[0], replace(s[1], obs_labels=[b"0"] * N_OBS)], "sample 1: label values",
-                 id="labels_bytes"),
-    pytest.param(lambda s: [_with_views(s[0], np.full((1, 32, 32), None), s[0].lateral_image)],
-                 "sample 0: sample 's00000' has views .* numbers", id="object_frontal"),
-    pytest.param(lambda s: [s[0], _with_views(s[1], s[1].frontal_image, s[1].lateral_image.astype(str))],
-                 "sample 1: sample 's00001' has views .* numbers", id="str_lateral"),
-    pytest.param(lambda s: [replace(s[0], report_text=123)],
-                 "sample 0: sample 's00000': report text must be a string", id="report_text_int"),
-    pytest.param(lambda s: [s[0], replace(s[1], report_text=s[1].report_text.encode())],
-                 "sample 1: sample 's00001': report text must be a string", id="report_text_bytes"),
-])
-def test_save_refuses_what_load_refuses_and_writes_nothing(tmp_path, small_dataset, damage, message):
-    with pytest.raises(DataError, match=f"ds.npz: {message}"):
-        save_dataset(tmp_path / "ds.npz", damage(small_dataset[:3]))
-    assert list(tmp_path.rglob("*")) == []
-
-
-@pytest.mark.parametrize("target, make", [
-    pytest.param("plain/ds.npz", lambda path: path.parent.write_text("x", encoding="utf-8"), id="below_a_file"),
-    pytest.param("ds.npz", lambda path: path.mkdir(), id="path_is_a_directory"),
-    pytest.param("absent/ds.npz", lambda path: None, id="missing_directory"),
-])
-def test_save_unwritable_path_is_data_error_naming_it(tmp_path, small_dataset, target, make):
-    make(tmp_path / target)
-    with pytest.raises(DataError, match=f"cannot write .*{target}"):
-        save_dataset(tmp_path / target, small_dataset[:3])
-
-
-def _damaged(change):
-    """A damage that rewrites the archive's {member: array} dict through change(arrays)."""
-    def damage(path):
-        arrays = read_arrays(path)
-        change(arrays)
-        write_arrays(path, arrays)
-    return damage
-
-
-def _set_row(name, value, row=0):
-    """A damage that sets one row of one member; np.array widens the member's dtype to hold the value."""
-    def change(arrays):
-        rows = list(arrays[name])
-        rows[row] = value
-        arrays[name] = np.array(rows)
-    return _damaged(change)
-
-
-def _replace(name, make):
-    """A damage that replaces one member by make(member)."""
-    return _damaged(lambda arrays: arrays.update({name: make(arrays[name])}))
-
-
-@pytest.mark.parametrize("damage", [
-    pytest.param(_set_row("sample_id", ""), id="blank_row"),
-    pytest.param(_set_row("obs_labels", ["yes"] * N_OBS), id="non_numeric_label"),
-    pytest.param(_set_row("obs_labels", [0.5] + [0.0] * (N_OBS - 1)), id="fractional_label"),
-    pytest.param(_set_row("obs_labels", [2.0] * N_OBS), id="label_above_one"),
-    pytest.param(_set_row("obs_labels", [np.nan] * N_OBS), id="nan_label"),
-    pytest.param(_set_row("sample_id", "../x/r"), id="sample_id_escapes_directory"),
-    pytest.param(_set_row("sample_id", "s 0"), id="sample_id_with_space"),
-    pytest.param(_set_row("sample_id", "s00000", row=1), id="repeated_sample_id"),
-    pytest.param(_replace("sample_id", lambda ids: np.arange(len(ids))), id="numeric_sample_ids"),
-    pytest.param(_replace("sample_id", lambda ids: np.array([s.encode().replace(b"s", b"\xe9") for s in ids])),
-                 id="non_utf8_sample_ids"),
-    pytest.param(_replace("report_text", lambda texts: np.zeros(len(texts))), id="numeric_reports"),
-    pytest.param(_replace("lateral_image", lambda views: views[:, :, :16, :16]), id="lateral_smaller_than_frontal"),
-    pytest.param(_damaged(lambda a: a.update({v: a[v][..., :16] for v in ("frontal_image", "lateral_image")})),
-                 id="non_square_views"),
-    pytest.param(_replace("obs_labels", lambda labels: labels[:0]), id="empty_labels"),
-    pytest.param(_replace("obs_labels", lambda labels: labels[:, :1]), id="short_row"),
-    pytest.param(_replace("report_text", lambda texts: texts[:2]), id="unequal_row_counts"),
-    pytest.param(_damaged(lambda a: a.update({name: np.array(0) for name in a})), id="members_without_rows"),
-    pytest.param(_damaged(lambda a: a.pop("report_text")), id="missing_report"),
-    pytest.param(_damaged(lambda a: a.pop("lateral_image")), id="missing_lateral_image"),
-    pytest.param(_damaged(lambda a: a.update(concepts=np.ones((len(a["sample_id"]), 4)))),
-                 id="concept_columns_in_header"),
-])
-def test_load_malformed_dataset_is_data_error(tmp_path, small_dataset, damage):
-    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
-    damage(tmp_path / "ds.npz")
-    with pytest.raises(DataError, match=r"ds\.npz"):
-        load_dataset(tmp_path / "ds.npz")
-
-
-def test_load_refuses_an_unsafe_id_before_reading_its_files(tmp_path, small_dataset):
-    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
-    _set_row("sample_id", "../../elsewhere")(tmp_path / "ds.npz")
-    with pytest.raises(DataError, match=r"ds\.npz: sample 0: sample id '\.\./\.\./elsewhere' must match"):
-        load_dataset(tmp_path / "ds.npz")
-
-
-@pytest.mark.parametrize("text", [
-    pytest.param(" \n", id="blank_report"),
-    pytest.param("there is no edema. no fracture is identified.", id="two_sentence_report"),
-])
-def test_load_unusable_report_is_data_error_naming_the_sample(tmp_path, small_dataset, text):
-    save_dataset(tmp_path / "ds.npz", small_dataset[:3])
-    _set_row("report_text", text)(tmp_path / "ds.npz")
-    with pytest.raises(DataError, match=r"ds\.npz: sample 0: sample 's00000'"):
-        load_dataset(tmp_path / "ds.npz")
 
 
 # file reads and writes -------------------------------------------------------------------------

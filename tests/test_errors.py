@@ -85,6 +85,22 @@ def _adam_step_with_grad(grad):
                  id="render_report_negation_20"),
     pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, [13]), "negation pick 13 out of range 0..12",
                  id="render_report_negation_no_finding"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {}, 5), "negation picks must be an iterable",
+                 id="render_report_negation_picks_int"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, [0, 1], [2, 3]), "variant picks must be a dict",
+                 id="render_report_variant_picks_list"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {1: "a"}, [2, 3]),
+                 "variant pick must be an integer, got 'a'", id="render_report_variant_pick_str"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {1: 1.5}, [2, 3]),
+                 r"variant pick must be an integer, got 1\.5", id="render_report_variant_pick_float"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {}, {1: 2}, [2, 3]), "variant pick 2 out of range 0..1",
+                 id="render_report_variant_pick_2"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, [0.7], {}, [2, 3]), "intensities must be a dict",
+                 id="render_report_intensities_list"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {1: "a"}, {}, [2, 3]),
+                 "intensity must be a finite number, got 'a'", id="render_report_intensity_str"),
+    pytest.param(lambda: render_report(_LABELS_ONE_ACTIVE, {1: math.nan}, {}, [2, 3]),
+                 "intensity must be a finite number, got nan", id="render_report_intensity_nan"),
     pytest.param(lambda: _adam_twice({"w": Tensor(np.zeros(2), requires_grad=True)}), "laid out",
                  id="adam_other_names"),
     pytest.param(lambda: mine_concepts(_CORPUS, float("nan")), "concept threshold must be an integer",
