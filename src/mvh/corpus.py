@@ -1,5 +1,5 @@
-"""Synthetic multi-view chest-image dataset, report tokenization, vocabulary
-construction, and frequency-based concept mining.
+"""Synthetic multi-view chest-image dataset, report tokenization, and
+frequency-based concept mining.
 
 Each of the 14 radiographic observations is rendered as a distinct geometric
 pattern at a fixed grid cell; a sample's active observations appear in both
@@ -23,9 +23,7 @@ from .errors import DataError, ValidationError, _index, _numbers
 from .pgm import _MAXVAL
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
-RESERVED = (PAD, START, END, UNK)
-SENTINELS = (PAD, START, END)  # structure tokens, dropped before a report is shown or scored
-PAD_ID, START_ID, END_ID, UNK_ID = 0, 1, 2, 3
+SENTINELS = (PAD, START, END)  # structure tokens, dropped before a report is scored
 
 SEVERITIES = ("mild", "moderate", "severe")
 SEV_BINS = (0.68, 0.82)  # base-intensity cut points over [0.55, 0.95]
@@ -130,7 +128,6 @@ IMPRESSIONS = (
 ARTIFACT_SENTENCE = "comparison is made to the prior xxxx."
 
 CONCEPT_LEXICON = tuple(o.concept for o in OBSERVATIONS[:NO_FINDING]) + ("chest", "lungs")
-MIN_WORD_COUNT = 3  # rarer corpus words map to <unk>
 
 PATHOLOGY_RATE = 0.13
 MAX_ACTIVE = 4
@@ -329,7 +326,7 @@ def generate_dataset(seed, n_samples, image_size=32):
 
 
 # ---------------------------------------------------------------------------
-# tokenization and vocabulary
+# tokenization and concept mining
 
 _XXXX = re.compile(r"x{2,}$")
 _DROP = re.compile(r"[^a-z0-9.\s-]+")  # \s is exactly what str.split() splits on
@@ -356,41 +353,6 @@ def tokenize(text):
     return sentences
 
 
-def detokenize(sentences):
-    """Render token sentences one per line, sentinels dropped, single spaces."""
-    return "\n".join(" ".join(t for t in sent if t not in SENTINELS) for sent in sentences)
-
-
-def _ranked(tokens, min_count):
-    """The tokens seen at least min_count times, most frequent first, ties by token."""
-    counts = Counter(tokens)
-    return sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
-
-
-class Vocabulary:
-    """Bidirectional token<->id map with reserved sentinel ids 0..3."""
-
-    def __init__(self, tokens):
-        self.id_to_token = [*RESERVED, *tokens]
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-
-    @classmethod
-    def build(cls, corpus_sentences):
-        if not corpus_sentences:
-            raise DataError("cannot build a vocabulary from an empty corpus")
-        return cls(_ranked((tok for sent in corpus_sentences for tok in sent if tok not in RESERVED),
-                           MIN_WORD_COUNT))
-
-    def id(self, token):
-        return self.token_to_id.get(token, UNK_ID)
-
-    def encode(self, sentence):
-        return [self.id(t) for t in sentence]
-
-    def __len__(self):
-        return len(self.id_to_token)
-
-
 class ConceptSet:
     """Mined concept tokens ordered by descending corpus frequency."""
 
@@ -403,11 +365,6 @@ class ConceptSet:
     def p(self):
         return len(self.tokens)
 
-    def indicator(self, sentences):
-        """Binary vector of which concepts literally occur in the report."""
-        present = {tok for sent in sentences for tok in sent}
-        return np.array([1.0 if t in present else 0.0 for t in self.tokens])
-
 
 _LEXICON = frozenset(CONCEPT_LEXICON)
 
@@ -415,7 +372,8 @@ _LEXICON = frozenset(CONCEPT_LEXICON)
 def mine_concepts(corpus_sentences, threshold):
     """Lexicon tokens with corpus frequency >= threshold, most frequent first."""
     threshold = _index(threshold, math.inf, "concept threshold", low=1)
-    return ConceptSet(_ranked((tok for sent in corpus_sentences for tok in sent if tok in _LEXICON), threshold))
+    counts = Counter(tok for sent in corpus_sentences for tok in sent if tok in _LEXICON)
+    return ConceptSet(sorted((t for t, c in counts.items() if c >= threshold), key=lambda t: (-counts[t], t)))
 
 
 def split_dataset(samples, test_fraction=0.2, seed=0):

@@ -62,15 +62,20 @@ class EncoderOutput:
     concept_probs: Tensor    # (p,) in (0, 1)
 
 
-def init_encoder_params(config, seed):
-    """Seeded parameter dict for the conv stack and both heads, each declared once as (name, shape, fan_in)."""
+def _param_specs(config):
+    """(name, shape, fan_in) of each parameter of the conv stack and both heads, each declared once here."""
     specs, cin = [], 1
     for i, cout in enumerate(config.channels):
         specs += [(f"enc.conv{i}.w", (cout, cin, 3, 3), cin * 9), (f"enc.conv{i}.b", (cout,), cin * 9)]
         cin = cout
     for head, n_out in (("obs", N_OBS), ("concept", config.n_concepts)):
         specs += [(f"enc.{head}.w", (n_out, config.d_v), config.d_v), (f"enc.{head}.b", (n_out,), config.d_v)]
-    return {name: seeded_uniform(name, shape, fan_in, seed) for name, shape, fan_in in specs}
+    return specs
+
+
+def init_encoder_params(config, seed):
+    """Seeded parameter dict for the conv stack and both heads."""
+    return {name: seeded_uniform(name, shape, fan_in, seed) for name, shape, fan_in in _param_specs(config)}
 
 
 def encode(image, params, config):

@@ -23,6 +23,12 @@ _STATE = ("adam.m", "adam.v", "adam.t", "config", "concepts")  # the members bes
 StepRecord = namedtuple("StepRecord", "bce_frontal bce_lateral cvc grad_norm seconds")  # grad_norm before clipping
 
 
+def _float64(arrays, name, shape):
+    if (got := arrays[name]).dtype != np.float64 or got.shape != shape:
+        raise ValidationError(f"{name} is {got.dtype} of shape {got.shape}, not float64 of {shape}")
+    return got
+
+
 class EncoderTrainer:
     """The encoder's parameters and Adam state, with the config and the concepts they were made for."""
 
@@ -64,14 +70,16 @@ class EncoderTrainer:
             c, tokens = arrays.get("config", np.zeros(())), arrays.get("concepts", np.zeros(()))
             if c.ndim != 1 or c.size < 2 or tokens.dtype.kind != "U" or tokens.ndim != 1:
                 raise ValidationError("config must hold (image_size, n_concepts, *channels), concepts 1-d str")
-            trainer = cls(encoder.EncoderConfig(c[0], tuple(c[2:]), c[1]), ConceptSet(tokens.tolist()), 0)
-            if odd := sorted(set(arrays) ^ {*trainer.params, *_STATE}):
+            config = encoder.EncoderConfig(c[0], tuple(c[2:]), c[1])
+            specs = encoder._param_specs(config)
+            if odd := sorted(set(arrays) ^ {*(name for name, _, _ in specs), *_STATE}):
                 raise ValidationError(f"members {odd} are missing or not of this checkpoint")
+            for name, shape, _ in specs:  # before the config sizes any array, which may not fit in memory
+                _float64(arrays, name, shape)
+            trainer = cls(config, ConceptSet(tokens.tolist()), 0)
             m, v, _ = trainer.opt.state(trainer.params)  # Adam's own flat moments, laid out as zeros
             for name, into in [*((n, p.data) for n, p in trainer.params.items()), ("adam.m", m), ("adam.v", v)]:
-                if (got := arrays[name]).dtype != np.float64 or got.shape != into.shape:
-                    raise ValidationError(f"{name} is {got.dtype} of shape {got.shape}, not float64 of {into.shape}")
-                into[...] = got
+                into[...] = _float64(arrays, name, into.shape)
             trainer.opt.t = _index(arrays["adam.t"][()], np.inf, "adam.t")
         except (DataError, ValidationError) as exc:  # a DataError names the path already
             raise CheckpointError(str(exc) if isinstance(exc, DataError) else f"{path}: {exc}") from None

@@ -4,8 +4,7 @@ gives it one.
 A definition counts as called when a module of `src/mvh` or `bench/` loads its name, as a name or as an
 attribute, or when `bench/layertrace.py` spells it in a string, since it looks functions up by name. Its own
 definition, any other store of the name, and the tests do not count. Names are matched alone, not by owner, so
-a method that shares its name with a name in use (`Vocabulary.encode` with `encoder.encode`, `EncoderTrainer.train`
-with `Corpus.train`) counts as called.
+a method that shares its name with a name in use (`EncoderTrainer.train` with `Corpus.train`) counts as called.
 """
 
 import ast
@@ -20,9 +19,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 WIRED_LATER = {
     "encoder.grad_cam": "item 1b", "encoder.export_heatmap": "item 1b", "metrics.ScoreReport.csv_header": "item 1b",
     "metrics.ScoreReport.csv_row": "item 1b",
-    "corpus.PAD_ID": "item 2a", "corpus.START_ID": "item 2a", "corpus.END_ID": "item 2a",  # the decoder's ids
-    "corpus.Vocabulary": "item 2a", "corpus.Vocabulary.build": "item 2a", "corpus.detokenize": "item 2a",
-    "corpus.ConceptSet.indicator": "item 15",
     "train.EncoderTrainer": "item 4", "train.EncoderTrainer.save": "item 4", "train.EncoderTrainer.load": "item 4",
 }
 

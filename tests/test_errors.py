@@ -22,7 +22,6 @@ from mvh import corpus, errors, pgm
 from mvh.autodiff import Adam, Tensor, clip_global_norm, reshape, seeded_uniform
 from mvh.corpus import (
     N_OBS,
-    Vocabulary,
     generate_dataset,
     mine_concepts,
     render_report,
@@ -30,7 +29,7 @@ from mvh.corpus import (
     tokenize,
 )
 from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
-from mvh.errors import CheckpointError, DataError, MvhError, ShapeError, ValidationError
+from mvh.errors import CheckpointError, MvhError, ShapeError, ValidationError
 from mvh.metrics import bleu, bleu_n, meteor_lite, rouge_l
 from mvh.train import EncoderTrainer
 from test_autodiff import OPS
@@ -187,14 +186,6 @@ def test_tensor_shapes_that_do_not_fit_are_shape_errors(call, message):
         call()
 
 
-@pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: Vocabulary.build([]), "empty corpus", id="vocabulary_empty"),
-])
-def test_malformed_data_is_a_data_error(call, message):
-    with pytest.raises(DataError, match=message):
-        call()
-
-
 def _set(name, value):
     return lambda arrays: arrays.update({name: value})
 
@@ -228,6 +219,7 @@ def _pickled(path, arrays):
     pytest.param(_set("config", np.array([16, 2, 2])), id="config_other_depth"),
     pytest.param(_set("config", np.array([16.0, 2.0, 2.0, 3.0])), id="config_float"),
     pytest.param(_set("config", np.array(16)), id="config_0d"),
+    pytest.param(_set("config", np.array([16, 2, 2**61, 3])), id="config_channels_unrepresentable"),
     pytest.param(_set("concepts", np.array(["edema"])), id="fewer_tokens_than_n_concepts"),
     pytest.param(_set("concepts", np.array(["edema", "chest", "lungs"])), id="more_tokens_than_n_concepts"),
     pytest.param(_set("concepts", np.array([1, 2])), id="tokens_not_str"),

@@ -1,4 +1,4 @@
-"""The encoder trainer: its step, and a checkpoint that resumes training bit for bit."""
+"""The encoder trainer: its step, a checkpoint that resumes training bit for bit, and the AUC training reaches."""
 
 import itertools
 from types import SimpleNamespace
@@ -8,9 +8,10 @@ import pytest
 
 from mvh import encoder, train
 from mvh.autodiff import Tape, Tensor
-from mvh.corpus import ConceptSet, generate_dataset
+from mvh.corpus import LABEL_NAMES, ConceptSet, generate_dataset, mine_concepts, split_dataset
 from mvh.encoder import EncoderConfig, encode, encoder_loss, encoder_loss_parts, init_encoder_params
 from mvh.errors import ValidationError
+from mvh.metrics import avg_auc
 from mvh.pgm import read_arrays
 from mvh.train import LAMBDA_CVC, EncoderTrainer
 
@@ -61,6 +62,22 @@ def test_checkpoint_holds_the_params_adam_config_and_concepts(tmp_path, straight
     assert arrays["adam.m"].tobytes() == m.tobytes() and arrays["adam.v"].tobytes() == v.tobytes()
     assert arrays["adam.t"].shape == () and arrays["adam.t"] == t == 20
     assert arrays["config"].tolist() == [16, 2, 2, 3] and arrays["concepts"].tolist() == ["edema", "chest"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [5, 13301])
+def test_trained_encoder_fuses_views_to_an_auc_above_0_95(seed):
+    train_split, test_split = split_dataset(generate_dataset(seed, 500), 0.2, seed)
+    concepts = mine_concepts([sent for s in train_split for sent in s.report], 5)
+    trainer = EncoderTrainer(EncoderConfig(32, (8, 16, 32), concepts.p), concepts, seed)
+    list(trainer.train(train_split, 15))
+
+    def probs(image):
+        return encode(Tensor(image), trainer.params, trainer.config).obs_probs
+
+    fused = [encoder.fuse_view_predictions(probs(s.frontal_image), probs(s.lateral_image)).data for s in test_split]
+    average, _ = avg_auc(fused, [s.obs_labels for s in test_split], LABEL_NAMES)
+    assert average > 0.95, average
 
 
 def test_a_step_records_the_loss_parts_the_norm_before_clipping_and_its_time(monkeypatch):
