@@ -122,8 +122,8 @@ def _result(data, parents, backward):
     When a tape is active and any parent has requires_grad, the output joins that tape: `backward(g)` is
     recorded to push the output's gradient `g` into the parents. A non-finite `data` raises NumericsError
     naming the op (from `backward.__qualname__`) and the tape node it would have become. A 0-d output is
-    checked by `math.isfinite`, any other elementwise; not by its sum, which warns when finite values
-    overflow or inf meets -inf, and under a strict warnings filter raises that warning instead.
+    checked by `math.isfinite`, any other by the count of its finite elements; not by its sum, which warns
+    when finite values overflow or inf meets -inf, and under a strict warnings filter raises that warning instead.
     """
     out = Tensor(data)
     tape = _ACTIVE_TAPE.get()
@@ -134,7 +134,7 @@ def _result(data, parents, backward):
         else:
             tape = None
     d = out.data
-    if not (math.isfinite(d) if d.ndim == 0 else np.logical_and.reduce(np.isfinite(d), axis=None)):
+    if not (math.isfinite(d) if d.ndim == 0 else np.count_nonzero(np.isfinite(d)) == d.size):
         at = "" if tape is None else f" at tape node {len(tape._nodes)}"
         raise NumericsError(f"{backward.__qualname__.split('.')[0]} produced non-finite values{at}")
     if tape is not None:
@@ -376,26 +376,34 @@ def _pool_base(c, h, w):
     return base
 
 
+def _pool_forward(xd):
+    """The (c, h/2, w/2) 2x2 window maxima, C-ordered whatever xd's layout: mean_pool sums in memory order."""
+    out = np.maximum(xd[:, 0::2, 0::2], xd[:, 0::2, 1::2], order="C")
+    np.maximum(out, xd[:, 1::2, 0::2], out=out)
+    np.maximum(out, xd[:, 1::2, 1::2], out=out)
+    return out
+
+
+def _pool_backward(xd, out, g):
+    """The gradient of xd from that of its window maxima `out`: each window's goes to its first max."""
+    w = xd.shape[2]
+    # flat index in x of each window's first max, choosing corners from the last one back
+    first = np.where(xd[:, 1::2, 0::2] == out, w, w + 1)
+    first = np.where(xd[:, 0::2, 1::2] == out, 1, first)
+    first = np.where(xd[:, 0::2, 0::2] == out, 0, first)
+    first += _pool_base(*xd.shape)
+    dx = np.zeros(xd.size)
+    dx[first] = g
+    return dx.reshape(xd.shape)
+
+
 def max_pool2d(x):
     """2x2 non-overlapping max pooling of a (c,h,w) tensor; a window's gradient goes to its first max."""
     xd = x.data
     if xd.ndim != 3 or xd.shape[1] % 2 or xd.shape[2] % 2:
         raise ShapeError(f"max_pool2d needs (c, even h, even w), got shape {xd.shape}")
-    # C order whatever x's layout: reductions downstream (mean_pool) sum in memory order
-    out = np.maximum(xd[:, 0::2, 0::2], xd[:, 0::2, 1::2], order="C")
-    np.maximum(out, xd[:, 1::2, 0::2], out=out)
-    np.maximum(out, xd[:, 1::2, 1::2], out=out)
-    def bw(g):
-        w = xd.shape[2]
-        # flat index in x of each window's first max, choosing corners from the last one back
-        first = np.where(xd[:, 1::2, 0::2] == out, w, w + 1)
-        first = np.where(xd[:, 0::2, 1::2] == out, 1, first)
-        first = np.where(xd[:, 0::2, 0::2] == out, 0, first)
-        first += _pool_base(*xd.shape)
-        dx = np.zeros(xd.size)
-        dx[first] = g
-        _accum(x, dx.reshape(xd.shape))
-    return _result(out, (x,), bw)
+    out = _pool_forward(xd)
+    return _result(out, (x,), lambda g: _accum(x, _pool_backward(xd, out, g)))
 
 
 @cache
@@ -414,33 +422,55 @@ def _im2col_index(cin, h, width, kh, kw):
     return gather, scatter
 
 
-def conv2d(x, w, b):
-    """Same-padding stride-1 convolution of (cin,h,w) with (cout,cin,kh,kw): im2col is one gather through
-    a cached index (the unrolled convolution of Chellapilla et al., 2006), col2im one bincount scatter-add."""
+def _conv_forward(x, w, b, op):
+    """Same-padding stride-1 convolution of (cin,h,w) with (cout,cin,kh,kw), im2col one gather through a cached index
+    (Chellapilla et al., 2006): the (cout, h, w) output, a view of the GEMM's, and what `_conv_backward` reads."""
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 3 or wd.ndim != 4 or bd.ndim != 1:
-        raise ShapeError(f"conv2d needs (cin,h,w), (cout,cin,kh,kw), (cout,), got {xd.shape}, {wd.shape}, {bd.shape}")
+        raise ShapeError(f"{op} needs (cin,h,w), (cout,cin,kh,kw), (cout,), got {xd.shape}, {wd.shape}, {bd.shape}")
     cin, h, width = xd.shape
     cout, cin2, kh, kw = wd.shape
     if cin2 != cin or bd.shape[0] != cout:
-        raise ShapeError(f"conv2d channel mismatch: input {xd.shape}, kernel {wd.shape}, bias {bd.shape}")
+        raise ShapeError(f"{op} channel mismatch: input {xd.shape}, kernel {wd.shape}, bias {bd.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d supports odd kernels only, got {kh}x{kw}")
+        raise ShapeError(f"{op} supports odd kernels only, got {kh}x{kw}")
     if h < 1 or width < 1:
-        raise ShapeError(f"conv2d needs an image of at least 1x1, got shape {xd.shape}")
+        raise ShapeError(f"{op} needs an image of at least 1x1, got shape {xd.shape}")
     gather, scatter = _im2col_index(cin, h, width, kh, kw)
     cols = np.append(xd, 0.0).take(gather)  # im2col: one (cin, kh, kw) patch per pixel
     wmat = wd.reshape(cout, cin * kh * kw)
     out_mat = cols @ wmat.T
     out_mat += bd
+    return out_mat.T.reshape(cout, h, width), (x, w, b, cols, wmat, scatter)
+
+
+def _conv_backward(g, x, w, b, cols, wmat, scatter):
+    """Push the (cout, h, w) output gradient g into x, w and b; col2im is one bincount scatter-add."""
+    gm = g.reshape(wmat.shape[0], -1)
+    _accum(b, gm.sum(axis=1))
+    _accum(w, (gm @ cols).reshape(w.data.shape))
+    if x.requires_grad:  # col2im adds in order: each cell's taps in (di, dj) order from 0.0
+        dx = np.bincount(scatter, (wmat.T @ gm).ravel(), x.data.size + 1)
+        _accum(x, dx[:-1].reshape(x.data.shape))
+
+
+def conv2d(x, w, b):
+    """Same-padding stride-1 convolution of (cin,h,w) with odd (cout,cin,kh,kw) kernels and a (cout,) bias."""
+    out, saved = _conv_forward(x, w, b, "conv2d")
+    return _result(out, (x, w, b), lambda g: _conv_backward(g, *saved))
+
+
+def conv_block(x, w, b):
+    """relu(max_pool2d(conv2d(x, w, b))) to the bit, as one tape node; the conv output is checked before pooling."""
+    if x.data.ndim == 3 and (x.data.shape[1] % 2 or x.data.shape[2] % 2):
+        raise ShapeError(f"conv_block needs (cin, even h, even w), got shape {x.data.shape}")
+    conv, saved = _conv_forward(x, w, b, "conv_block")
     def bw(g):
-        gm = g.reshape(cout, h * width)
-        _accum(b, gm.sum(axis=1))
-        _accum(w, (gm @ cols).reshape(wd.shape))
-        if x.requires_grad:  # col2im adds in order: each cell's taps in (di, dj) order from 0.0
-            dx = np.bincount(scatter, (wmat.T @ gm).ravel(), xd.size + 1)
-            _accum(x, dx[:-1].reshape(xd.shape))
-    return _result(out_mat.T.reshape(cout, h, width), (x, w, b), bw)
+        _conv_backward(_pool_backward(conv, pooled, g * (pooled > 0.0)), *saved)
+    if np.count_nonzero(np.isfinite(conv)) != conv.size:
+        _result(conv, (x, w, b), bw)  # raises the NumericsError that names conv_block
+    pooled = _pool_forward(conv)
+    return _result(np.maximum(pooled, 0.0), (x, w, b), bw)
 
 
 def tensor_sum(x):

@@ -1,12 +1,12 @@
 """Small convolutional multi-view image encoder.
 
-Three conv -> 2x2-max-pool -> relu blocks produce a (d_v, sqrt(k), sqrt(k))
-feature map whose spatial cells are the k local region vectors. Pooling first
-gives the values and gradients of conv -> relu -> pool (max and relu commute; a
-zero gradient's sign aside) with relu on a quarter of the cells. Observation and
-concept heads are single fully connected layers with sigmoids on the
-average-pooled global feature. The training loss is the two views' summed
-BCE plus a cross-view consistency penalty on the prediction gap.
+Three conv -> 2x2-max-pool -> relu blocks produce a (d_v, sqrt(k), sqrt(k)) feature map whose spatial cells
+are the k local region vectors. Each block is one `ad.conv_block`, and so one tape node. It checks the conv
+output to be finite before pooling: the pool drops three cells of each window and relu zeroes the negatives
+left, so a -inf there would not reach the output. Pooling first gives the values and gradients of conv -> relu
+-> pool (max and relu commute; a zero gradient's sign aside) with relu on a quarter of the cells. Observation
+and concept heads are single fully connected layers with sigmoids on the average-pooled global feature. The
+training loss is the two views' summed BCE plus a cross-view consistency penalty on the prediction gap.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def encode(image, params, config):
         raise ShapeError(f"expected image of shape {expected}, got {image.data.shape}")
     x = image
     for i in range(len(config.channels)):
-        x = ad.relu(ad.max_pool2d(ad.conv2d(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])))
+        x = ad.conv_block(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])
     local = ad.transpose(ad.reshape(x, (config.d_v, config.k)))  # (k, d_v)
     global_feature = ad.mean_pool(local)
     obs_probs = ad.sigmoid(ad.add(ad.matmul(params["enc.obs.w"], global_feature), params["enc.obs.b"]))

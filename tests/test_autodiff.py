@@ -122,6 +122,39 @@ def test_finite_check_does_not_sum_the_output():
             ad.tensor_sum(t([1.0, math.nan]))  # a 0-d output
 
 
+_M = np.arange(12.0).reshape(3, 4)
+_M_NAN = np.where(_M == 7.0, math.nan, _M)
+_V = np.arange(6.0)
+_V_INF = np.where(_V == 4.0, -math.inf, _V)
+_BIG = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(np.zeros(0), id="empty"),
+    pytest.param(np.zeros((0, 3)), id="empty_2d"),
+    pytest.param(np.array(-0.0), id="0d"),
+    pytest.param(np.array(math.nan), id="0d_nan"),
+    pytest.param(np.array([_BIG]), id="one_element"),
+    pytest.param(np.array([math.inf]), id="one_element_inf"),
+    pytest.param(_M.T, id="transposed_view"),
+    pytest.param(_M_NAN.T, id="transposed_view_nan"),
+    pytest.param(_V[::-1], id="negative_stride_view"),
+    pytest.param(_V_INF[::-2], id="negative_stride_view_inf"),
+    pytest.param(np.array([1.0, math.nan, 2.0]), id="nan"),
+    pytest.param(np.array([[1.0, math.inf], [2.0, 3.0]]), id="plus_inf"),
+    pytest.param(np.array([1.0, 2.0, -math.inf]), id="minus_inf"),
+    pytest.param(np.array([-0.0, 0.0, -0.0]), id="minus_zero"),
+    pytest.param(np.array([_BIG, -_BIG, _BIG]), id="largest_finite"),
+])
+def test_finite_check_agrees_with_isfinite_all(data):
+    # _result counts the finite elements against the size; np.isfinite(d).all() is the predicate it stands for
+    if np.isfinite(data).all():
+        assert ad._result(data, (), lambda g: None).data is data  # and the view itself was checked, not a copy
+    else:
+        with pytest.raises(NumericsError, match="produced non-finite values$"):
+            ad._result(data, (), lambda g: None)
+
+
 @pytest.mark.parametrize("view", [
     pytest.param(lambda x: ad.reshape(x, (3, 2)), id="reshape"),
     pytest.param(ad.transpose, id="transpose"),
@@ -414,6 +447,14 @@ OPS = {
                   "conv2d_empty_image": (lambda z: ad.conv2d(z(1, 0, 4), z(1, 1, 3, 3), z(1)),
                                          r"conv2d needs an image of at least 1x1, got shape \(1, 0, 4\)")},
                  in_graphs=False),
+    "conv_block": Op({"conv_block": lambda leaf: ad.conv_block(leaf(2, 6, 6), leaf(3, 2, 3, 3), leaf(3))},
+                     {"conv_block_odd_side": (lambda z: ad.conv_block(z(1, 5, 4), z(1, 1, 3, 3), z(1)),
+                                              r"conv_block needs \(cin, even h, even w\), got shape \(1, 5, 4\)"),
+                      "conv_block_channels": (lambda z: ad.conv_block(z(2, 4, 4), z(1, 1, 3, 3), z(1)),
+                                              "conv_block channel mismatch"),
+                      "conv_block_even_kernel": (lambda z: ad.conv_block(z(1, 4, 4), z(1, 1, 2, 2), z(1)),
+                                                 "conv_block supports odd kernels only, got 2x2")},
+                     in_graphs=False),
     "tensor_sum": Op({"tensor_sum": lambda leaf: ad.tensor_sum(leaf(4, 3))}),
     "bce_loss": Op({"bce": lambda leaf: ad.bce_loss(leaf(5, low=0.1, high=0.9), t([0.0, 1.0, 1.0, 0.0, 1.0]))},
                    {"bce_loss_shapes": (lambda z: ad.bce_loss(z(1), z(2)), "bce_loss needs equal shapes")},
@@ -839,6 +880,49 @@ def test_pool_then_relu_equals_relu_then_pool():
     assert outs[0].tobytes() == outs[1].tobytes()
     np.testing.assert_array_equal(grads[0], grads[1])
     assert (grads[0] + 0.0).tobytes() == (grads[1] + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0 only
+
+
+def _chain_block(x, w, b):
+    return ad.relu(ad.max_pool2d(ad.conv2d(x, w, b)))
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_without_grad"])
+def test_conv_block_bit_for_bit_equals_the_chain(kernel, x_grad, monkeypatch):
+    # conv outputs with _tie_heavy's windows: channel 0 flat and negative, 1 all zero, 2 and 3 copies of x's
+    # channels 0 and 2 (flat regions, zeros, all-negative windows, ties), 4 a generic one
+    rng = np.random.default_rng(41)
+    xd, c = _tie_heavy(rng), kernel // 2
+    wd = np.zeros((5, 3, kernel, kernel))
+    wd[2, 0, c, c] = wd[3, 2, c, c] = 1.0
+    wd[4] = rng.normal(size=(3, kernel, kernel))
+    bd = np.array([-0.5, 0.0, 0.0, 0.0, rng.normal()])
+    g = rng.normal(size=(5, 3, 4))  # both signs: relu's mask makes a -0.0 where g < 0, and pooling routes it
+    conv_grads, conv_backward = [], ad._conv_backward  # the conv output's gradient: x, w and b sum the -0.0 away
+    monkeypatch.setattr(ad, "_conv_backward", lambda grad, *rest: conv_grads.append(grad) or conv_backward(grad, *rest))
+    results = []
+    for block in (ad.conv_block, _chain_block):
+        x, w, b = Tensor(xd, requires_grad=x_grad), t(wd, grad=True), t(bd, grad=True)
+        with Tape() as tape:
+            out = block(x, w, b)
+            loss = ad.tensor_sum(ad.mul(out, Tensor(g)))
+        tape.backward(loss)
+        results.append([v.tobytes() for v in (out.data, w.grad, b.grad, x.grad, conv_grads[-1]) if v is not None])
+        assert len(tape) == 0 and (x.grad is None) != x_grad
+    assert results[0] == results[1]
+    assert np.any(np.signbit(conv_grads[0]) & (conv_grads[0] == 0.0))
+
+
+def test_conv_block_checks_the_conv_output_that_pool_and_relu_would_hide():
+    # a -inf bias makes channel 1 of the conv output all -inf: pooling keeps it and relu makes it zeros
+    x, w, b = t(np.ones((1, 4, 4))), t(np.ones((2, 1, 3, 3))), t([0.5, -math.inf], grad=True)
+    with pytest.raises(NumericsError, match=r"^conv2d produced non-finite values$"):
+        _chain_block(x, w, Tensor(b.data))
+    with pytest.raises(NumericsError, match=r"^conv_block produced non-finite values$"):
+        ad.conv_block(x, w, Tensor(b.data))
+    with Tape() as tape, pytest.raises(NumericsError, match=r"^conv_block produced non-finite values at tape node 0$"):
+        ad.conv_block(x, w, b)
+    assert len(tape) == 0
 
 
 def _sigmoid_masked(x):

@@ -269,6 +269,23 @@ def test_full_encoder_gradcheck_tiny_config():
     check_grads(build, params, rel_tol=1e-4, sample=40)
 
 
+# tape nodes ------------------------------------------------------------------------------
+
+def test_a_training_step_records_one_node_per_conv_block_and_an_untaped_encode_none(monkeypatch):
+    # a view: three conv blocks, the map's reshape and transpose, the mean, two heads of three ops: 12 nodes;
+    # the loss: two BCEs, the CVC term, its weight's mul and two adds. A node per conv, pool and relu makes 42.
+    lengths, backward = [], ad.Tape.backward
+    monkeypatch.setattr(ad.Tape, "backward", lambda tape, loss: lengths.append(len(tape)) or backward(tape, loss))
+    sample = generate_dataset(3, 10)[0]
+    EncoderTrainer(EncoderConfig(), ConceptSet(["chest"]), 3).step(sample)
+    assert lengths == [30]
+    ops, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda data, parents, bw: ops.append(bw) or result(data, parents, bw))
+    out = encode(Tensor(sample.frontal_image), init_encoder_params(EncoderConfig(), 3), EncoderConfig())
+    assert len(ops) == 12
+    assert all(x._tape is None and not x.requires_grad for x in vars(out).values())
+
+
 # bit-reproducible training ---------------------------------------------------------------
 
 def _trained(samples):
