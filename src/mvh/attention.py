@@ -6,9 +6,12 @@ attention does the same over concept embeddings, with each embedding row
 scaled by its predicted concept probability before projection. Both go through
 `ad.attend`: one tape node per attention step, plus one per key bank (its keys,
 scale and three weights), which every step on that bank shares within a tape.
-A step's node records its context gradient with the bank and computes only the
-query's gradient; the bank's node runs after all its steps' and computes the
-keys', scale's and weights' gradients for every step in one stacked pass.
+The bank's shapes are checked when its node is made; a later step on it checks
+only its query, trusting that no input's data is written or rebound while the
+tape is open. A step's node records its context gradient with the bank and
+computes only the query's gradient; the bank's node runs after all its steps'
+and computes the keys', scale's and weights' gradients for every step in one
+stacked pass.
 """
 
 from __future__ import annotations

@@ -71,9 +71,10 @@ class Tape:
     exception leaving the `with` block drops them and consumes the tape. Its memo of `attend`'s key banks,
     each the tensors (keys, key_scale, w_key, w_query, w_score) and mapped to the bank's node and the records
     of its steps, is reused by later calls on the same bank, cleared on leaving the block or starting
-    backward, and trusts that no op input's data is written while its tape is open (`Adam` writes only
-    after backward). A step's node wakes its bank's node by giving the bank's projection, a tensor internal
-    to `attend`, a stand-in gradient: the read-only 0-d zero `_WAKE`, which carries nothing.
+    backward. A bank's shapes are checked when its node is made; a later step checks only its query. The
+    memo trusts that no op input's data is written, and no `.data` rebound, while its tape is open (`Adam`
+    writes only after backward). A step's node wakes its bank's node by giving the bank's projection, a
+    tensor internal to `attend`, a stand-in gradient: the read-only 0-d zero `_WAKE`, which carries nothing.
     """
 
     def __init__(self):
@@ -279,25 +280,28 @@ def attend(keys, query, w_key, w_query, w_score, key_scale):
     query (Bahdanau et al., 2015, A.1.2). A step's node records its context gradient g with the bank and
     computes only the query's gradient, when the query takes one. The bank's node runs after every step's:
     it stacks its T recorded steps, in the order backward reached them, and computes the gradients of the
-    five bank tensors through the contexts and the scores with one matmul or reduction each.
+    five bank tensors through the contexts and the scores with one matmul or reduction each. A bank's shapes
+    are checked when its node is made, and on every untaped call; a later step on it checks only its query.
     """
     kd, qd, wk, wq, ws = keys.data, query.data, w_key.data, w_query.data, w_score.data
     n = kd.shape[0] if kd.ndim == 2 else 0
     s = None if key_scale is None else key_scale.data
-    if n < 1 or qd.ndim != 1 or (s is not None and s.shape != (n,)):
-        raise ShapeError(f"attend needs non-empty (n, d_k) keys, a (d_q,) query and an (n,) key_scale, "
-                         f"got {kd.shape}, {qd.shape} and {getattr(s, 'shape', None)}")
-    if (wk.ndim != 2 or wk.shape[1] != kd.shape[1] or wq.shape != (wk.shape[0], qd.shape[0])
-            or ws.shape != (1, wk.shape[0])):
-        raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
-                         f"keys {kd.shape} and query {qd.shape}")
     tape, bank = _ACTIVE_TAPE.get(), (keys, key_scale, w_key, w_query, w_score)
     memo = None if tape is None else tape._projections.get(bank)
+    # a memo'd bank's shapes were checked at its first step: a good query skips the check, a bad one fails it
+    if memo is None or qd.ndim != 1 or qd.shape[0] != wq.shape[1]:
+        if n < 1 or qd.ndim != 1 or (s is not None and s.shape != (n,)):
+            raise ShapeError(f"attend needs non-empty (n, d_k) keys, a (d_q,) query and an (n,) key_scale, "
+                             f"got {kd.shape}, {qd.shape} and {getattr(s, 'shape', None)}")
+        if (wk.ndim != 2 or wk.shape[1] != kd.shape[1] or wq.shape != (wk.shape[0], qd.shape[0])
+                or ws.shape != (1, wk.shape[0])):
+            raise ShapeError(f"attend weights {wk.shape}, {wq.shape}, {ws.shape} do not fit "
+                             f"keys {kd.shape} and query {qd.shape}")
     if memo is None:
         sk = kd if s is None else s[:, None] * kd    # (n, d_k) scaled keys
         steps = []                                   # (g, alpha, hidden, query) per step that got a gradient
         def bw_bank(_):                              # woken by its steps' stand-in gradient, _WAKE
-            G, A, H, Q = map(np.stack, zip(*steps))  # (T, d_k), (T, n), (T, n, d_a), (T, d_q)
+            G, A, H, Q = map(np.array, zip(*steps))  # (T, d_k), (T, n), (T, n, d_a), (T, d_q); one copy each
             steps.clear()
             G_alpha = G @ kd.T
             G_scores = A * (G_alpha - np.add.reduce(G_alpha * A, axis=1, keepdims=True))

@@ -1116,6 +1116,55 @@ def test_attend_shares_no_projection_across_tapes():
     assert grads[0] is not None and grads[0].tobytes() == grads[1].tobytes()
 
 
+_BAD_QUERIES = (np.zeros(3), np.zeros((2, 2)))  # the bank of _attend_args takes a (2,) query
+
+
+def _bank_grads_around_bad_queries(bad):
+    """Gradients of the five bank tensors and the query of two attend steps on one bank, with attend called on each
+    query in `bad` between them and its ShapeError caught inside the block; and the errors' messages."""
+    args = _attend_args(np.random.default_rng(33))
+    messages = []
+    with Tape() as tape:
+        first = ad.attend(**args)[0]
+        nodes = len(tape)
+        for query in bad:
+            with pytest.raises(ShapeError) as err:
+                ad.attend(**{**args, "query": t(query, grad=True)})
+            messages.append(str(err.value))
+        assert len(tape) == nodes and len(tape._projections) == 1
+        steps = next(iter(tape._projections.values()))[1]
+        second = ad.attend(**args)[0]
+        loss = ad.tensor_sum(ad.mul(ad.add(first, second), ad.add(first, second)))
+    assert not steps  # step records are made only by backward
+    tape.backward(loss)
+    return [args[name].grad for name in ("keys", "key_scale", "w_key", "w_query", "w_score", "query")], messages
+
+
+def test_attend_on_a_known_bank_checks_the_query_and_records_nothing_for_a_bad_one():
+    # a step on a memo'd bank checks only its query; a bad one raises what a fresh bank raises, and leaves no trace
+    fresh = []
+    for query in _BAD_QUERIES:
+        args = _attend_args(np.random.default_rng(33))
+        with pytest.raises(ShapeError) as err, Tape():
+            ad.attend(**{**args, "query": t(query, grad=True)})
+        fresh.append(str(err.value))
+    assert "attend weights" in fresh[0] and "attend needs non-empty" in fresh[1]
+    grads, messages = _bank_grads_around_bad_queries(_BAD_QUERIES)
+    ref_grads, _ = _bank_grads_around_bad_queries([])
+    assert messages == fresh
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+
+@pytest.mark.parametrize("name, shape", [("key_scale", (4, 1)), ("w_score", (5, 1))])
+def test_untaped_attend_checks_its_bank_on_every_call(name, shape):
+    # no tape, no memo: a bank that passed once is checked again, even when the same tensor's data is rebound
+    args = _attend_args(np.random.default_rng(34))
+    ad.attend(**args)
+    args[name].data = np.zeros(shape)
+    with pytest.raises(ShapeError, match="attend"):
+        ad.attend(**args)
+
+
 def test_forward_determinism():
     rng1 = np.random.default_rng(123)
     rng2 = np.random.default_rng(123)
