@@ -3,15 +3,11 @@
 Visual attention scores each local region i as W_a . tanh(W_v v_i + W_s h_prev),
 softmaxes over regions, and returns the attention-weighted region sum. Concept
 attention does the same over concept embeddings, with each embedding row
-scaled by its predicted concept probability before projection. Both go through
-`ad.attend`: one tape node per attention step, plus one per key bank (its keys,
-scale and three weights), which every step on that bank shares within a tape.
-The bank's shapes are checked when its node is made; a later step on it checks
-only its query, trusting that no input's data is written or rebound while the
-tape is open. A step's node records its context gradient with the bank and
-computes only the query's gradient; the bank's node runs after all its steps'
-and computes the keys', scale's and weights' gradients for every step in one
-stacked pass.
+scaled by its predicted concept probability before projection; the context
+sums the unscaled rows. `fuse` builds a sentence step's context from the two
+views by one of three schemes: concat, early or late (see its docstring).
+Both attentions are `ad.attend` steps; its docstring says how steps on one key
+bank share a tape node.
 """
 
 from __future__ import annotations

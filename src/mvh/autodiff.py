@@ -155,7 +155,7 @@ def _accum(t, g):
 
 
 def matmul(a, b):
-    """Matrix product. Accepts (m,k)x(k,n), (m,k)x(k,) and (k,)x(k,n)."""
+    """Matrix product. Accepts (m,k)x(k,n), (m,k)x(k,), (k,)x(k,n) and (k,)x(k,), which gives a 0-d result."""
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul needs 1-d or 2-d operands, got {ad.shape} and {bd.shape}")

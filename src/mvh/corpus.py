@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ValidationError, _index, _numbers
-from .pgm import _MAXVAL
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 SENTINELS = (PAD, START, END)  # structure tokens, dropped before a report is scored
@@ -135,6 +134,7 @@ ARTIFACT_RATE = 0.02
 LATERAL_FACTOR = 0.8
 FRONTAL_NOISE = 0.08
 LATERAL_NOISE = 0.15
+_MAXVAL = 255  # a pixel is kept as one of the 8-bit levels 0/255 .. 255/255
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: a field-wise == would compare the views as arrays
@@ -280,7 +280,7 @@ def _render_view(rng, patterns, active, intensities, factor, noise_level):
         r0, c0 = (0, 0) if corner is None else (corner[0] + jr, corner[1] + jc)
         box = canvas[r0:r0 + len(mask), c0:c0 + len(mask)]
         np.maximum(box, mask * level, out=box)
-    # write_pgm's 8-bit levels, which every seeded output depends on. In place: a new array per
+    # Round to _MAXVAL's 8-bit levels, which every seeded output depends on. In place: a new array per
     # view raised the peak RSS of repeated set-ups by about 0.5 MB.
     canvas *= _MAXVAL
     np.round(canvas, out=canvas)

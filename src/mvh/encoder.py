@@ -21,7 +21,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .corpus import N_OBS
 from .errors import ShapeError, ValidationError, _index
-from .pgm import write_pgm, write_text
 
 
 @dataclass
@@ -118,28 +117,3 @@ def fuse_view_predictions(front, lat):
     if front.data.shape != lat.data.shape:
         raise ShapeError(f"view predictions disagree in shape: {front.data.shape} vs {lat.data.shape}")
     return Tensor(np.maximum(front.data, lat.data))
-
-
-def grad_cam(output, params, config, class_index):
-    """Grad-CAM heatmap (map_side x map_side) of one class, from an `encode` output.
-
-    The observation logit is linear in the mean of the k local rows, so its
-    gradient at every map cell is obs.w[class] / k and Grad-CAM is CAM: relu
-    of the local rows weighted by that, min-max normalized (all-zero stays zero).
-    """
-    class_index = _index(class_index, N_OBS, "grad_cam class index")
-    if output.local_features.data.shape != (config.k, config.d_v):
-        raise ShapeError(f"grad_cam needs ({config.k}, {config.d_v}) local features for this config, "
-                         f"got {output.local_features.data.shape}")
-    weights = params["enc.obs.w"].data[class_index] / config.k   # (d_v,)
-    cam = np.maximum(output.local_features.data @ weights, 0.0).reshape(config.map_side, config.map_side)
-    span = cam.max() - cam.min()
-    if span > 0:
-        cam = (cam - cam.min()) / span
-    return cam
-
-
-def export_heatmap(path_base, cam):
-    """Write a heatmap as {base}.pgm plus {base}.csv of raw cell values."""
-    write_pgm(str(path_base) + ".pgm", cam)
-    write_text(str(path_base) + ".csv", "".join(",".join(repr(float(v)) for v in row) + "\n" for row in cam))

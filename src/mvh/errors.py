@@ -16,7 +16,8 @@ class ValidationError(MvhError):
 
 
 class DataError(MvhError):
-    """A file cannot be read or written, or its content breaks the PGM or .npz archive format."""
+    """A file cannot be read or written, or breaks the .npz archive format; or a report text is not a str or
+    yields no sentence."""
 
 
 class CheckpointError(MvhError):

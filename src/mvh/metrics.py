@@ -249,20 +249,6 @@ class ScoreReport:
         """The labels whose AUC is undefined (NaN), in label order."""
         return [name for name, auc in self.per_label_auc.items() if math.isnan(auc)]
 
-    def _columns(self):
-        """(column, CSV text) pairs in column order."""
-        scores = [("bleu1", self.bleu1), ("bleu2", self.bleu2), ("bleu3", self.bleu3), ("bleu4", self.bleu4),
-                  ("meteor", self.meteor), ("rouge_l", self.rouge_l)]
-        scores += [(f"auc_{name}", auc) for name, auc in self.per_label_auc.items()]
-        scores.append(("avg_auc", self.avg_auc))
-        return [(col, repr(v)) for col, v in scores] + [("skipped_labels", ";".join(self.skipped_labels))]
-
-    def csv_header(self):
-        return ",".join(col for col, _ in self._columns())
-
-    def csv_row(self):
-        return ",".join(text for _, text in self._columns())
-
 
 def score_generation(hypotheses, references, score_matrix, label_matrix, label_names):
     """Full ScoreReport for one system run."""

@@ -17,9 +17,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # definition -> the ROADMAP item that wires it
 WIRED_LATER = {
-    "encoder.grad_cam": "item 1b", "encoder.export_heatmap": "item 1b", "metrics.ScoreReport.csv_header": "item 1b",
-    "metrics.ScoreReport.csv_row": "item 1b",
-    "train.EncoderTrainer": "item 4", "train.EncoderTrainer.save": "item 4", "train.EncoderTrainer.load": "item 4",
+    "train.EncoderTrainer": "item 4", "train.EncoderTrainer.save": "item 1b", "train.EncoderTrainer.load": "item 1b",
 }
 
 

@@ -30,7 +30,7 @@ from mvh.corpus import (
     tokenize,
 )
 from mvh.errors import DataError, ValidationError
-from mvh.pgm import read_arrays, write_arrays, write_pgm, write_text
+from mvh.pgm import read_arrays, write_arrays
 
 DATA = Path(__file__).parent / "data"
 
@@ -346,14 +346,11 @@ def test_split_leaving_a_side_empty_is_validation_error(fraction):
 
 # samples -----------------------------------------------------------------------------------
 
-def test_report_is_read_from_report_text_and_survives_a_text_file_round_trip(tmp_path, small_dataset):
+def test_report_is_read_from_report_text(small_dataset):
     text = " there is no edema.\n no fracture is identified.\tthe lungs are well expanded and clear.  "
     sample = replace(small_dataset[0], report_text=text)
     assert small_dataset[0].report != tokenize(text)
     assert sample.report == tokenize(text)
-    write_text(tmp_path / "report.txt", sample.report_text)  # the package's one text writer, byte for byte
-    loaded = replace(sample, report_text=(tmp_path / "report.txt").read_bytes().decode("utf-8"))
-    assert loaded.report_text == text and loaded.report == tokenize(text)
 
 
 @pytest.mark.parametrize("field", ["sample_id", "obs_labels", "report_text", "report"])
@@ -440,33 +437,3 @@ def test_write_arrays_refuses_what_it_cannot_write_and_writes_nothing(tmp_path, 
     with pytest.raises(DataError, match="cannot write .*out.npz"):
         write_arrays(tmp_path / "out.npz", arrays)
     assert not (tmp_path / "out.npz").exists()
-
-
-@pytest.mark.parametrize("name, make", [
-    pytest.param("absent/out.pgm", lambda path: None, id="missing_directory"),
-    pytest.param("folder.pgm", lambda path: path.mkdir(), id="directory"),
-])
-def test_write_pgm_unwritable_path_is_data_error_naming_the_path(tmp_path, name, make):
-    make(tmp_path / name)
-    with pytest.raises(DataError, match=name):
-        write_pgm(tmp_path / name, np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("values", [
-    pytest.param(np.array([[0.5, np.nan]]), id="nan"),
-    pytest.param(np.array([[np.inf, 0.5]]), id="inf"),
-    pytest.param(np.array([[0.5], [-np.inf]]), id="negative_inf"),
-    pytest.param(np.zeros((0, 3)), id="no_rows"),
-    pytest.param(np.zeros((3, 0)), id="no_columns"),
-])
-def test_write_pgm_refuses_what_read_pgm_rejects_and_writes_nothing(tmp_path, values):
-    path = tmp_path / "out.pgm"
-    with pytest.raises(DataError, match="out.pgm"):
-        write_pgm(path, values)
-    assert not path.exists()
-
-
-def test_write_text_refuses_a_lone_surrogate_and_writes_nothing(tmp_path):
-    with pytest.raises(DataError, match="out.txt"):
-        write_text(tmp_path / "out.txt", "a\ud800b")
-    assert not (tmp_path / "out.txt").exists()

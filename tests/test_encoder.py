@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 import mvh.autodiff as ad
 from gradcheck import check_grads
-from mvh.autodiff import Tape, Tensor
+from mvh.autodiff import Tensor
 from mvh.corpus import N_OBS, ConceptSet, generate_dataset
 from mvh.encoder import (
     EncoderConfig,
     encode,
     encoder_loss,
     encoder_loss_parts,
-    export_heatmap,
     fuse_view_predictions,
-    grad_cam,
     init_encoder_params,
 )
-from mvh.errors import DataError, ShapeError, ValidationError
+from mvh.errors import ShapeError, ValidationError
 from mvh.train import EncoderTrainer
 
 TINY = EncoderConfig(image_size=8, channels=(2, 3), n_concepts=2)
@@ -149,109 +147,6 @@ def test_fuse_view_predictions_properties(pairs):
 def test_fuse_view_predictions_shape_error():
     with pytest.raises(ShapeError):
         fuse_view_predictions(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-
-# grad-cam -----------------------------------------------------------------------------
-
-def oracle_grad_cam(image, params, config, class_index):
-    """Grad-CAM by its definition: back-propagate the class logit to the last
-    feature map on a tape, average the gradient over cells per channel, and
-    weight the maps by it."""
-    x = image
-    for i in range(len(config.channels)):
-        x = ad.max_pool2d(ad.relu(ad.conv2d(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])))
-    maps_data = x.data
-    leaf = Tensor(maps_data.copy(), requires_grad=True)
-    with Tape() as tape:
-        local = ad.transpose(ad.reshape(leaf, (config.d_v, config.k)))
-        global_feature = ad.mean_pool(local)
-        row = Tensor(params["enc.obs.w"].data[class_index:class_index + 1, :])
-        logit = ad.reshape(ad.matmul(row, global_feature), ())
-    tape.backward(logit)
-    weights = leaf.grad.mean(axis=(1, 2))                        # (d_v,)
-    cam = np.maximum((weights[:, None, None] * maps_data).sum(axis=0), 0.0)
-    span = cam.max() - cam.min()
-    if span > 0:
-        cam = (cam - cam.min()) / span
-    return cam
-
-
-@pytest.mark.parametrize("config", [TINY, EncoderConfig()], ids=["tiny", "default"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_grad_cam_matches_tape_oracle(config, seed):
-    params = init_encoder_params(config, seed)
-    rng = np.random.default_rng(seed)
-    image = Tensor(rng.uniform(size=(1, config.image_size, config.image_size)))
-    out = encode(image, params, config)
-    for c in range(N_OBS):
-        np.testing.assert_allclose(grad_cam(out, params, config, c),
-                                   oracle_grad_cam(image, params, config, c), rtol=0, atol=1e-12)
-
-
-def test_grad_cam_constant_map_keeps_its_scale():
-    # zero kernels leave each channel of the last map constant at its relu'd bias chain;
-    # a constant heatmap is not normalized, so its value shows the 1/k of the weights
-    params = tiny_params(seed=5)
-    for i in range(len(TINY.channels)):
-        params[f"enc.conv{i}.w"].data[:] = 0.0
-    image = Tensor(np.zeros((1, 8, 8)))
-    out = encode(image, params, TINY)
-    cams = [grad_cam(out, params, TINY, c) for c in range(N_OBS)]
-    assert any(cam.max() > 0 and cam.min() == cam.max() for cam in cams)
-    for c, cam in enumerate(cams):
-        np.testing.assert_allclose(cam, oracle_grad_cam(image, params, TINY, c), rtol=0, atol=1e-15)
-
-
-def test_grad_cam_zero_weights_all_zero_heatmap():
-    params = tiny_params()
-    for i in range(2):
-        params[f"enc.conv{i}.w"].data[:] = 0.0
-        params[f"enc.conv{i}.b"].data[:] = 0.0
-    cam = grad_cam(encode(Tensor(np.full((1, 8, 8), 0.5)), params, TINY), params, TINY, 0)
-    np.testing.assert_array_equal(cam, np.zeros((2, 2)))
-
-
-def test_grad_cam_range_and_shape():
-    params = tiny_params(seed=3)
-    rng = np.random.default_rng(3)
-    cam = grad_cam(encode(Tensor(rng.uniform(size=(1, 8, 8))), params, TINY), params, TINY, 5)
-    assert cam.shape == (TINY.map_side, TINY.map_side)
-    assert cam.min() >= 0.0 and cam.max() <= 1.0
-
-
-def test_grad_cam_class_index_validated():
-    params = tiny_params()
-    out = encode(Tensor(np.zeros((1, 8, 8))), params, TINY)
-    for bad in (N_OBS, -1, 2.5, True, np.bool_(False), "1"):
-        with pytest.raises(ValidationError):
-            grad_cam(out, params, TINY, bad)
-    np.testing.assert_array_equal(grad_cam(out, params, TINY, np.int64(1)), grad_cam(out, params, TINY, 1))
-
-
-def test_grad_cam_output_of_another_config_is_shape_error():
-    out = encode(Tensor(np.zeros((1, 8, 8))), tiny_params(), TINY)
-    with pytest.raises(ShapeError):
-        grad_cam(out, init_encoder_params(EncoderConfig(), 0), EncoderConfig(), 0)
-
-
-def test_export_heatmap_round_trip(tmp_path):
-    cam = np.array([[0.0, 0.5], [1.0, 0.25]])
-    export_heatmap(tmp_path / "h", cam)
-    magic, width, height, maxval, *pixels = (tmp_path / "h.pgm").read_text(encoding="utf-8").split()
-    assert (magic, width, height, maxval) == ("P2", "2", "2", "255")
-    np.testing.assert_allclose(np.array(pixels, dtype=float).reshape(2, 2) / 255, cam, atol=1 / 255)
-    csv_text = (tmp_path / "h.csv").read_text()
-    assert csv_text.splitlines()[0] == "0.0,0.5"
-
-
-@pytest.mark.parametrize("base, make, named", [
-    pytest.param("absent/h", lambda base: None, "h.pgm", id="missing_directory"),
-    pytest.param("h", lambda base: base.with_name("h.csv").mkdir(), "h.csv", id="csv_is_a_directory"),
-])
-def test_export_heatmap_unwritable_path_is_data_error_naming_it(tmp_path, base, make, named):
-    make(tmp_path / base)
-    with pytest.raises(DataError, match=named):
-        export_heatmap(tmp_path / base, np.array([[0.0, 1.0]]))
 
 
 # full-graph gradient check (tiny config) ------------------------------------------------
