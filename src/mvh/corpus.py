@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, ValidationError, _index, _numbers
+from .errors import ValidationError, _index, _numbers
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 SENTINELS = (PAD, START, END)  # structure tokens, dropped before a report is scored
@@ -141,7 +141,6 @@ _MAXVAL = 255  # a pixel is kept as one of the 8-bit levels 0/255 .. 255/255
 class MultiViewSample:
     """One study: two views and 14 labels, all numbers, and a report read from report_text alone."""
 
-    sample_id: str
     frontal_image: np.ndarray      # (1, s, s) in [0, 1]
     lateral_image: np.ndarray
     obs_labels: np.ndarray         # (14,) in {0, 1}
@@ -295,7 +294,7 @@ def generate_dataset(seed, n_samples, image_size=32):
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     patterns = _patterns(image_size)
     samples = []
-    for i in range(n_samples):
+    for _ in range(n_samples):
         labels = np.zeros(N_OBS)
         draws = rng.random(len(PATHOLOGY_INDICES))
         active = [j for j in PATHOLOGY_INDICES if draws[j] < PATHOLOGY_RATE]
@@ -316,7 +315,6 @@ def generate_dataset(seed, n_samples, image_size=32):
         frontal = _render_view(rng, patterns, planted, intensities, 1.0, FRONTAL_NOISE)
         lateral = _render_view(rng, patterns, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
         samples.append(MultiViewSample(
-            sample_id=f"s{i:05d}",
             frontal_image=frontal[None, :, :],
             lateral_image=lateral[None, :, :],
             obs_labels=labels,
@@ -336,12 +334,11 @@ def tokenize(text):
     """Lowercase, split sentences on '.', clean tokens, wrap with sentinels.
 
     Punctuation is stripped except within-word hyphens; de-identification
-    runs of x become <unk>.
+    runs of x become <unk>. A text that is not a str, or yields no sentence,
+    raises ValidationError.
     """
     if not isinstance(text, str):
-        raise DataError(f"report text must be a string, got {text!r}")
-    if not text.strip():
-        raise DataError("empty report text")
+        raise ValidationError(f"report text must be a string, got {text!r}")
     sentences = []
     for raw in _DROP.sub("", text.lower()).split("."):
         tokens = [UNK if tok.startswith("xx") and _XXXX.fullmatch(tok) else tok
@@ -349,7 +346,7 @@ def tokenize(text):
         if tokens:
             sentences.append([START] + tokens + [END])
     if not sentences:
-        raise DataError(f"no sentences left after tokenizing {text!r}")
+        raise ValidationError(f"no sentences left after tokenizing {text!r}")
     return sentences
 
 

@@ -16,8 +16,7 @@ class ValidationError(MvhError):
 
 
 class DataError(MvhError):
-    """A file cannot be read or written, or breaks the .npz archive format; or a report text is not a str or
-    yields no sentence."""
+    """A file cannot be read or written, or breaks the .npz archive format."""
 
 
 class CheckpointError(MvhError):

@@ -1,9 +1,9 @@
 """Corpus-level text-generation metrics and ROC-AUC for the observation heads.
 
-All text metrics operate on token sequences (any hashable tokens); sentence
-sentinels are stripped before scoring, and a report whose first element is a
-list is a list of sentences, scored as one flattened sequence. A list is never
-a token (it is unhashable), so a tuple token is never split. `_token_pairs`
+A report is a list of sentences, each a list of hashable tokens, as
+`corpus.tokenize` makes it; a text metric scores its sentences as one sequence,
+sentinels stripped, and refuses any other form (a str, a tuple, an array, a
+flat token list) with a ValidationError naming the op. `_token_pairs`
 checks and flattens reports and gives each token an int id as a dict key (equal
 hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens are the same;
 `score_generation` calls it once for the cores (`_bleu`, `_mean`). `bleu`, `bleu_n`,
@@ -28,13 +28,11 @@ from .errors import ValidationError, _index, _numbers
 BLEU_ORDER = 4
 
 
-def _flatten(report):
-    """Flatten a report (a sequence of list sentences, or one flat token sequence) to tokens."""
-    if report and isinstance(report[0], list):
-        flat = [tok for sent in report for tok in sent]
-    else:
-        flat = list(report)
-    return [tok for tok in flat if tok not in SENTINELS]
+def _flatten(report, op):
+    """A report's tokens, sentinels dropped; a report that is not a list of list sentences raises ValidationError."""
+    if not (isinstance(report, list) and all(isinstance(sent, list) for sent in report)):
+        raise ValidationError(f"{op} needs each report as a list of sentences, each a list of tokens")
+    return [tok for sent in report for tok in sent if tok not in SENTINELS]
 
 
 def _token_pairs(hypotheses, references, op):
@@ -47,7 +45,7 @@ def _token_pairs(hypotheses, references, op):
             f"{op} needs equal counts, got {len(hypotheses)} hypotheses and {len(references)} references")
     ids, position = {}, count()
     try:
-        return [tuple(list(map(ids.setdefault, _flatten(report), position)) for report in pair)
+        return [tuple(list(map(ids.setdefault, _flatten(report, op), position)) for report in pair)
                 for pair in zip(hypotheses, references)]
     except TypeError:  # such as a list token
         raise ValidationError(f"{op} needs reports of hashable tokens") from None

@@ -230,7 +230,8 @@ def test_backward_square():
 
 
 def test_first_gradient_is_an_owned_buffer():
-    # mean_pool hands x a read-only broadcast first; adding mul's gradient must not write into it
+    # mean_pool hands x its first gradient, an owned np.full; mul's gradient must add to it, not replace it
+    # (test_backward_writes_into_no_gradient checks that no op writes into a gradient it is handed)
     x = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], grad=True)
     with Tape() as tape:
         sq = ad.tensor_sum(ad.mul(x, x))

@@ -23,7 +23,7 @@ WIRED_LATER = {
 
 def _definitions(tree, module):
     """(qualified name, name) of each public top-level function, class and assigned name, tuple targets included,
-    and of each public method."""
+    and of each public method and annotated class field, such as a dataclass field."""
     for node in tree.body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
@@ -33,8 +33,14 @@ def _definitions(tree, module):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield f"{module}.{node.name}", node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):  # a dataclass field
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef):
+                    name = item.name
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{module}.{node.name}.{name}", name
 
 
 def _references(tree, strings):
@@ -63,11 +69,12 @@ def test_every_public_name_has_a_caller_or_names_the_item_that_wires_it():
 
 
 def test_caller_check_sees_definitions_and_references():
-    source = ("def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n    def _n(self): pass\n"
+    source = ("def f(): pass\ndef _g(): pass\nclass C:\n    field: int\n    _hidden: int = 0\n    k = 1\n"
+              "    def m(self): pass\n    def _n(self): pass\n"
               "    @property\n    def p(self): pass\nx = 1\nA, (B, _c) = 1, (2, 3)\nT: int = 4\n")
-    assert list(_definitions(ast.parse(source), "mod")) == [("mod.f", "f"), ("mod.C", "C"), ("mod.C.m", "m"),
-                                                             ("mod.C.p", "p"), ("mod.x", "x"), ("mod.A", "A"),
-                                                             ("mod.B", "B"), ("mod.T", "T")]
+    assert list(_definitions(ast.parse(source), "mod")) == [("mod.f", "f"), ("mod.C", "C"), ("mod.C.field", "field"),
+                                                             ("mod.C.m", "m"), ("mod.C.p", "p"), ("mod.x", "x"),
+                                                             ("mod.A", "A"), ("mod.B", "B"), ("mod.T", "T")]
     uses = "f(x)\nobj.m\n'g'\ndef h(): pass\ny = 2\nobj.z = 3\n"  # y and z are stored, not loaded
     assert sorted(_references(ast.parse(uses), strings=False)) == ["f", "m", "obj", "obj", "x"]
     assert sorted(_references(ast.parse(uses), strings=True)) == ["f", "g", "m", "obj", "obj", "x"]

@@ -57,16 +57,16 @@ def test_tokenize_keeps_inner_hyphens_strips_punctuation():
     assert not any("(" in t or "," in t for t in sents[0])
 
 
-def test_tokenize_empty_text_is_data_error():
-    with pytest.raises(DataError):
+def test_tokenize_empty_text_is_validation_error():
+    with pytest.raises(ValidationError, match="no sentences left"):
         tokenize("   ")
-    with pytest.raises(DataError):
+    with pytest.raises(ValidationError, match="no sentences left"):
         tokenize("... .. .")
 
 
 @pytest.mark.parametrize("text", [123, b"a. b. c.", None], ids=["int", "bytes", "none"])
-def test_tokenize_non_string_is_data_error(text):
-    with pytest.raises(DataError, match="report text must be a string"):
+def test_tokenize_non_string_is_validation_error(text):
+    with pytest.raises(ValidationError, match="report text must be a string"):
         tokenize(text)
 
 
@@ -75,8 +75,6 @@ _KEEP = re.compile(r"[^a-z0-9-]+")
 
 def _tokenize_token_by_token(text):
     """The reference tokenizer: split first, then clean each token on its own."""
-    if not text.strip():
-        raise DataError("empty report text")
     sentences = []
     for raw in text.lower().split("."):
         tokens = []
@@ -87,15 +85,15 @@ def _tokenize_token_by_token(text):
         if tokens:
             sentences.append([START, *tokens, END])
     if not sentences:
-        raise DataError("no sentences left")
+        raise ValidationError("no sentences left")
     return sentences
 
 
-def _tokens_or_data_error(tokenizer, text):
+def _tokens_or_validation_error(tokenizer, text):
     try:
         return tokenizer(text)
-    except DataError:
-        return DataError
+    except ValidationError:
+        return ValidationError
 
 
 _TEXT_PIECES = [*"aAbBeEzZxX09-.,;:!?()/'_", "xx", "xxxx", "XXX",
@@ -105,8 +103,9 @@ _TEXT_PIECES = [*"aAbBeEzZxX09-.,;:!?()/'_", "xx", "xxxx", "XXX",
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=30).map("".join))
 def test_tokenize_matches_a_token_by_token_loop(text):
-    """Same sentences, and DataError on the same texts; 'İ' lowercases to 'i' plus a combining mark."""
-    assert _tokens_or_data_error(tokenize, text) == _tokens_or_data_error(_tokenize_token_by_token, text)
+    """Same sentences, and ValidationError on the same texts; 'İ' lowercases to 'i' plus a combining mark."""
+    assert (_tokens_or_validation_error(tokenize, text)
+            == _tokens_or_validation_error(_tokenize_token_by_token, text))
 
 
 # golden preprocessing contract (acceptance criterion 9 backing) -----------------
@@ -180,7 +179,6 @@ def small_dataset():
 def test_generator_is_deterministic(small_dataset):
     again = generate_dataset(seed=5, n_samples=40, image_size=32)
     for a, b in zip(small_dataset, again):
-        assert a.sample_id == b.sample_id
         assert a.report_text == b.report_text
         assert a.frontal_image.tobytes() == b.frontal_image.tobytes()
         assert a.lateral_image.tobytes() == b.lateral_image.tobytes()
@@ -260,12 +258,12 @@ def _where_pattern_can_appear(j, image_size):
 
 
 def test_active_labels_have_planted_patterns_in_both_views(small_dataset):
-    for s in small_dataset:
+    for i, s in enumerate(small_dataset):
         for j in range(N_OBS):
             if s.obs_labels[j] >= 1:
                 mask = _where_pattern_can_appear(j, 32)
-                assert s.frontal_image[0][mask].max() > 0.3, (s.sample_id, LABEL_NAMES[j])
-                assert s.lateral_image[0][mask].max() > 0.3, (s.sample_id, LABEL_NAMES[j])
+                assert s.frontal_image[0][mask].max() > 0.3, (i, LABEL_NAMES[j])
+                assert s.lateral_image[0][mask].max() > 0.3, (i, LABEL_NAMES[j])
 
 
 def test_no_finding_is_exactly_absence_of_pathology(small_dataset):
@@ -310,9 +308,8 @@ def test_split_ratio_and_partition():
     samples = generate_dataset(seed=2, n_samples=100, image_size=16)
     train, test = split_dataset(samples, 0.2, seed=3)
     assert len(train) == 80 and len(test) == 20
-    ids = {s.sample_id for s in samples}
-    assert {s.sample_id for s in train} | {s.sample_id for s in test} == ids
-    assert {s.sample_id for s in train} & {s.sample_id for s in test} == set()
+    assert set(train) | set(test) == set(samples)  # samples compare by identity
+    assert set(train) & set(test) == set()
 
 
 def test_split_deterministic_per_seed():
@@ -320,15 +317,15 @@ def test_split_deterministic_per_seed():
     t1, _ = split_dataset(samples, 0.2, seed=7)
     t2, _ = split_dataset(samples, 0.2, seed=7)
     t3, _ = split_dataset(samples, 0.2, seed=8)
-    assert [s.sample_id for s in t1] == [s.sample_id for s in t2]
-    assert [s.sample_id for s in t1] != [s.sample_id for s in t3]
+    assert t1 == t2  # samples compare by identity
+    assert t1 != t3
 
 
 def test_split_reads_an_iterator_once():
     samples = generate_dataset(seed=2, n_samples=20, image_size=16)
     from_list = split_dataset(samples, 0.2, seed=3)
     from_iter = split_dataset(iter(samples), 0.2, seed=3)
-    assert [[s.sample_id for s in side] for side in from_iter] == [[s.sample_id for s in side] for side in from_list]
+    assert from_iter == from_list  # samples compare by identity
 
 
 def test_split_fraction_validated():
@@ -353,7 +350,7 @@ def test_report_is_read_from_report_text(small_dataset):
     assert sample.report == tokenize(text)
 
 
-@pytest.mark.parametrize("field", ["sample_id", "obs_labels", "report_text", "report"])
+@pytest.mark.parametrize("field", ["obs_labels", "report_text", "report"])
 def test_sample_fields_cannot_be_assigned(small_dataset, field):
     sample = replace(small_dataset[0])  # a copy, so a sample that can be assigned leaves the fixture intact
     with pytest.raises(FrozenInstanceError):

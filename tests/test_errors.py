@@ -30,11 +30,11 @@ from mvh.corpus import (
 )
 from mvh.encoder import EncoderConfig, encode, encoder_loss, init_encoder_params
 from mvh.errors import CheckpointError, MvhError, ShapeError, ValidationError
-from mvh.metrics import bleu, bleu_n, meteor_lite, rouge_l
+from mvh.metrics import bleu, bleu_n, meteor_lite, rouge_l, score_generation
 from mvh.train import EncoderTrainer
 from test_autodiff import OPS
 
-_HYP = [["the", "lungs", "are", "clear"]]
+_HYP = [[["the", "lungs", "are", "clear"]]]
 _CORPUS = tokenize("there is no edema. edema is present. edema.")
 _LABELS_ONE_ACTIVE = [0, 1] + [0] * 12  # cardiomegaly
 _CONFIG16 = EncoderConfig(image_size=16, channels=(2, 3))
@@ -43,6 +43,11 @@ _VIEW = encode(Tensor(np.full((1, 16, 16), 0.5)), init_encoder_params(_CONFIG16,
 
 def _cvc_loss(lambda_cvc):
     return encoder_loss(_VIEW, _VIEW, Tensor(np.ones(N_OBS)), lambda_cvc)
+
+
+def _score_generation(report):
+    """score_generation of `report`, twice over, against _HYP's report, with one label that AUC can score."""
+    return score_generation([report] * 2, _HYP * 2, np.array([[0.9], [0.1]]), np.array([[1], [0]]), ["edema"])
 
 
 def _adam_twice(later):
@@ -153,11 +158,22 @@ def _adam_step_with_grad(grad):
                  id="reshape_str_second_dim"),
     pytest.param(lambda: bleu(_HYP, _HYP * 2), "equal counts, got 1 hypotheses and 2 references",
                  id="bleu_unequal_counts"),
-    pytest.param(lambda: bleu([["a", ["b"]]], [["a"]]), "bleu needs reports of hashable tokens", id="bleu_list_token"),
-    pytest.param(lambda: rouge_l([["a", ["b"]]], [["a"]]), "rouge_l needs reports of hashable tokens",
+    pytest.param(lambda: bleu([[["a", ["b"]]]], [[["a"]]]), "bleu needs reports of hashable tokens",
+                 id="bleu_list_token"),
+    pytest.param(lambda: rouge_l([[["a", ["b"]]]], [[["a"]]]), "rouge_l needs reports of hashable tokens",
                  id="rouge_l_list_token"),
-    pytest.param(lambda: meteor_lite([["a", ["b"]]], [["a"]]), "meteor_lite needs reports of hashable tokens",
+    pytest.param(lambda: meteor_lite([[["a", ["b"]]]], [[["a"]]]), "meteor_lite needs reports of hashable tokens",
                  id="meteor_lite_list_token"),
+    # a report is a list of sentences, each a list of tokens; a text would be scored letter by letter
+    *[pytest.param(functools.partial(score, report), f"{op} needs each report as a list of sentences",
+                   id=f"{op}_{kind}_report")
+      for op, score in (("bleu", lambda report: bleu([report], _HYP)),
+                        ("rouge_l", lambda report: rouge_l([report], _HYP)),
+                        ("meteor_lite", lambda report: meteor_lite([report], _HYP)),
+                        ("score_generation", _score_generation))
+      for kind, report in (("str", "the lungs are clear."), ("numpy", np.array(_HYP[0])))],
+    pytest.param(lambda: bleu_n([_HYP[0][0]], _HYP, 1), "bleu needs each report as a list of sentences",
+                 id="bleu_n_flat_report"),
     pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
 ])
 def test_argument_values_are_validation_errors(call, message):

@@ -48,6 +48,11 @@ def _strip(report):
     return [tok for tok in report if tok not in SENTINELS]
 
 
+def _one_sentence(reports):
+    """Each flat token list as a report of one sentence, the one form the metrics take."""
+    return [[tokens] for tokens in reports]
+
+
 def oracle_lcs(a, b):
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(1, len(a) + 1):
@@ -107,32 +112,32 @@ def oracle_meteor(hyps, refs):
 # BLEU ------------------------------------------------------------------------
 
 def test_bleu_identical_corpus_is_exactly_one():
-    hyps = [["a", "b", "c", "d", "e"], ["x", "y", "z", "w"]]
+    hyps = [[["a", "b", "c", "d", "e"]], [["x", "y", "z", "w"]]]
     for n in (1, 2, 3, 4):
         assert bleu_n(hyps, hyps, n) == 1.0
 
 
 def test_bleu1_clipping_hand_case():
     # clipped unigram 1/3, c=3 > r=2 so BP=1
-    score = bleu_n([["the", "the", "the"]], [["the", "cat"]], 1)
+    score = bleu_n([[["the", "the", "the"]]], [[["the", "cat"]]], 1)
     assert score == pytest.approx(1 / 3, abs=1e-9)
     assert score == pytest.approx(0.3333, abs=5e-5)
 
 
 def test_bleu_disjoint_vocab_is_zero():
     for n in (1, 2, 3, 4):
-        assert bleu_n([["a", "b", "c"]], [["x", "y", "z"]], n) == 0.0
+        assert bleu_n([[["a", "b", "c"]]], [[["x", "y", "z"]]], n) == 0.0
 
 
 def test_bleu_brevity_penalty():
     # c=2 < r=4: p1=1, BP=exp(1-2) -- hand value
-    score = bleu_n([["a", "b"]], [["a", "b", "c", "d"]], 1)
+    score = bleu_n([[["a", "b"]]], [[["a", "b", "c", "d"]]], 1)
     assert score == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_bleu_is_zero_from_the_first_order_without_a_match():
     # bigrams ab and bc match, no trigram does: p1 = 3/5, p2 = 2/4, c=5 > r=3 so BP=1
-    scores = bleu([["a", "b", "x", "b", "c"]], [["a", "b", "c"]])
+    scores = bleu([[["a", "b", "x", "b", "c"]]], [[["a", "b", "c"]]])
     assert scores == pytest.approx([0.6, math.sqrt(0.6 * 0.5), 0.0, 0.0], abs=1e-12)
     assert scores[1] > 0 and scores[2] == scores[3] == 0.0
 
@@ -144,9 +149,11 @@ def test_bleu_strips_sentinels_and_flattens_sentences():
 
 
 def test_tuple_tokens_are_not_split_into_sentences():
-    # only a list is a sentence, so a report of one tuple token is one token, not the sentence ["a", "b"]
-    assert bleu([[("a", "b")]], [["a", "b"]]) == [0.0] * BLEU_ORDER
-    assert bleu([[("a", "b"), "c"]], [[("a", "b"), "c"]]) == [1.0, 1.0, 0.0, 0.0]
+    # only a list is a sentence, so a tuple inside a sentence is one token, not the sentence ["a", "b"]
+    assert bleu([[[("a", "b")]]], [[["a", "b"]]]) == [0.0] * BLEU_ORDER
+    assert bleu([[[("a", "b"), "c"]]], [[[("a", "b"), "c"]]]) == [1.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ValidationError, match="bleu needs each report as a list of sentences"):
+        bleu([[("a", "b")]], [[["a", "b"]]])  # a tuple in place of a sentence
 
 
 # few distinct tokens and short reports, so every order has matches, misses and reports too short for it;
@@ -170,6 +177,7 @@ def test_bleu_matches_loop_oracle_on_random_corpora(pairs):
     # bleu strips the sentinels before scoring; the oracle counts what it is given
     expected = [oracle_bleu([_strip(h) for h in hyps], [_strip(r) for r in refs], n)
                 for n in range(1, BLEU_ORDER + 1)]
+    hyps, refs = _one_sentence(hyps), _one_sentence(refs)
     assert bleu(hyps, refs) == expected
     assert [bleu_n(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)] == expected
 
@@ -180,7 +188,7 @@ def test_bleu_ngram_codes_do_not_overflow_with_many_distinct_tokens():
     vocab = 2 ** 17
     hyps = [list(range(vocab)), [0, 1, 2, 3]]
     refs = [[], [2 ** 13, 1, 2, 3]]  # its three last unigrams, two bigrams and one trigram match; no 4-gram does
-    scores = bleu(hyps, refs)
+    scores = bleu(_one_sentence(hyps), _one_sentence(refs))
     assert scores == [oracle_bleu(hyps, refs, n) for n in range(1, BLEU_ORDER + 1)]
     assert scores[2] > 0 and scores[3] == 0.0
 
@@ -191,8 +199,8 @@ def test_bleu_empty_hypothesis_set_rejected():
 
 
 def test_bleu_monotone_in_order_when_precisions_positive():
-    hyps = [["a", "b", "c", "d", "b", "c"]]
-    refs = [["a", "b", "c", "e", "b", "c"]]
+    hyps = [[["a", "b", "c", "d", "b", "c"]]]
+    refs = [[["a", "b", "c", "e", "b", "c"]]]
     scores = [bleu_n(hyps, refs, n) for n in (1, 2, 3)]
     assert scores[0] >= scores[1] >= scores[2] > 0
 
@@ -200,18 +208,18 @@ def test_bleu_monotone_in_order_when_precisions_positive():
 # ROUGE-L ----------------------------------------------------------------------
 
 def test_rouge_identical():
-    assert rouge_l([["a", "b", "c"]], [["a", "b", "c"]]) == 1.0
+    assert rouge_l([[["a", "b", "c"]]], [[["a", "b", "c"]]]) == 1.0
 
 
 def test_rouge_hand_case():
     # LCS("a b c d", "a c d")=3, P=0.75, R=1.0 -> F1=0.857142857...
-    score = rouge_l([["a", "b", "c", "d"]], [["a", "c", "d"]])
+    score = rouge_l([[["a", "b", "c", "d"]]], [[["a", "c", "d"]]])
     assert score == pytest.approx(2 * 0.75 * 1.0 / 1.75, abs=1e-9)
     assert score == pytest.approx(0.8571, abs=5e-5)
 
 
 def test_rouge_no_common_token():
-    assert rouge_l([["a", "b"]], [["x", "y"]]) == 0.0
+    assert rouge_l([[["a", "b"]]], [[["x", "y"]]]) == 0.0
 
 
 def _rouge_from_lcs(lcs, hyp_len, ref_len):
@@ -235,16 +243,16 @@ def _report_pair(k):
 @example(([3, 1, 4, 1, 0, 2, 4] * 20, [1, 0, 4, 2] * 32 + [3]))
 def test_rouge_matches_dp_oracle(pair):
     h, r = pair
-    assert rouge_l([h], [r]) == _rouge_from_lcs(oracle_lcs(h, r), len(h), len(r))
+    assert rouge_l([[h]], [[r]]) == _rouge_from_lcs(oracle_lcs(h, r), len(h), len(r))
 
 
 def test_rouge_closed_form_on_long_reports():
     # the O(len(hyp) * len(ref)) table would fill 4M cells for each of these pairs
     rng = np.random.default_rng(9)
     report = [f"w{i}" for i in rng.integers(0, 5, size=2000)]
-    assert rouge_l([report], [report]) == 1.0
+    assert rouge_l([[report]], [[report]]) == 1.0
     distinct = list(range(2000))
-    assert rouge_l([distinct], [distinct[::-1]]) == _rouge_from_lcs(1, 2000, 2000)
+    assert rouge_l([[distinct]], [[distinct[::-1]]]) == _rouge_from_lcs(1, 2000, 2000)
     assert _rouge_from_lcs(1, 2000, 2000) == pytest.approx(1 / 2000, abs=1e-15)
 
 
@@ -253,16 +261,16 @@ def test_rouge_closed_form_on_long_reports():
 def test_meteor_identical_long():
     toks = list("abcdefghij")
     expected = 1.0 * (1.0 - 0.5 * (1 / 10) ** 3)
-    assert meteor_lite([toks], [toks]) == pytest.approx(expected, abs=1e-12)
+    assert meteor_lite([[toks]], [[toks]]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_meteor_zero_matches():
-    assert meteor_lite([["a"]], [["b"]]) == 0.0
+    assert meteor_lite([[["a"]]], [[["b"]]]) == 0.0
 
 
 def test_meteor_hand_case():
     # P=1, R=0.75, chunks=1, m=3: F=10*0.75/(0.75+9)=0.76923..., pen=0.5/27
-    score = meteor_lite([["the", "cat", "sat"]], [["the", "cat", "sat", "down"]])
+    score = meteor_lite([[["the", "cat", "sat"]]], [[["the", "cat", "sat", "down"]]])
     f_mean = 10 * 1.0 * 0.75 / (0.75 + 9 * 1.0)
     expected = f_mean * (1 - 0.5 * (1 / 3) ** 3)
     assert score == pytest.approx(expected, abs=1e-9)
@@ -271,7 +279,7 @@ def test_meteor_hand_case():
 
 def test_meteor_fragmentation_penalty_hand_case():
     # hyp "a x b": matches a,b in ref "a b" form 2 chunks of size 1
-    score = meteor_lite([["a", "x", "b"]], [["a", "b"]])
+    score = meteor_lite([[["a", "x", "b"]]], [[["a", "b"]]])
     p, r = 2 / 3, 1.0
     f_mean = 10 * p * r / (r + 9 * p)
     expected = f_mean * (1 - 0.5 * (2 / 2) ** 3)
@@ -288,7 +296,7 @@ _small_vocab_report = st.lists(st.integers(0, 3), max_size=12)
 def test_meteor_equals_alignment_oracle_exactly(pairs):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    assert meteor_lite(hyps, refs) == oracle_meteor(hyps, refs)
+    assert meteor_lite(_one_sentence(hyps), _one_sentence(refs)) == oracle_meteor(hyps, refs)
 
 
 # ROC-AUC -------------------------------------------------------------------------
@@ -412,11 +420,11 @@ def test_auc_invariant_under_monotone_transform(pairs):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=4))
 def test_text_metrics_invariant_under_token_relabeling(seqs):
-    hyps = seqs
-    refs = [list(reversed(s)) for s in seqs]
+    hyps = _one_sentence(seqs)
+    refs = _one_sentence([list(reversed(s)) for s in seqs])
     relabel = {i: i + 100 for i in range(6)}
-    hyps2 = [[relabel[t] for t in s] for s in hyps]
-    refs2 = [[relabel[t] for t in s] for s in refs]
+    hyps2 = _one_sentence([[relabel[t] for t in s] for s in seqs])
+    refs2 = _one_sentence([[relabel[t] for t in reversed(s)] for s in seqs])
     for n in (1, 2):
         assert bleu_n(hyps, refs, n) == pytest.approx(bleu_n(hyps2, refs2, n), abs=1e-12)
     assert rouge_l(hyps, refs) == pytest.approx(rouge_l(hyps2, refs2), abs=1e-12)
@@ -524,7 +532,7 @@ def test_score_generation_flattens_each_report_once_and_agrees_with_the_entry_po
     corpus = _golden_corpus(3)
     (hyps, hyp_labels), (refs, ref_labels) = corpus["H"], corpus["R"]
     flatten, flattened = metrics._flatten, []
-    monkeypatch.setattr(metrics, "_flatten", lambda report: flattened.append(report) or flatten(report))
+    monkeypatch.setattr(metrics, "_flatten", lambda report, op: flattened.append(report) or flatten(report, op))
     report = score_generation(hyps, refs, hyp_labels, ref_labels, LABEL_NAMES)
     assert len(flattened) == 2 * len(refs)
     monkeypatch.undo()
