@@ -5,7 +5,9 @@ Each of the 14 radiographic observations is rendered as a distinct geometric
 pattern at a fixed grid cell; a sample's active observations appear in both
 views (shared latent intensity, view-specific jitter) and drive the report
 templates, so every label is recoverable from either image and every report
-is recoverable from the labels plus the sampled template choices.
+is recoverable from the labels plus the sampled template choices. A view is
+rounded to 8-bit levels and kept as them, one byte a pixel; a sample's
+`frontal_image` and `lateral_image` read the levels as floats in [0, 1].
 """
 
 from __future__ import annotations
@@ -134,17 +136,25 @@ ARTIFACT_RATE = 0.02
 LATERAL_FACTOR = 0.8
 FRONTAL_NOISE = 0.08
 LATERAL_NOISE = 0.15
-_MAXVAL = 255  # a pixel is kept as one of the 8-bit levels 0/255 .. 255/255
+_MAXVAL = 255  # a pixel is kept as an 8-bit level 0 .. 255
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: a field-wise == would compare the views as arrays
 class MultiViewSample:
-    """One study: two views and 14 labels, all numbers, and a report read from report_text alone."""
+    """One study: two views as 8-bit levels, 14 labels, and a report read from report_text alone."""
 
-    frontal_image: np.ndarray      # (1, s, s) in [0, 1]
-    lateral_image: np.ndarray
+    frontal_levels: np.ndarray     # (1, s, s) read-only uint8; a pixel is its level / _MAXVAL
+    lateral_levels: np.ndarray
     obs_labels: np.ndarray         # (14,) in {0, 1}
     report_text: str
+
+    @property
+    def frontal_image(self):  # (1, s, s) float64 in [0, 1], a new array on each read
+        return self.frontal_levels / _MAXVAL
+
+    @property
+    def lateral_image(self):
+        return self.lateral_levels / _MAXVAL
 
     @cached_property
     def report(self):  # token sentences incl. <start>/<end>, cached: frozen fields cannot make it stale
@@ -265,7 +275,8 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
 
 
 def _render_view(rng, patterns, active, intensities, factor, noise_level):
-    """One view: noise, then each active pattern's mask * level stamped by maximum into its jittered box.
+    """One view's read-only 8-bit levels: noise, then each active pattern's mask * level stamped by maximum
+    into its jittered box, rounded to _MAXVAL's levels.
 
     Stamping the box alone gives the bits of a maximum with a whole-image mask * level: outside the box
     that product is +0.0, and the noise canvas is already >= 0 there. The frame's jitter is drawn too,
@@ -279,12 +290,12 @@ def _render_view(rng, patterns, active, intensities, factor, noise_level):
         r0, c0 = (0, 0) if corner is None else (corner[0] + jr, corner[1] + jc)
         box = canvas[r0:r0 + len(mask), c0:c0 + len(mask)]
         np.maximum(box, mask * level, out=box)
-    # Round to _MAXVAL's 8-bit levels, which every seeded output depends on. In place: a new array per
-    # view raised the peak RSS of repeated set-ups by about 0.5 MB.
+    # Every seeded output depends on this rounding, done in place, and on an image read dividing by _MAXVAL:
+    # multiplying by 1 / _MAXVAL instead changes the last bit of 24 of the 256 levels.
     canvas *= _MAXVAL
-    np.round(canvas, out=canvas)
-    canvas /= _MAXVAL
-    return canvas
+    levels = np.round(canvas, out=canvas).astype(np.uint8)
+    levels.flags.writeable = False
+    return levels
 
 
 def generate_dataset(seed, n_samples, image_size=32):
@@ -315,8 +326,8 @@ def generate_dataset(seed, n_samples, image_size=32):
         frontal = _render_view(rng, patterns, planted, intensities, 1.0, FRONTAL_NOISE)
         lateral = _render_view(rng, patterns, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
         samples.append(MultiViewSample(
-            frontal_image=frontal[None, :, :],
-            lateral_image=lateral[None, :, :],
+            frontal_levels=frontal[None, :, :],
+            lateral_levels=lateral[None, :, :],
             obs_labels=labels,
             report_text=text,
         ))

@@ -3,9 +3,10 @@
 A report is a list of sentences, each a list of hashable tokens, as
 `corpus.tokenize` makes it; a text metric scores its sentences as one sequence,
 sentinels stripped, and refuses any other form (a str, a tuple, an array, a
-flat token list) with a ValidationError naming the op. `_token_pairs`
-checks and flattens reports and gives each token an int id as a dict key (equal
-hash and ==), so BLEU, ROUGE-L and METEOR agree on which tokens are the same;
+flat token list), or a set of reports that is not a list, with a
+ValidationError naming the op. `_token_pairs` checks and flattens reports and
+gives each token an int id as a dict key (equal hash and ==), so BLEU, ROUGE-L
+and METEOR agree on which tokens are the same;
 `score_generation` calls it once for the cores (`_bleu`, `_mean`). `bleu`, `bleu_n`,
 `rouge_l` and `meteor_lite` are checked entry points over the same cores.
 `_bleu` counts and clips the n-grams of all pairs in one integer-coded numpy
@@ -38,6 +39,8 @@ def _flatten(report, op):
 def _token_pairs(hypotheses, references, op):
     """Flattened (hypothesis, reference) token-id lists of a non-empty, equal-count set. Each distinct token, as a
     dict key, has one id: the number of tokens before its first one (h0, r0, h1, ...), so below the total count."""
+    if not (isinstance(hypotheses, list) and isinstance(references, list)):  # len() refuses None and iterators
+        raise ValidationError(f"{op} needs the hypotheses and the references as lists of reports")
     if len(hypotheses) == 0:
         raise ValidationError(f"{op} needs a non-empty hypothesis set")
     if len(hypotheses) != len(references):
@@ -77,7 +80,7 @@ def _bleu(pairs):
         pos, code = pos[live], code[live]
         grams, code = np.unique(code * n_tok + tok[pos + n - 1], return_inverse=True)
         counts = np.bincount(2 * code + side[pos], minlength=2 * len(grams)).reshape(-1, 2)
-        m, t = int(counts.min(axis=1).sum()), int(counts[:, 0].sum())
+        m, t = int(np.minimum(counts[:, 0], counts[:, 1]).sum()), int(counts[:, 0].sum())
         if m == 0:
             break
         log_sum += math.log(m / t)

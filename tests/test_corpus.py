@@ -244,6 +244,25 @@ def test_every_sample_has_three_sentences_and_both_views(small_dataset):
         assert s.frontal_image.min() >= 0.0 and s.frontal_image.max() <= 1.0
 
 
+@pytest.mark.parametrize("view", ["frontal", "lateral"])
+def test_views_are_kept_as_read_only_bytes(small_dataset, view):
+    for s in small_dataset:
+        levels = getattr(s, f"{view}_levels")
+        assert levels.dtype == np.uint8 and levels.shape == (1, 32, 32) and levels.nbytes == 32 ** 2
+    with pytest.raises(ValueError, match="read-only"):
+        levels[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("view", ["frontal", "lateral"])
+def test_an_image_read_is_a_new_array_of_the_levels_over_255(small_dataset, view):
+    levels = getattr(small_dataset[0], f"{view}_levels")
+    first = getattr(small_dataset[0], f"{view}_image")
+    assert first.dtype == np.float64 and first.tobytes() == (levels / 255).tobytes()
+    first[...] = 7.0  # a write into one read leaves the sample unchanged
+    again = getattr(small_dataset[0], f"{view}_image")
+    assert again is not first and again.tobytes() == (levels / 255).tobytes()
+
+
 def _where_pattern_can_appear(j, image_size):
     """Observation j's pattern pixels over all jitters, as a whole-image mask."""
     pattern, corner = _patterns(image_size)[j]
@@ -350,7 +369,7 @@ def test_report_is_read_from_report_text(small_dataset):
     assert sample.report == tokenize(text)
 
 
-@pytest.mark.parametrize("field", ["obs_labels", "report_text", "report"])
+@pytest.mark.parametrize("field", ["frontal_levels", "lateral_levels", "obs_labels", "report_text", "report"])
 def test_sample_fields_cannot_be_assigned(small_dataset, field):
     sample = replace(small_dataset[0])  # a copy, so a sample that can be assigned leaves the fixture intact
     with pytest.raises(FrozenInstanceError):
@@ -359,7 +378,7 @@ def test_sample_fields_cannot_be_assigned(small_dataset, field):
 
 def test_samples_compare_by_identity(small_dataset):
     sample = small_dataset[0]
-    copy = replace(sample, frontal_image=sample.frontal_image.copy())
+    copy = replace(sample, frontal_levels=sample.frontal_levels.copy())
     assert (copy == sample) is False
     assert sample == sample
     assert {sample: 1}[sample] == 1

@@ -174,6 +174,14 @@ def _adam_step_with_grad(grad):
       for kind, report in (("str", "the lungs are clear."), ("numpy", np.array(_HYP[0])))],
     pytest.param(lambda: bleu_n([_HYP[0][0]], _HYP, 1), "bleu needs each report as a list of sentences",
                  id="bleu_n_flat_report"),
+    # len() would raise a raw TypeError on either
+    pytest.param(lambda: bleu(None, _HYP), "bleu needs the hypotheses and the references as lists",
+                 id="bleu_hypotheses_none"),
+    pytest.param(lambda: bleu(iter(_HYP), _HYP), "bleu needs the hypotheses and the references as lists",
+                 id="bleu_hypotheses_iterator"),
+    pytest.param(lambda: score_generation(_HYP * 2, None, np.array([[0.9], [0.1]]), np.array([[1], [0]]), ["edema"]),
+                 "score_generation needs the hypotheses and the references as lists",
+                 id="score_generation_references_none"),
     pytest.param(lambda: corpus._shape_mask("hex", 4), "unknown pattern shape 'hex'", id="pattern_shape_unknown"),
 ])
 def test_argument_values_are_validation_errors(call, message):
