@@ -6,8 +6,10 @@ pattern at a fixed grid cell; a sample's active observations appear in both
 views (shared latent intensity, view-specific jitter) and drive the report
 templates, so every label is recoverable from either image and every report
 is recoverable from the labels plus the sampled template choices. A view is
-rounded to 8-bit levels and kept as them, one byte a pixel; a sample's
-`frontal_image` and `lateral_image` read the levels as floats in [0, 1].
+rounded to 8-bit levels and kept as them in one (1, s, s) array, one byte a
+pixel; a sample's `frontal_image` and `lateral_image` read the levels as floats
+in [0, 1]. Tokens are interned, so every report shares one str per distinct
+token.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +149,7 @@ class MultiViewSample:
     lateral_levels: np.ndarray
     obs_labels: np.ndarray         # (14,) in {0, 1}
     report_text: str
+    _report = None  # tokenize(report_text), set on the first read; a cached_property would build a __dict__ a sample
 
     @property
     def frontal_image(self):  # (1, s, s) float64 in [0, 1], a new array on each read
@@ -156,9 +159,11 @@ class MultiViewSample:
     def lateral_image(self):
         return self.lateral_levels / _MAXVAL
 
-    @cached_property
+    @property
     def report(self):  # token sentences incl. <start>/<end>, cached: frozen fields cannot make it stale
-        return tokenize(self.report_text)
+        if self._report is None:
+            object.__setattr__(self, "_report", tokenize(self.report_text))
+        return self._report
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +280,22 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
 
 
 def _render_view(rng, patterns, active, intensities, factor, noise_level):
-    """One view's read-only 8-bit levels: noise, then each active pattern's mask * level stamped by maximum
-    into its jittered box, rounded to _MAXVAL's levels.
+    """One view's read-only 8-bit levels, of the stored (1, s, s) shape: noise, then each active pattern's
+    mask * level stamped by maximum into its jittered box, rounded to _MAXVAL's levels. The noise is drawn at
+    that shape (the same doubles, in the same order, as an (s, s) draw), so a sample keeps the returned array
+    itself.
 
     Stamping the box alone gives the bits of a maximum with a whole-image mask * level: outside the box
     that product is +0.0, and the noise canvas is already >= 0 there. The frame's jitter is drawn too,
     and moves nothing, so every seeded draw keeps its place.
     """
-    canvas = rng.uniform(0.0, noise_level, size=patterns[NO_FINDING][0].shape)  # the frame spans the image
+    canvas = rng.uniform(0.0, noise_level, size=(1, *patterns[NO_FINDING][0].shape))  # the frame spans the image
     for j in active:
         jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
         mask, corner = patterns[j]
         r0, c0 = (0, 0) if corner is None else (corner[0] + jr, corner[1] + jc)
-        box = canvas[r0:r0 + len(mask), c0:c0 + len(mask)]
+        box = canvas[0, r0:r0 + len(mask), c0:c0 + len(mask)]
         np.maximum(box, mask * level, out=box)
     # Every seeded output depends on this rounding, done in place, and on an image read dividing by _MAXVAL:
     # multiplying by 1 / _MAXVAL instead changes the last bit of 24 of the 256 levels.
@@ -326,8 +333,8 @@ def generate_dataset(seed, n_samples, image_size=32):
         frontal = _render_view(rng, patterns, planted, intensities, 1.0, FRONTAL_NOISE)
         lateral = _render_view(rng, patterns, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
         samples.append(MultiViewSample(
-            frontal_levels=frontal[None, :, :],
-            lateral_levels=lateral[None, :, :],
+            frontal_levels=frontal,
+            lateral_levels=lateral,
             obs_labels=labels,
             report_text=text,
         ))
@@ -345,14 +352,15 @@ def tokenize(text):
     """Lowercase, split sentences on '.', clean tokens, wrap with sentinels.
 
     Punctuation is stripped except within-word hyphens; de-identification
-    runs of x become <unk>. A text that is not a str, or yields no sentence,
-    raises ValidationError.
+    runs of x become <unk>. Tokens are interned (`sys.intern`), so every
+    report shares one str per distinct token. A text that is not a str, or
+    yields no sentence, raises ValidationError.
     """
     if not isinstance(text, str):
         raise ValidationError(f"report text must be a string, got {text!r}")
     sentences = []
     for raw in _DROP.sub("", text.lower()).split("."):
-        tokens = [UNK if tok.startswith("xx") and _XXXX.fullmatch(tok) else tok
+        tokens = [UNK if tok.startswith("xx") and _XXXX.fullmatch(tok) else sys.intern(tok)
                   for tok in (t.strip("-") for t in raw.split()) if tok]
         if tokens:
             sentences.append([START] + tokens + [END])
@@ -380,7 +388,10 @@ _LEXICON = frozenset(CONCEPT_LEXICON)
 def mine_concepts(corpus_sentences, threshold):
     """Lexicon tokens with corpus frequency >= threshold, most frequent first."""
     threshold = _index(threshold, math.inf, "concept threshold", low=1)
-    counts = Counter(tok for sent in corpus_sentences for tok in sent if tok in _LEXICON)
+    try:
+        counts = Counter(tok for sent in corpus_sentences for tok in sent if tok in _LEXICON)
+    except TypeError:  # such as None for the corpus, or a list token
+        raise ValidationError("concept mining needs an iterable of token sentences of hashable tokens") from None
     return ConceptSet(sorted((t for t, c in counts.items() if c >= threshold), key=lambda t: (-counts[t], t)))
 
 
@@ -388,6 +399,8 @@ def split_dataset(samples, test_fraction=0.2, seed=0):
     """Disjoint, exhaustive, seed-deterministic sample-level split; neither side may be empty."""
     if not (isinstance(test_fraction, numbers.Real) and 0 < test_fraction < 1):
         raise ValidationError(f"test fraction must be in (0,1), got {test_fraction}")
+    if not np.iterable(samples):
+        raise ValidationError(f"samples must be an iterable of samples, got {samples!r}")
     samples = list(samples)  # an iterator is read once
     rng = np.random.default_rng(_index(seed, math.inf, "seed"))
     order = rng.permutation(len(samples))

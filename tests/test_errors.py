@@ -116,6 +116,14 @@ def _adam_step_with_grad(grad):
     pytest.param(lambda: mine_concepts(_CORPUS, True), "concept threshold must be an integer",
                  id="concept_threshold_bool"),
     pytest.param(lambda: mine_concepts(_CORPUS, 0), "concept threshold 0", id="concept_threshold_0"),
+    pytest.param(lambda: mine_concepts(None, 1), "concept mining needs an iterable of token sentences",
+                 id="mine_concepts_corpus_none"),
+    pytest.param(lambda: mine_concepts([["a", ["b"]]], 1), "concept mining needs .* hashable tokens",
+                 id="mine_concepts_list_token"),
+    pytest.param(lambda: split_dataset(None, 0.2, 0), "samples must be an iterable of samples, got None",
+                 id="split_dataset_samples_none"),
+    pytest.param(lambda: split_dataset(5, 0.2, 0), "samples must be an iterable of samples, got 5",
+                 id="split_dataset_samples_int"),
     pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), "0.2"), "test fraction must be",
                  id="test_fraction_str"),
     pytest.param(lambda: split_dataset(generate_dataset(2, 10, image_size=16), None), "test fraction must be",
