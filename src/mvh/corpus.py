@@ -6,10 +6,9 @@ pattern at a fixed grid cell; a sample's active observations appear in both
 views (shared latent intensity, view-specific jitter) and drive the report
 templates, so every label is recoverable from either image and every report
 is recoverable from the labels plus the sampled template choices. A view is
-rounded to 8-bit levels and kept as them in one (1, s, s) array, one byte a
-pixel; a sample's `frontal_image` and `lateral_image` read the levels as floats
-in [0, 1]. Tokens are interned, so every report shares one str per distinct
-token.
+rounded to 8-bit levels and kept as them, one byte a pixel; a sample's
+`frontal_image` and `lateral_image` read the levels as floats in [0, 1]. Tokens
+are interned, so every report shares one str per distinct token.
 """
 
 from __future__ import annotations
@@ -280,22 +279,20 @@ def render_report(obs_labels, intensities, variant_picks, negation_picks, artifa
 
 
 def _render_view(rng, patterns, active, intensities, factor, noise_level):
-    """One view's read-only 8-bit levels, of the stored (1, s, s) shape: noise, then each active pattern's
-    mask * level stamped by maximum into its jittered box, rounded to _MAXVAL's levels. The noise is drawn at
-    that shape (the same doubles, in the same order, as an (s, s) draw), so a sample keeps the returned array
-    itself.
+    """One view's read-only 8-bit levels: noise, then each active pattern's mask * level stamped by maximum
+    into its jittered box, rounded to _MAXVAL's levels.
 
     Stamping the box alone gives the bits of a maximum with a whole-image mask * level: outside the box
     that product is +0.0, and the noise canvas is already >= 0 there. The frame's jitter is drawn too,
     and moves nothing, so every seeded draw keeps its place.
     """
-    canvas = rng.uniform(0.0, noise_level, size=(1, *patterns[NO_FINDING][0].shape))  # the frame spans the image
+    canvas = rng.uniform(0.0, noise_level, size=patterns[NO_FINDING][0].shape)  # the frame spans the image
     for j in active:
         jr, jc = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
         level = intensities[j] * factor * rng.uniform(0.92, 1.0)
         mask, corner = patterns[j]
         r0, c0 = (0, 0) if corner is None else (corner[0] + jr, corner[1] + jc)
-        box = canvas[0, r0:r0 + len(mask), c0:c0 + len(mask)]
+        box = canvas[r0:r0 + len(mask), c0:c0 + len(mask)]
         np.maximum(box, mask * level, out=box)
     # Every seeded output depends on this rounding, done in place, and on an image read dividing by _MAXVAL:
     # multiplying by 1 / _MAXVAL instead changes the last bit of 24 of the 256 levels.
@@ -332,9 +329,12 @@ def generate_dataset(seed, n_samples, image_size=32):
         text = render_report(labels, intensities, variants, negations, artifact)
         frontal = _render_view(rng, patterns, planted, intensities, 1.0, FRONTAL_NOISE)
         lateral = _render_view(rng, patterns, planted, intensities, LATERAL_FACTOR, LATERAL_NOISE)
+        # A [None] view of each (s, s) render. Rendering at (1, s, s) would drop both view objects, about 250 bytes
+        # a sample, but in about a fifth of `evaluate` benchmark runs it left a heap on which bench/hostspeed.py's
+        # reference pass stopped faulting, which moved every scaled figure by up to 30% (CHANGES.md).
         samples.append(MultiViewSample(
-            frontal_levels=frontal,
-            lateral_levels=lateral,
+            frontal_levels=frontal[None, :, :],
+            lateral_levels=lateral[None, :, :],
             obs_labels=labels,
             report_text=text,
         ))

@@ -261,7 +261,7 @@ def test_views_are_kept_as_read_only_bytes(small_dataset, view):
 
 
 def test_a_tokenized_sample_stays_under_its_footprint():
-    # Two 32x32 views, labels, text and token lists read about 3.9 KB a sample here. A new str for every word,
+    # Two 32x32 views, labels, text and token lists read about 4.2 KB a sample here. A new str for every word,
     # not one shared str per distinct token, would add about 1.4 KB.
     tracemalloc.start()
     try:
