@@ -70,7 +70,8 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
     """Per-sentence-step context vector from the two encoder outputs.
 
     concat: both global features stitched together (2*d_v, no attention).
-    early:  one attention pass over the stacked 2k-region bank (d_v).
+    early:  one attention pass over the stacked 2k-region bank (d_v), stacked once per pair of views on an
+            active tape, so that its sentence steps share the bank's projection node.
     late:   per-view attention, then the two attended vectors, stacked, projected through w_late (d_v).
     """
     if late_combine != "project":  # a one-value knob bench/workloads.py still passes; ROADMAP item 4 drops it
@@ -78,8 +79,11 @@ def fuse(scheme, front, lat, h_prev, params, late_combine="project"):
     if scheme == "concat":
         return ad.concat([front.global_feature, lat.global_feature])
     if scheme == "early":
-        bank = ad.concat([front.local_features, lat.local_features])
-        v_att, _ = visual_attend(bank, h_prev, params)
+        tape, views = ad._ACTIVE_TAPE.get(), (front.local_features, lat.local_features)
+        stacks = {} if tape is None else tape._stacks
+        if views not in stacks:
+            stacks[views] = ad.concat(views)
+        v_att, _ = visual_attend(stacks[views], h_prev, params)
         return v_att
     if scheme == "late":
         va_f, _ = visual_attend(front.local_features, h_prev, params)

@@ -75,11 +75,14 @@ class Tape:
     memo trusts that no op input's data is written, and no `.data` rebound, while its tape is open (`Adam`
     writes only after backward). A step's node wakes its bank's node by giving the bank's projection, a
     tensor internal to `attend`, a stand-in gradient: the read-only 0-d zero `_WAKE`, which carries nothing.
+    A second memo, cleared with the first, keeps `attention.fuse`'s early-fusion banks, so that a sample's
+    sentence steps share one bank and with it one projection node.
     """
 
     def __init__(self):
         self._nodes = []  # (output tensor, backward closure)
         self._projections = {}  # attend's banks: (keys, key_scale, w_key, w_query, w_score) -> (node, step records)
+        self._stacks = {}  # early fusion's banks: (front local features, lateral local features) -> their concat
         self._consumed = False
 
     def __enter__(self):
@@ -91,6 +94,7 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _ACTIVE_TAPE.set(None)
         self._projections.clear()
+        self._stacks.clear()
         if exc_type is not None:  # a failed step's graph is freed now, not by a cyclic collection
             self._nodes.clear()
             self._consumed = True
@@ -110,6 +114,7 @@ class Tape:
             raise TapeError("loss was not produced on this tape")
         self._consumed = True
         self._projections.clear()
+        self._stacks.clear()
         loss.grad = np.ones((), dtype=np.float64)
         while self._nodes:
             out, fn = self._nodes.pop()
@@ -135,7 +140,7 @@ def _result(data, parents, backward):
         else:
             tape = None
     d = out.data
-    if not (math.isfinite(d) if d.ndim == 0 else np.count_nonzero(np.isfinite(d)) == d.size):
+    if not _all_finite(d):
         at = "" if tape is None else f" at tape node {len(tape._nodes)}"
         raise NumericsError(f"{backward.__qualname__.split('.')[0]} produced non-finite values{at}")
     if tape is not None:
@@ -143,6 +148,11 @@ def _result(data, parents, backward):
         out._tape = tape
         tape._nodes.append((out, backward))
     return out
+
+
+def _all_finite(d):
+    """Whether every value of the array (or numpy scalar) d is finite, found without summing it, which could warn."""
+    return math.isfinite(d) if d.ndim == 0 else np.count_nonzero(np.isfinite(d)) == d.size
 
 
 def _accum(t, g):
@@ -426,10 +436,10 @@ def _im2col_index(cin, h, width, kh, kw):
     return gather, scatter
 
 
-def _conv_forward(x, w, b, op):
-    """Same-padding stride-1 convolution of (cin,h,w) with (cout,cin,kh,kw), im2col one gather through a cached index
-    (Chellapilla et al., 2006): the (cout, h, w) output, a view of the GEMM's, and what `_conv_backward` reads."""
-    xd, wd, bd = x.data, w.data, b.data
+def _conv_forward(xd, wd, bd, op):
+    """Same-padding stride-1 convolution of a (cin,h,w) array with (cout,cin,kh,kw), im2col one gather through a
+    cached index (Chellapilla et al., 2006): the (cout, h, w) output, a view of the GEMM's, then the im2col columns,
+    the kernel matrix and the col2im index, which `_conv_backward` reads."""
     if xd.ndim != 3 or wd.ndim != 4 or bd.ndim != 1:
         raise ShapeError(f"{op} needs (cin,h,w), (cout,cin,kh,kw), (cout,), got {xd.shape}, {wd.shape}, {bd.shape}")
     cin, h, width = xd.shape
@@ -445,7 +455,7 @@ def _conv_forward(x, w, b, op):
     wmat = wd.reshape(cout, cin * kh * kw)
     out_mat = cols @ wmat.T
     out_mat += bd
-    return out_mat.T.reshape(cout, h, width), (x, w, b, cols, wmat, scatter)
+    return out_mat.T.reshape(cout, h, width), cols, wmat, scatter
 
 
 def _conv_backward(g, x, w, b, cols, wmat, scatter):
@@ -460,18 +470,18 @@ def _conv_backward(g, x, w, b, cols, wmat, scatter):
 
 def conv2d(x, w, b):
     """Same-padding stride-1 convolution of (cin,h,w) with odd (cout,cin,kh,kw) kernels and a (cout,) bias."""
-    out, saved = _conv_forward(x, w, b, "conv2d")
-    return _result(out, (x, w, b), lambda g: _conv_backward(g, *saved))
+    out, *saved = _conv_forward(x.data, w.data, b.data, "conv2d")
+    return _result(out, (x, w, b), lambda g: _conv_backward(g, x, w, b, *saved))
 
 
 def conv_block(x, w, b):
     """relu(max_pool2d(conv2d(x, w, b))) to the bit, as one tape node; the conv output is checked before pooling."""
     if x.data.ndim == 3 and (x.data.shape[1] % 2 or x.data.shape[2] % 2):
         raise ShapeError(f"conv_block needs (cin, even h, even w), got shape {x.data.shape}")
-    conv, saved = _conv_forward(x, w, b, "conv_block")
+    conv, *saved = _conv_forward(x.data, w.data, b.data, "conv_block")
     def bw(g):
-        _conv_backward(_pool_backward(conv, pooled, g * (pooled > 0.0)), *saved)
-    if np.count_nonzero(np.isfinite(conv)) != conv.size:
+        _conv_backward(_pool_backward(conv, pooled, g * (pooled > 0.0)), x, w, b, *saved)
+    if not _all_finite(conv):
         _result(conv, (x, w, b), bw)  # raises the NumericsError that names conv_block
     pooled = _pool_forward(conv)
     return _result(np.maximum(pooled, 0.0), (x, w, b), bw)

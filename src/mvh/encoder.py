@@ -7,6 +7,11 @@ left, so a -inf there would not reach the output. Pooling first gives the values
 -> pool (max and relu commute; a zero gradient's sign aside) with relu on a quarter of the cells. Observation
 and concept heads are single fully connected layers with sigmoids on the average-pooled global feature. The
 training loss is the two views' summed BCE plus a cross-view consistency penalty on the prediction gap.
+
+`encode` has two paths, chosen by whether a tape is active. Under one, it runs the autodiff ops, which record
+the gradients training needs. With none, nothing would record them, so it runs the ops' own kernels on plain
+arrays (`_infer`), with no Tensor, closure or check per op: the same outputs to the bit, the same ShapeError
+for a bad shape, and a NumericsError naming the op wherever a non-finite value can first appear.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, seeded_uniform
 from .corpus import N_OBS
-from .errors import ShapeError, ValidationError, _index
+from .errors import NumericsError, ShapeError, ValidationError, _index
 
 
 @dataclass
@@ -78,10 +83,12 @@ def init_encoder_params(config, seed):
 
 
 def encode(image, params, config):
-    """Forward pass for one view; image is a (1, size, size) Tensor in [0,1]."""
+    """Forward pass for one view; image is a (1, size, size) Tensor in [0,1]. Taped only while a tape is active."""
     expected = (1, config.image_size, config.image_size)
     if image.data.shape != expected:
         raise ShapeError(f"expected image of shape {expected}, got {image.data.shape}")
+    if ad._ACTIVE_TAPE.get() is None:
+        return _infer(image.data, params, config)
     x = image
     for i in range(len(config.channels)):
         x = ad.conv_block(x, params[f"enc.conv{i}.w"], params[f"enc.conv{i}.b"])
@@ -91,6 +98,46 @@ def encode(image, params, config):
     concept_probs = ad.sigmoid(
         ad.add(ad.matmul(params["enc.concept.w"], global_feature), params["enc.concept.b"]))
     return EncoderOutput(local, global_feature, obs_probs, concept_probs)
+
+
+def _checked(d, op):
+    """d, unless a value of it is not finite: then the NumericsError that the untaped op `op` raises."""
+    if not ad._all_finite(d):
+        raise NumericsError(f"{op} produced non-finite values")
+    return d
+
+
+def _infer(x, params, config):
+    """`encode`'s untaped outputs, bit for bit, from the kernels of its ops run on the (1, size, size) array x.
+
+    Each check is the op's: a shape an op refuses is its ShapeError, and a value is checked to be finite where a
+    non-finite one can first appear, under the op's name. Numpy's overflow warnings are off, so such a value is
+    reported by its check. Each block's im2col columns are freed as soon as its GEMM returns.
+    """
+    d_v, k = config.d_v, config.k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(config.channels)):
+            if x.shape[1] % 2 or x.shape[2] % 2:
+                raise ShapeError(f"conv_block needs (cin, even h, even w), got shape {x.shape}")
+            conv = ad._conv_forward(x, params[f"enc.conv{i}.w"].data, params[f"enc.conv{i}.b"].data, "conv_block")[0]
+            x = np.maximum(ad._pool_forward(_checked(conv, "conv_block")), 0.0)
+            del conv  # freed now, as conv_block's is on returning, not after the next block's GEMM
+        if x.size != d_v * k:
+            raise ShapeError(f"cannot reshape {x.shape} into {(d_v, k)}")
+        local = x.reshape(d_v, k).T
+        global_feature = _checked(np.add.reduce(local, axis=0) / k, "mean_pool")
+        probs = []
+        for head in ("obs", "concept"):
+            w, b = params[f"enc.{head}.w"].data, params[f"enc.{head}.b"].data
+            if w.ndim not in (1, 2) or w.shape[-1] != d_v:
+                raise ShapeError(f"matmul needs a 1-d or 2-d operand of inner dimension {d_v}, got {w.shape}")
+            z = _checked(w @ global_feature, "matmul")
+            try:
+                z = z + b
+            except ValueError:
+                raise ShapeError(f"add cannot broadcast {np.shape(z)} with {b.shape}") from None
+            probs.append(ad._sigmoid_np(_checked(z, "add")))
+    return EncoderOutput(Tensor(local), Tensor(global_feature), Tensor(probs[0]), Tensor(probs[1]))
 
 
 def encoder_loss_parts(front, lat, labels):

@@ -211,6 +211,24 @@ def test_fuse_early_identical_views_equals_duplicated_bank():
     np.testing.assert_allclose(ctx.data, dup.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("grad", [False, True], ids=["frozen_views", "trained_views"])
+def test_early_fusion_steps_on_one_sample_record_one_bank_projection(grad):
+    # S sentence steps on one pair of views stack their bank once and project it once: S + 1 nodes, and the
+    # stacking's own node when the views take a gradient; with a bank per step, 2S (or 3S)
+    rng = np.random.default_rng(12)
+    front, lat = (Tensor(rng.normal(size=(4, 3)), requires_grad=grad) for _ in range(2))
+    views = [EncoderOutput(local, None, None, None) for local in (front, lat)]
+    p = make_params()
+    for steps in (1, 4):
+        queries = [Tensor(rng.normal(size=4)) for _ in range(steps)]
+        with Tape() as tape:
+            contexts = [fuse("early", *views, h, p) for h in queries]
+        banks = [fn for _, fn in tape._nodes if fn.__qualname__ == "attend.<locals>.bw_bank"]
+        assert len(banks) == 1 and len(tape) == steps + 1 + grad
+        for ctx, h in zip(contexts, queries):  # the same bits as an untaped step, which stacks its own bank
+            assert ctx.data.tobytes() == fuse("early", *views, h, p).data.tobytes()
+
+
 def test_fuse_late_projects_both_attended_views():
     rng = np.random.default_rng(8)
     front, lat = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mvh.encoder import (
     fuse_view_predictions,
     init_encoder_params,
 )
-from mvh.errors import ShapeError, ValidationError
+from mvh.errors import NumericsError, ShapeError, ValidationError
 from mvh.train import EncoderTrainer
 
 TINY = EncoderConfig(image_size=8, channels=(2, 3), n_concepts=2)
@@ -71,6 +72,70 @@ def test_output_shapes_and_global_is_mean_of_locals():
 def test_wrong_image_size_is_shape_error():
     with pytest.raises(ShapeError):
         encode(Tensor(np.zeros((1, 6, 6))), tiny_params(), TINY)
+
+
+# the untaped path ------------------------------------------------------------------------
+
+def _encode(image, params, config, taped):
+    """encode's outputs on the taped path, under a tape, or the untaped one."""
+    if not taped:
+        return encode(image, params, config)
+    with ad.Tape():
+        return encode(image, params, config)
+
+
+@pytest.mark.parametrize("config", [EncoderConfig(), EncoderConfig(image_size=8, channels=(4,), n_concepts=3), TINY],
+                         ids=["default", "one_layer", "tiny"])
+@pytest.mark.parametrize("seed", [0, 1, 13301])
+def test_an_untaped_encode_equals_a_taped_one_bit_for_bit(config, seed):
+    params = init_encoder_params(config, seed)
+    size = config.image_size
+    image = Tensor(np.random.default_rng(seed).uniform(size=(1, size, size)))
+    untaped, taped = _encode(image, params, config, False), _encode(image, params, config, True)
+    for name, out in vars(untaped).items():
+        ref = getattr(taped, name).data
+        assert out.data.shape == ref.shape and out.data.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("shapes", [
+    pytest.param({"enc.conv0.w": (2, 2, 3, 3)}, id="conv_kernel_channels"),
+    pytest.param({"enc.conv1.w": (3, 2, 2, 2)}, id="even_conv_kernel"),
+    pytest.param({"enc.conv1.b": (4,)}, id="conv_bias"),
+    pytest.param({"enc.conv1.w": (4, 2, 3, 3), "enc.conv1.b": (4,)}, id="last_conv_width"),
+    pytest.param({"enc.obs.w": (N_OBS, 4)}, id="head_weight"),
+    pytest.param({"enc.concept.w": (2, 3, 1)}, id="head_weight_3d"),
+    pytest.param({"enc.obs.b": (N_OBS - 1,)}, id="head_bias"),
+])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_a_wrong_shaped_parameter_is_shape_error_on_both_paths(shapes, taped):
+    params = tiny_params()
+    params.update({name: Tensor(np.zeros(shape), requires_grad=True) for name, shape in shapes.items()})
+    with pytest.raises(ShapeError):
+        _encode(Tensor(np.zeros((1, 8, 8))), params, TINY, taped)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_a_non_finite_conv_weight_is_numerics_error_naming_conv_block_on_both_paths(taped):
+    params = tiny_params()
+    params["enc.conv1.w"].data[0, 0, 1, 1] = math.nan
+    with pytest.raises(NumericsError, match="^conv_block produced non-finite values"):
+        _encode(Tensor(np.full((1, 8, 8), 0.5)), params, TINY, taped)
+
+
+@pytest.mark.parametrize("values, op", [
+    # every local feature about 1e9, so the head sums 32 products of about 1e309
+    pytest.param({"enc.conv2.b": 1e9, "enc.obs.w": 1e300}, "matmul", id="head_weight"),
+    # every local feature about 1e308, so the mean sums 16 of them
+    pytest.param({"enc.conv2.b": 1e308}, "mean_pool", id="feature_sum"),
+])
+def test_an_overflow_in_an_untaped_encode_is_numerics_error_not_a_warning(values, op):
+    params = init_encoder_params(EncoderConfig(), 3)
+    for name, value in values.items():
+        params[name].data[:] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning would be raised in place of the NumericsError
+        with pytest.raises(NumericsError, match=f"^{op} produced non-finite values$"):
+            encode(Tensor(np.full((1, 32, 32), 0.5)), params, EncoderConfig())
 
 
 # loss ---------------------------------------------------------------------------
@@ -177,7 +242,7 @@ def test_a_training_step_records_one_node_per_conv_block_and_an_untaped_encode_n
     ops, result = [], ad._result
     monkeypatch.setattr(ad, "_result", lambda data, parents, bw: ops.append(bw) or result(data, parents, bw))
     out = encode(Tensor(sample.frontal_image), init_encoder_params(EncoderConfig(), 3), EncoderConfig())
-    assert len(ops) == 12
+    assert ops == []  # the untaped path runs the ops' kernels, not the ops
     assert all(x._tape is None and not x.requires_grad for x in vars(out).values())
 
 
